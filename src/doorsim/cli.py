@@ -181,9 +181,11 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     server = args.server or DEFAULT_SERVER
     body = {"kind": args.kind, "device_id": args.device}
-    if args.from_ms is not None or args.to_ms is not None:
-        body["from"] = args.from_ms or 0
-        body["to"] = args.to_ms or 0
+    # An open end is filled in by the service: from 0, to its current clock.
+    if args.from_ms is not None:
+        body["from"] = args.from_ms
+    if args.to_ms is not None:
+        body["to"] = args.to_ms
     data = _post(server, "/query", body)
     print(data["summary"])
     if args.out:

@@ -31,14 +31,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         url = urlsplit(self.path)
         body = None
-        length = int(self.headers.get("content-length") or 0)
+        try:
+            length = int(self.headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._protocol_error("content-length must be a non-negative integer")
+            return
         if length:
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
-                self._write(400, {"ok": False, "error": {"code": "protocol",
-                                                         "message": "body is not JSON"}})
+            except ValueError:  # not JSON, or not decodable text
+                self._protocol_error("body is not JSON")
                 return
         request = ApiRequest(
             method=method,
@@ -49,6 +54,9 @@ class _Handler(BaseHTTPRequestHandler):
         )
         response = self.server.service.handle(request)
         self._write(response.status, response.body)
+
+    def _protocol_error(self, message: str) -> None:
+        self._write(400, {"ok": False, "error": {"code": "protocol", "message": message}})
 
     def _write(self, status: int, body) -> None:
         payload = canonical_json(body).encode("utf-8")

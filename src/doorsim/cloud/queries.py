@@ -36,12 +36,17 @@ class QueryRequest:
                 raise ValidationError("range from must be <= to")
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "QueryRequest":
+    def from_dict(cls, data: Mapping, now_ms: int = 0) -> "QueryRequest":
+        """Parse a wire query; an open range end means 0 or ``now_ms``."""
         kind = QueryKind(str(data["kind"]).replace("-", "_"))
         range_ = None
-        if data.get("from") is not None or data.get("to") is not None:
-            range_ = (int(data.get("from", 0)), int(data.get("to", 0)))
-        return cls(kind=kind, device_id=data["device_id"], range=range_)
+        start, end = data.get("from"), data.get("to")
+        if start is not None or end is not None:
+            range_ = (0 if start is None else int(start), now_ms if end is None else int(end))
+        device_id = data["device_id"]
+        if not isinstance(device_id, str):
+            raise TypeError(f"device_id must be a string, not {type(device_id).__name__}")
+        return cls(kind=kind, device_id=device_id, range=range_)
 
 
 @dataclass(frozen=True)

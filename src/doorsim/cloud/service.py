@@ -11,7 +11,6 @@ answer time-relative queries deterministically.
 from __future__ import annotations
 
 import base64
-import binascii
 import random
 import re
 import threading
@@ -197,8 +196,11 @@ class CloudService:
         body = self._body(request)
         if "device_id" not in body:
             raise ProtocolError("device_id is required")
+        attributes = body.get("attributes") or {}
+        if not isinstance(attributes, Mapping):
+            raise ProtocolError("attributes must be a JSON object")
         record, credential = self.registry.register(
-            body["device_id"], body.get("attributes") or {}, at=self.now_ms
+            _text(body, "device_id"), attributes, at=self.now_ms
         )
         return {"record": record.to_dict(), "secret": credential.secret}
 
@@ -206,7 +208,7 @@ class CloudService:
         body = self._body(request)
         if "device_id" not in body or "secret" not in body:
             raise ProtocolError("device_id and secret are required")
-        token = self.registry.authenticate(body["device_id"], body["secret"])
+        token = self.registry.authenticate(_text(body, "device_id"), _text(body, "secret"))
         return {"session_token": token}
 
     # -- ingestion ----------------------------------------------------------
@@ -216,8 +218,10 @@ class CloudService:
         body = self._body(request)
         try:
             record = AnalyticsRecord.from_dict(body["record"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ProtocolError(f"malformed analytics record: {exc}") from exc
+        if not isinstance(record.event_id, str) or not isinstance(record.device_id, str):
+            raise ProtocolError("event_id and device_id must be strings")
         if record.device_id != device_id:
             raise AuthError(
                 f"session for {device_id} cannot ingest records of {record.device_id}"
@@ -237,16 +241,19 @@ class CloudService:
         params = request.query
         if "device" not in params:
             raise ProtocolError("device query parameter is required")
-        from_ms = int(params.get("from", 0))
-        to_ms = int(params.get("to", self.now_ms))
+        try:
+            from_ms = int(params.get("from", 0))
+            to_ms = int(params.get("to", self.now_ms))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"from and to must be integers: {exc}") from exc
         records = self.store.get_activities(params["device"], from_ms, to_ms)
         return {"records": [r.to_dict() for r in records]}
 
     def _handle_query(self, request: ApiRequest) -> dict:
         body = self._body(request)
         try:
-            query = QueryRequest.from_dict(body)
-        except (KeyError, ValueError) as exc:
+            query = QueryRequest.from_dict(body, now_ms=self.now_ms)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed query: {exc}") from exc
         return answer_query(query, self.store, now_ms=self.now_ms).to_dict()
 
@@ -260,13 +267,14 @@ class CloudService:
 
     def _handle_enroll_face(self, request: ApiRequest) -> dict:
         body = self._body(request)
-        collection_id = body.get("collection_id", "default")
+        collection_id = _text(body, "collection_id", "default")
+        identity = _text(body, "identity", "")
         try:
             category = FaceCategory(body["category"])
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"bad face category: {exc}") from exc
         collection = self.collections.setdefault(collection_id, FaceCollection(collection_id))
-        collection.enroll(body.get("identity", ""), category)
+        collection.enroll(identity, category)
         return {"collection_id": collection_id, "enrolled": len(collection)}
 
     # -- detection API -----------------------------------------------------------
@@ -275,14 +283,14 @@ class CloudService:
         body = self._body(request)
         try:
             frame = FrameSample.from_dict(body["frame"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ProtocolError(f"malformed frame: {exc}") from exc
         allowed = _ENDPOINT_SCENARIOS[endpoint]
         if frame.scenario not in allowed:
             raise RoutingError(
                 f"{frame.scenario.value} frames are not served by this endpoint"
             )
-        collection = self._collection(body.get("collection_id", "default"))
+        collection = self._collection(_text(body, "collection_id", "default"))
         detections = simulate_detections(
             frame,
             frame.scenario,
@@ -310,7 +318,7 @@ class CloudService:
         body = self._body(request)
         try:
             data = base64.b64decode(body["data_b64"], validate=True)
-        except (KeyError, TypeError, binascii.Error) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise ProtocolError(f"data_b64 must be valid base64: {exc}") from exc
         return {"ref": self.blobs.put(data)}
 
@@ -324,8 +332,20 @@ class CloudService:
         body = self._body(request)
         if "name" not in body or "example_count" not in body:
             raise ProtocolError("name and example_count are required")
-        job = self.jobs.create(body["name"], int(body["example_count"]), at=self.now_ms)
+        try:
+            example_count = int(body["example_count"])
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"example_count must be an integer: {exc}") from exc
+        job = self.jobs.create(_text(body, "name"), example_count, at=self.now_ms)
         return {"job": job.to_dict()}
+
+
+def _text(body: Mapping[str, Any], name: str, default: str | None = None) -> str:
+    """A string field of a request body; any other JSON type is a protocol error."""
+    value = body.get(name, default)
+    if not isinstance(value, str):
+        raise ProtocolError(f"{name} must be a string")
+    return value
 
 
 def _error(exc: DoorsimError) -> ApiResponse:

@@ -55,14 +55,21 @@ _STRANGERS = ("mallory", "trent", "oscar")
 
 
 class Dataset:
-    """An in-memory manifest with frame lookup by id and by device."""
+    """An in-memory manifest with frame lookup by id and by device.
+
+    A device index is built once, with the manifest: ``get`` is O(1),
+    ``frames_for_device`` is O(frames of that device) and ``device_ids`` is
+    O(devices), whatever the size of the rest of the manifest.
+    """
 
     def __init__(self, frames: Sequence[FrameSample]):
         self._frames: dict[str, FrameSample] = {}
+        self._by_device: dict[str, list[FrameSample]] = {}
         for frame in frames:
             if frame.frame_id in self._frames:
                 raise DatasetError(f"duplicate frame_id in manifest: {frame.frame_id}")
             self._frames[frame.frame_id] = frame
+            self._by_device.setdefault(frame.device_id, []).append(frame)
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -77,14 +84,13 @@ class Dataset:
             raise DatasetError(f"unknown frame_id: {frame_id}") from None
 
     def frames_for_device(self, device_id: str) -> list[FrameSample]:
-        return [f for f in self if f.device_id == device_id]
+        """The device's frames in manifest order, as a new list."""
+        return list(self._by_device.get(device_id, ()))
 
     @property
     def device_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for frame in self:
-            seen.setdefault(frame.device_id, None)
-        return list(seen)
+        """Devices in order of their first frame in the manifest."""
+        return list(self._by_device)
 
     def fingerprint(self) -> str:
         """Content hash of the manifest, used to pair reports with data."""

@@ -279,10 +279,13 @@ class EventIdFactory:
     """Issues event ids, enforcing per-device sequence uniqueness.
 
     Reusing a sequence number for a device signals a caller bug and raises.
+    Each device keeps a next-sequence counter, one above the highest
+    sequence issued so far, so both calls are O(1).
     """
 
     def __init__(self) -> None:
         self._issued: dict[str, set[int]] = {}
+        self._next: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def new_event_id(self, device_id: str, sequence: int) -> str:
@@ -292,14 +295,16 @@ class EventIdFactory:
             if sequence in issued:
                 raise ConflictError(f"sequence {sequence} already issued for {device_id}")
             issued.add(sequence)
+            if sequence >= self._next.get(device_id, 0):
+                self._next[device_id] = sequence + 1
         return event_id
 
     def next_event_id(self, device_id: str) -> str:
-        """Issue the next unused sequence for the device."""
+        """Issue the sequence one above the highest issued for the device."""
         with self._lock:
-            issued = self._issued.setdefault(device_id, set())
-            sequence = max(issued) + 1 if issued else 0
-            issued.add(sequence)
+            sequence = self._next.get(device_id, 0)
+            self._issued.setdefault(device_id, set()).add(sequence)
+            self._next[device_id] = sequence + 1
         return format_event_id(device_id, sequence)
 
 

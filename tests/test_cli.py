@@ -143,6 +143,19 @@ class TestServerCommands:
                      "--from", "0", "--to", "5000", "--server", base]) == 0
         assert "0 records at door-1 in [0, 5000] ms." in capsys.readouterr().out
 
+    def test_range_query_without_to_ends_at_service_clock(self, server, capsys):
+        base, service = server
+        service.advance_clock(9000)
+        assert main(["query", "--kind", "range-query", "--device", "door-1",
+                     "--from", "100", "--server", base]) == 0
+        assert "0 records at door-1 in [100, 9000] ms." in capsys.readouterr().out
+
+    def test_range_query_without_from_starts_at_zero(self, server, capsys):
+        base, _ = server
+        assert main(["query", "--kind", "range-query", "--device", "door-1",
+                     "--to", "700", "--server", base]) == 0
+        assert "0 records at door-1 in [0, 700] ms." in capsys.readouterr().out
+
     def test_query_unreachable_server_exits_2(self):
         assert main(["query", "--kind", "latest-activity", "--device", "door-1",
                      "--server", "http://127.0.0.1:1"]) == 2

@@ -221,6 +221,58 @@ class TestMetadataStore:
         store.put(record(0, device="door-2"))
         assert len(store.get_activities("door-1", 0, 10)) == 1
 
+    def test_out_of_order_puts_read_back_in_sequence_order(self):
+        store = MetadataStore()
+        for seq in (3, 0, 7, 1, 5):
+            store.put(record(seq, at=100 - seq))
+        got = store.get_activities("door-1", 0, 1000)
+        assert [r.event_id for r in got] == [f"door-1:{s}" for s in (0, 1, 3, 5, 7)]
+        assert [r.event_id for r in store.all_records()] == [r.event_id for r in got]
+        store.put(record(9, at=0))  # in order again after the re-sort
+        assert store.get_activities("door-1", 0, 1000)[-1].event_id == "door-1:9"
+
+    def test_duplicate_put_keeps_first_record(self):
+        store = MetadataStore()
+        first = record(4, names=("dog",))
+        store.put(first)
+        store.put(record(4, names=("cat",)))
+        assert len(store) == 1
+        assert store.get_activities("door-1", 0, 10) == [first]
+        assert store.latest("door-1") is first
+
+    def test_latest_prefers_capture_time_then_sequence(self):
+        store = MetadataStore()
+        store.put(record(0, at=500))
+        store.put(record(1, at=200))
+        store.put(record(2, at=500))
+        assert store.latest("door-1").event_id == "door-1:2"
+        assert store.latest("door-9") is None
+
+    def test_latest_across_devices_ties_go_to_first_put(self):
+        store = MetadataStore()
+        store.put(record(1, device="door-2", at=300))
+        store.put(record(1, device="door-1", at=300))
+        store.put(record(0, device="door-3", at=300))
+        assert store.latest().device_id == "door-2"
+        store.put(record(2, device="door-3", at=300))
+        assert store.latest().device_id == "door-3"
+        assert MetadataStore().latest() is None
+
+    def test_len_counts_distinct_records_across_devices(self):
+        store = MetadataStore()
+        for device in ("door-1", "door-2"):
+            for seq in (2, 0, 1, 0):
+                store.put(record(seq, device=device))
+        assert len(store) == 6
+
+    def test_all_records_ordered_by_device_then_sequence(self):
+        store = MetadataStore()
+        for device, seq in (("door-2", 0), ("door-1", 1), ("door-2", 1), ("door-1", 0)):
+            store.put(record(seq, device=device))
+        assert [r.event_id for r in store.all_records()] == [
+            "door-1:0", "door-1:1", "door-2:0", "door-2:1",
+        ]
+
 
 class TestBlobStore:
     def test_round_trip(self):

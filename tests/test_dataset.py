@@ -99,3 +99,38 @@ def test_fingerprint_tracks_content(tmp_path):
     a = generate_dataset(GeneratorConfig(scenarios=(ScenarioKind.ANIMAL_DETECTION,), positives=5, seed=1))
     b = generate_dataset(GeneratorConfig(scenarios=(ScenarioKind.ANIMAL_DETECTION,), positives=5, seed=2))
     assert Dataset(a).fingerprint() != Dataset(b).fingerprint()
+
+
+def _frames_across(devices):
+    config = GeneratorConfig(
+        scenarios=(ScenarioKind.ANIMAL_DETECTION, ScenarioKind.UNSAFE_CONTENT),
+        positives=6, devices=devices, seed=3,
+    )
+    return generate_dataset(config)
+
+
+def test_frames_for_device_keeps_manifest_order():
+    frames = _frames_across(("door-2", "door-1", "door-3"))
+    dataset = Dataset(frames)
+    for device_id in ("door-1", "door-2", "door-3"):
+        expected = [f for f in frames if f.device_id == device_id]
+        assert expected
+        assert dataset.frames_for_device(device_id) == expected
+
+
+def test_frames_for_unknown_device_is_empty():
+    assert Dataset(_frames_across(("door-1",))).frames_for_device("door-9") == []
+
+
+def test_frames_for_device_returns_a_copy():
+    dataset = Dataset(_frames_across(("door-1", "door-2")))
+    first = dataset.frames_for_device("door-1")
+    count = len(first)
+    first.clear()
+    assert len(dataset.frames_for_device("door-1")) == count
+
+
+def test_device_ids_follow_first_appearance():
+    frames = _frames_across(("door-3", "door-1", "door-2"))
+    assert Dataset(frames).device_ids == ["door-3", "door-1", "door-2"]
+    assert Dataset(list(reversed(frames))).device_ids == ["door-2", "door-1", "door-3"]

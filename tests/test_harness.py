@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -20,8 +21,8 @@ from doorsim.harness import (
     run_experiment,
     tally_frame,
 )
-from doorsim.model import Label, ScenarioKind
-from doorsim.transport import NetworkModel
+from doorsim.model import Label, ScenarioKind, canonical_json
+from doorsim.transport import FailureInjector, NetworkModel
 
 ANIMAL = ScenarioKind.ANIMAL_DETECTION
 
@@ -341,6 +342,34 @@ class TestRunExperiment:
         assert report.counters["ingested"] == len(dataset)
         assert len(report.frames) == len(dataset)
         assert report.counters["notifications"] == len(dataset)
+
+
+# sha256 of canonical_json(report.to_dict(include_trace=True)) for the run
+# below. A refactor or optimisation must leave these bytes unchanged; only a
+# deliberate change of the simulated behaviour may update them.
+PINNED_REPORT_SHA256 = {
+    "aws-saas": "0282336cfb79bde11c31751b2dab0c44b62de26101fe75cd2b590acaa3e93890",
+    "haar": "9525cd9d6c5b1c7128974173482dd527cc13dc4e50e19ea1ef77feda274f0bf6",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_dataset():
+    return Dataset(generate_dataset(GeneratorConfig(
+        scenarios=tuple(ScenarioKind), positives=40,
+        devices=("door-1", "door-2", "door-3"), seed=5,
+    )))
+
+
+@pytest.mark.parametrize("backend_id", sorted(PINNED_REPORT_SHA256))
+def test_report_bytes_are_pinned(pinned_dataset, backend_id):
+    assert len(pinned_dataset) == 555
+    config = ExperimentConfig(backend_id=backend_id, threshold=70.0, seed=7)
+    report = run_experiment(
+        config, dataset=pinned_dataset, failure_injector=FailureInjector(0.05, seed=3)
+    )
+    payload = canonical_json(report.to_dict(include_trace=True)).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == PINNED_REPORT_SHA256[backend_id]
 
 
 class TestCompareBackends:

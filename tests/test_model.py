@@ -43,6 +43,42 @@ class TestEventIds:
         ids = [factory.next_event_id("door-1") for _ in range(5)]
         assert ids == [f"door-1:{i}" for i in range(5)]
 
+    def test_next_event_id_follows_highest_explicit_sequence(self):
+        factory = EventIdFactory()
+        factory.new_event_id("door-1", 5)
+        assert factory.next_event_id("door-1") == "door-1:6"
+        factory.new_event_id("door-1", 2)  # below the counter: does not lower it
+        assert factory.next_event_id("door-1") == "door-1:7"
+
+    def test_sequence_issued_by_next_cannot_be_reused(self):
+        factory = EventIdFactory()
+        assert factory.next_event_id("door-1") == "door-1:0"
+        with pytest.raises(ConflictError):
+            factory.new_event_id("door-1", 0)
+
+    def test_counters_are_per_device(self):
+        factory = EventIdFactory()
+        factory.new_event_id("door-1", 9)
+        assert factory.next_event_id("door-2") == "door-2:0"
+        assert factory.next_event_id("door-1") == "door-1:10"
+        assert factory.next_event_id("door-2") == "door-2:1"
+
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 30)), max_size=40))
+    def test_next_is_one_above_highest_issued(self, calls):
+        factory = EventIdFactory()
+        issued: set[int] = set()
+        for sequence in calls:
+            if sequence is None:
+                expected = max(issued) + 1 if issued else 0
+                assert factory.next_event_id("door-1") == f"door-1:{expected}"
+                issued.add(expected)
+            elif sequence in issued:
+                with pytest.raises(ConflictError):
+                    factory.new_event_id("door-1", sequence)
+            else:
+                factory.new_event_id("door-1", sequence)
+                issued.add(sequence)
+
     @given(st.text(min_size=1), st.integers(min_value=0, max_value=10**9))
     def test_parse_round_trips(self, device_id, sequence):
         # the sequence never contains a colon, so the last-colon split is safe

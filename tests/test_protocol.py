@@ -1,9 +1,13 @@
 """Wire-protocol conformance: golden replay, endpoint inventory, HTTP binding."""
 
+import http.client
 import json
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from doorsim.cloud import CloudService
 from doorsim.cloud.httpd import CloudHTTPServer
@@ -121,6 +125,142 @@ class TestGatewayInventory:
         assert response.body["error"]["code"] == "routing"
 
 
+GOOD_FRAME = {
+    "frame_id": "f", "device_id": "d", "captured_at": 0,
+    "scenario": "animal_detection", "truth_labels": ["dog"], "truth_identity": None,
+}
+
+
+def ingest_body(**overrides):
+    record = {
+        "event_id": "door-1:0", "device_id": "door-1", "frame_id": "f",
+        "detections": [{"label": "dog", "kind": "animal_detection", "confidence": 95.0}],
+        "backend_id": "aws-saas", "captured_at": 0, "detected_at": 10,
+        "threshold_used": 70.0, **overrides,
+    }
+    return {"record": record}
+
+
+# Malformed requests that once escaped CloudService.handle as raw exceptions
+# (or, for a non-string identity, were accepted); each must be a 400 envelope.
+MALFORMED_REQUESTS = [
+    ("activities_from_not_int", "GET", "/activities", None, {"device": "d1", "from": "abc"}),
+    ("activities_to_not_int", "GET", "/activities", None, {"device": "d1", "to": "x"}),
+    ("custom_labels_count_not_int", "POST", "/custom-labels",
+     {"name": "job", "example_count": "x"}, {}),
+    ("custom_labels_count_object", "POST", "/custom-labels",
+     {"name": "job", "example_count": {}}, {}),
+    ("custom_labels_name_list", "POST", "/custom-labels",
+     {"name": [1], "example_count": 3}, {}),
+    ("register_attributes_int", "POST", "/devices/register",
+     {"device_id": "door-9", "attributes": 5}, {}),
+    ("register_device_id_list", "POST", "/devices/register", {"device_id": [1]}, {}),
+    ("auth_device_id_list", "POST", "/devices/auth", {"device_id": [1], "secret": "s"}, {}),
+    ("auth_secret_int", "POST", "/devices/auth", {"device_id": "door-1", "secret": 5}, {}),
+    ("query_from_list", "POST", "/query",
+     {"kind": "range_query", "device_id": "door-1", "from": [1]}, {}),
+    ("query_device_id_list", "POST", "/query",
+     {"kind": "latest_activity", "device_id": [1]}, {}),
+    ("ingest_unknown_detection_kind", "POST", "/ingest",
+     ingest_body(detections=[{"label": "dog", "kind": "nope", "confidence": 95.0}]), {}),
+    ("ingest_detections_object", "POST", "/ingest",
+     ingest_body(detections={"label": "dog"}), {}),
+    ("ingest_event_id_int", "POST", "/ingest", ingest_body(event_id=5), {}),
+    ("enroll_identity_int", "POST", "/faces/enroll", {"identity": 7, "category": "family"}, {}),
+    ("enroll_collection_list", "POST", "/faces/enroll",
+     {"identity": "alice", "category": "family", "collection_id": [1]}, {}),
+    ("detect_label_not_string", "POST", "/detect/labels",
+     {"frame": {**GOOD_FRAME, "truth_labels": [5]}}, {}),
+    ("detect_collection_list", "POST", "/detect/labels",
+     {"frame": GOOD_FRAME, "collection_id": [1]}, {}),
+    ("blob_not_ascii", "POST", "/blobs", {"data_b64": "\u00e9"}, {}),
+]
+
+
+BODY_KEYS = st.sampled_from([
+    "device_id", "attributes", "secret", "record", "kind", "from", "to", "identity",
+    "category", "collection_id", "frame", "data_b64", "name", "example_count",
+])
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-5, 1000), st.floats(allow_nan=False),
+        st.text(max_size=6),
+        st.sampled_from(["door-1", "door-1:0", "dog", "animal_detection", "family", "aGk="]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4) | BODY_KEYS | st.sampled_from([
+            "label", "confidence", "scenario", "truth_labels", "event_id", "detections",
+            "captured_at", "frame_id",
+        ]), children, max_size=5),
+    ),
+    max_leaves=10,
+)
+
+
+def service_with_session():
+    """A fresh service with door-1 registered, and door-1's session token."""
+    service = CloudService(seed=0)
+    secret = service.handle(ApiRequest(
+        "POST", "/devices/register", body={"device_id": "door-1"}
+    )).body["data"]["secret"]
+    token = service.handle(ApiRequest(
+        "POST", "/devices/auth", body={"device_id": "door-1", "secret": secret}
+    )).body["data"]["session_token"]
+    return service, token
+
+
+class TestGatewayTotality:
+    @pytest.fixture()
+    def service_and_token(self):
+        return service_with_session()
+
+    @pytest.mark.parametrize(
+        "method,path,body,query", [case[1:] for case in MALFORMED_REQUESTS],
+        ids=[case[0] for case in MALFORMED_REQUESTS],
+    )
+    def test_malformed_request_is_protocol_error(self, service_and_token,
+                                                 method, path, body, query):
+        service, token = service_and_token
+        response = service.handle(ApiRequest(
+            method, path, headers={"x-session-token": token}, body=body, query=query,
+        ))
+        assert response.status == 400
+        assert response.body["ok"] is False
+        assert response.body["error"]["code"] == "protocol"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        route=st.sampled_from(sorted(DOCUMENTED_ENDPOINTS)),
+        body=st.one_of(
+            st.none(), JSON_VALUES, st.dictionaries(BODY_KEYS, JSON_VALUES, max_size=5),
+        ),
+        query=st.dictionaries(st.sampled_from(["device", "from", "to"]), st.text(max_size=4)),
+        with_session=st.booleans(),
+    )
+    def test_any_request_gets_an_envelope(self, route, body, query, with_session):
+        service, token = service_with_session()
+        method, path = route
+        headers = {"x-session-token": token} if with_session else {}
+        response = service.handle(ApiRequest(
+            method, path.replace("{ref}", "ab12"), headers=headers, body=body, query=query,
+        ))
+        if response.status == 200:
+            assert response.body["ok"] is True and set(response.body) == {"ok", "data"}
+        else:
+            assert 400 <= response.status < 500
+            assert response.body["ok"] is False
+            assert set(response.body["error"]) == {"code", "message"}
+
+    def test_well_formed_ingest_is_accepted(self, service_and_token):
+        service, token = service_and_token
+        response = service.handle(ApiRequest(
+            "POST", "/ingest", headers={"x-session-token": token}, body=ingest_body(),
+        ))
+        assert response.status == 200
+
+
 @pytest.fixture()
 def http_server():
     service = CloudService(seed=GOLDEN_SEED)
@@ -169,6 +309,24 @@ class TestHttpBinding:
         with urllib.request.urlopen(request) as response:
             raw = response.read()
         assert raw == canonical_json(in_process.body).encode()
+
+    @pytest.mark.parametrize("length,payload", [
+        ("abc", b"{}"), ("-5", b"{}"), ("2", b"\x80{"),
+    ], ids=["not_an_integer", "negative", "not_utf8"])
+    def test_bad_content_length_or_body_is_protocol_error(self, http_server, length, payload):
+        conn = http.client.HTTPConnection(urlsplit(http_server).netloc, timeout=10)
+        try:
+            conn.putrequest("POST", "/devices/register")
+            conn.putheader("content-length", length)
+            conn.endheaders()
+            conn.send(payload)
+            response = conn.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 400
+        assert body["ok"] is False
+        assert body["error"]["code"] == "protocol"
 
     def test_get_blob_over_http(self, http_server):
         import base64
