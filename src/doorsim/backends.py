@@ -41,6 +41,7 @@ __all__ = [
     "simulate_detections",
     "DEFAULT_PROFILES",
     "DEFAULT_ROUTES",
+    "DETECT_ENDPOINTS",
     "load_profiles",
     "REMOTE_BACKEND_ID",
 ]
@@ -221,14 +222,24 @@ DEFAULT_PROFILES: dict[str, BackendProfile] = {
     ),
 }
 
-# Scenario -> detection API operation. Animal and multi-object detection
-# both ride the generic label endpoint.
+# The detection API: path -> (response field carrying the detections,
+# scenarios served). Each scenario is served by exactly one endpoint;
+# animal and multi-object detection both ride the generic label endpoint.
+DETECT_ENDPOINTS: Mapping[str, tuple[str, tuple[ScenarioKind, ...]]] = {
+    "/detect/faces": ("face_matches", (ScenarioKind.FACE_RECOGNITION,)),
+    "/detect/moderation": ("moderation_labels", (ScenarioKind.UNSAFE_CONTENT,)),
+    "/detect/text": ("text_detections", (ScenarioKind.NOTEWORTHY_VEHICLE,)),
+    "/detect/labels": (
+        "labels",
+        (ScenarioKind.ANIMAL_DETECTION, ScenarioKind.MULTI_OBJECT),
+    ),
+}
+
+# Scenario -> the detection endpoint that serves it.
 DEFAULT_ROUTES: Mapping[ScenarioKind, str] = {
-    ScenarioKind.FACE_RECOGNITION: "/detect/faces",
-    ScenarioKind.UNSAFE_CONTENT: "/detect/moderation",
-    ScenarioKind.NOTEWORTHY_VEHICLE: "/detect/text",
-    ScenarioKind.ANIMAL_DETECTION: "/detect/labels",
-    ScenarioKind.MULTI_OBJECT: "/detect/labels",
+    scenario: path
+    for path, (_, scenarios) in DETECT_ENDPOINTS.items()
+    for scenario in scenarios
 }
 
 
@@ -389,22 +400,19 @@ class SimulatedBackend(DetectorBackend):
 
 
 class RemoteBackend(DetectorBackend):
-    """Client for the cloud detection service, routed per scenario.
+    """Client for the cloud detection service.
 
-    The client object does the wire round trip; this class only routes and
-    reports latency as two one-way network delays plus the service time.
+    The client object does the wire round trip; this class only picks the
+    scenario's endpoint from :data:`DEFAULT_ROUTES` and reports latency as
+    two one-way network delays plus the service time.
     """
 
-    def __init__(self, client, profile: BackendProfile, routes: Mapping[ScenarioKind, str] | None = None):
+    def __init__(self, client, profile: BackendProfile):
         self._client = client
         self._profile = profile
-        self._routes = dict(routes or DEFAULT_ROUTES)
-        missing = [k for k in ScenarioKind if k not in self._routes]
-        if missing:
-            raise ValidationError(f"routes missing scenarios: {[m.value for m in missing]}")
 
     def detect(self, frame: FrameSample, scenario: ScenarioKind) -> list[Detection]:
-        return self._client.detect(self._routes[scenario], frame)
+        return self._client.detect(DEFAULT_ROUTES[scenario], frame)
 
     def descriptor(self) -> BackendProfile:
         return self._profile

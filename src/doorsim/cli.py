@@ -52,11 +52,27 @@ def _post(server: str, path: str, body: dict) -> dict:
         headers={"content-type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(request) as response:
-        payload = json.loads(response.read())
+    try:
+        with urllib.request.urlopen(request) as response:
+            payload = json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        # The gateway answers a bad request with a 4xx ok:false envelope.
+        with exc:
+            message = _error_message(exc.read())
+        if message is None or not 400 <= exc.code < 500:
+            raise
+        raise ValidationError(message) from exc
     if not payload.get("ok"):
         raise DoorsimError(payload.get("error", {}).get("message", "request failed"))
     return payload["data"]
+
+
+def _error_message(body: bytes) -> str | None:
+    """The message of an ``ok: false`` envelope; None if ``body`` is not one."""
+    try:
+        return str(json.loads(body)["error"]["message"])
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:

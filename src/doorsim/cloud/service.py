@@ -19,6 +19,7 @@ from typing import Any, Mapping
 
 from ..backends import (
     DEFAULT_PROFILES,
+    DETECT_ENDPOINTS,
     REMOTE_BACKEND_ID,
     BackendProfile,
     FaceCollection,
@@ -33,7 +34,7 @@ from ..errors import (
     RoutingError,
     ValidationError,
 )
-from ..model import AnalyticsRecord, FaceCategory, FrameSample, ScenarioKind
+from ..model import AnalyticsRecord, FaceCategory, FrameSample
 from .notify import NotificationHub, SubscriptionFilter
 from .queries import QueryRequest, answer_query
 from .stores import BlobStore, CustomLabelJobs, MetadataStore
@@ -57,7 +58,10 @@ class ApiResponse:
     body: Mapping[str, Any]
 
 
-# The complete gateway surface: (method, path pattern, handler name).
+_BLOB_ROUTE = re.compile(r"/blobs/(?P<ref>[0-9a-f]+)")
+
+# The complete gateway surface: (method, path pattern, handler name). The
+# detect routes come from DETECT_ENDPOINTS and share one handler.
 ROUTES: tuple[tuple[str, str, str], ...] = (
     ("POST", r"/devices/register", "register_device"),
     ("POST", r"/devices/auth", "authenticate_device"),
@@ -65,12 +69,9 @@ ROUTES: tuple[tuple[str, str, str], ...] = (
     ("GET", r"/activities", "activities"),
     ("POST", r"/query", "query"),
     ("POST", r"/faces/enroll", "enroll_face"),
-    ("POST", r"/detect/faces", "detect_faces"),
-    ("POST", r"/detect/moderation", "detect_moderation"),
-    ("POST", r"/detect/text", "detect_text"),
-    ("POST", r"/detect/labels", "detect_labels"),
+    *(("POST", path, "detect") for path in DETECT_ENDPOINTS),
     ("POST", r"/blobs", "put_blob"),
-    ("GET", r"/blobs/(?P<ref>[0-9a-f]+)", "get_blob"),
+    ("GET", _BLOB_ROUTE.pattern, "get_blob"),
     ("POST", r"/custom-labels", "create_custom_label_job"),
 )
 
@@ -83,19 +84,11 @@ _STATUS_BY_CODE = {
     "conflict": 409,
 }
 
-# Scenarios each detection endpoint accepts (label detection covers two).
-_ENDPOINT_SCENARIOS = {
-    "detect_faces": (ScenarioKind.FACE_RECOGNITION,),
-    "detect_moderation": (ScenarioKind.UNSAFE_CONTENT,),
-    "detect_text": (ScenarioKind.NOTEWORTHY_VEHICLE,),
-    "detect_labels": (ScenarioKind.ANIMAL_DETECTION, ScenarioKind.MULTI_OBJECT),
-}
-
-_DETECTION_FIELD = {
-    "detect_faces": "face_matches",
-    "detect_moderation": "moderation_labels",
-    "detect_text": "text_detections",
-    "detect_labels": "labels",
+# Every route but the blob read has a literal path.
+_EXACT_ROUTES = {
+    (method, pattern): name
+    for method, pattern, name in ROUTES
+    if pattern != _BLOB_ROUTE.pattern
 }
 
 
@@ -168,19 +161,20 @@ class CloudService:
                 self.advance_clock(int(request.headers["x-sim-time"]))
             except (TypeError, ValueError):
                 return _error(ProtocolError("x-sim-time must be an integer"))
-        for method, pattern, name in ROUTES:
-            if method != request.method:
-                continue
-            match = re.fullmatch(pattern, request.path)
-            if match is None:
-                continue
-            handler = getattr(self, f"_handle_{name}")
-            try:
-                data = handler(request, **match.groupdict())
-            except DoorsimError as exc:
-                return _error(exc)
-            return ApiResponse(200, {"ok": True, "data": data})
-        return _error(NotFoundError(f"no route for {request.method} {request.path}"))
+        name = _EXACT_ROUTES.get((request.method, request.path))
+        params: dict[str, str] = {}
+        if name is None and request.method == "GET":
+            match = _BLOB_ROUTE.fullmatch(request.path)
+            if match is not None:
+                name, params = "get_blob", match.groupdict()
+        if name is None:
+            return _error(NotFoundError(f"no route for {request.method} {request.path}"))
+        handler = getattr(self, f"_handle_{name}")
+        try:
+            data = handler(request, **params)
+        except DoorsimError as exc:
+            return _error(exc)
+        return ApiResponse(200, {"ok": True, "data": data})
 
     def _body(self, request: ApiRequest) -> Mapping[str, Any]:
         if request.body is None or not isinstance(request.body, Mapping):
@@ -279,14 +273,14 @@ class CloudService:
 
     # -- detection API -----------------------------------------------------------
 
-    def _detect(self, request: ApiRequest, endpoint: str) -> list[dict]:
+    def _handle_detect(self, request: ApiRequest) -> dict:
+        field_name, scenarios = DETECT_ENDPOINTS[request.path]
         body = self._body(request)
         try:
             frame = FrameSample.from_dict(body["frame"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ProtocolError(f"malformed frame: {exc}") from exc
-        allowed = _ENDPOINT_SCENARIOS[endpoint]
-        if frame.scenario not in allowed:
+        if frame.scenario not in scenarios:
             raise RoutingError(
                 f"{frame.scenario.value} frames are not served by this endpoint"
             )
@@ -298,19 +292,7 @@ class CloudService:
             self.seed,
             collection=collection,
         )
-        return [d.to_dict() for d in detections]
-
-    def _handle_detect_faces(self, request: ApiRequest) -> dict:
-        return {"face_matches": self._detect(request, "detect_faces")}
-
-    def _handle_detect_moderation(self, request: ApiRequest) -> dict:
-        return {"moderation_labels": self._detect(request, "detect_moderation")}
-
-    def _handle_detect_text(self, request: ApiRequest) -> dict:
-        return {"text_detections": self._detect(request, "detect_text")}
-
-    def _handle_detect_labels(self, request: ApiRequest) -> dict:
-        return {"labels": self._detect(request, "detect_labels")}
+        return {field_name: [d.to_dict() for d in detections]}
 
     # -- blobs ---------------------------------------------------------------------
 

@@ -10,11 +10,11 @@ deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .backends import DEFAULT_ROUTES, DetectorBackend
+from .backends import DetectorBackend
 from .errors import (
     DeliveryFailedError,
     DetectionFailedError,
@@ -28,7 +28,6 @@ from .model import (
     AnalyticsRecord,
     FrameSample,
     MotionEvent,
-    ScenarioKind,
     apply_confidence_threshold,
 )
 from .transport import CloudClient, IngestAck
@@ -77,46 +76,22 @@ class EdgeConfig:
     threshold: float = DEFAULT_THRESHOLD
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
-    scenario_routing: Mapping[ScenarioKind, str] = field(
-        default_factory=lambda: dict(DEFAULT_ROUTES)
-    )
-    queue_capacity: int = 64
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 100.0:
             raise ValidationError(f"threshold out of [0, 100]: {self.threshold}")
-        missing = [k.value for k in ScenarioKind if k not in self.scenario_routing]
-        if missing:
-            raise ValidationError(f"scenario routing must cover all scenarios; missing {missing}")
-        if self.queue_capacity < 1:
-            raise ValidationError("queue_capacity must be >= 1")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EdgeConfig":
-        if "scenario_routing" in data:
-            routing = {ScenarioKind(k): v for k, v in data["scenario_routing"].items()}
-        else:
-            routing = dict(DEFAULT_ROUTES)
         return cls(
             backend_id=data["backend_id"],
             threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
             retry=RetryPolicy(**data.get("retry", {})),
             sampling=SamplingPolicy(**data.get("sampling", {})),
-            scenario_routing=routing,
-            queue_capacity=int(data.get("queue_capacity", 64)),
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "backend_id": self.backend_id,
-            "threshold": self.threshold,
-            "retry": {"max_attempts": self.retry.max_attempts,
-                      "backoff_ms": self.retry.backoff_ms},
-            "sampling": {"max_frames_per_event": self.sampling.max_frames_per_event,
-                         "min_interval_ms": self.sampling.min_interval_ms},
-            "scenario_routing": {k.value: v for k, v in self.scenario_routing.items()},
-            "queue_capacity": self.queue_capacity,
-        }
+        return asdict(self)
 
 
 class FrameSampler:

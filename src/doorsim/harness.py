@@ -13,11 +13,9 @@ import csv
 import enum
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .backends import (
     DEFAULT_PROFILES,
@@ -197,16 +195,32 @@ def latency_stats(trace: Sequence[tuple[int, int]], backend_id: str = "") -> Lat
     """Round-trip statistics from (request_at, response_at) pairs."""
     if not trace:
         raise ValidationError("latency trace is empty")
-    samples = np.array([response - request for request, response in trace], dtype=float)
-    if np.any(samples < 0):
+    samples = sorted(float(response - request) for request, response in trace)
+    if samples[0] < 0:
         raise ValidationError("negative latency sample in trace")
     return LatencyStats(
         backend_id=backend_id,
         samples=len(samples),
-        mean_ms=float(np.mean(samples)),
-        p50_ms=float(np.percentile(samples, 50)),
-        p95_ms=float(np.percentile(samples, 95)),
+        mean_ms=sum(samples) / len(samples),
+        p50_ms=_percentile(samples, 50),
+        p95_ms=_percentile(samples, 95),
     )
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile (Hyndman & Fan type 7) of sorted samples.
+
+    The virtual index is ``(n - 1) * q / 100``; the lerp starts from the
+    nearer neighbour, which keeps the result the same float that the common
+    array libraries return for their default ``linear`` method.
+    """
+    index = (len(ordered) - 1) * (q / 100)
+    low = int(index)
+    a, b = ordered[low], ordered[min(low + 1, len(ordered) - 1)]
+    t = index - low
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 @dataclass(frozen=True)
@@ -275,10 +289,8 @@ class ExperimentConfig:
             "threshold": self.threshold,
             "seed": self.seed,
             "network": self.network.to_dict(),
-            "retry": {"max_attempts": self.retry.max_attempts,
-                      "backoff_ms": self.retry.backoff_ms},
-            "sampling": {"max_frames_per_event": self.sampling.max_frames_per_event,
-                         "min_interval_ms": self.sampling.min_interval_ms},
+            "retry": asdict(self.retry),
+            "sampling": asdict(self.sampling),
             "debounce_ms": self.debounce_ms,
             "event_spacing_ms": self.event_spacing_ms,
             "profiles": self.profiles_path,
@@ -352,32 +364,34 @@ class ExperimentReport:
             fh.write("\n")
 
     def _csv_rows(self) -> list[dict[str, Any]]:
-        rows = []
         reports = list(self.scenario_metrics.items()) + [("overall", self.overall)]
-        for name, metrics in reports:
-            rows.append({
-                "backend": self.backend_id,
-                "scenario": name,
-                "tp": metrics.counts.tp,
-                "fn": metrics.counts.fn,
-                "fp": metrics.counts.fp,
-                "tn": metrics.counts.tn,
-                "accuracy": metrics.accuracy,
-                "precision": "" if metrics.precision is None else metrics.precision,
-                "recall": "" if metrics.recall is None else metrics.recall,
-                "f1": "" if metrics.f1 is None else metrics.f1,
-                "mean_latency_ms": self.latency.mean_ms,
-                "p95_latency_ms": self.latency.p95_ms,
-                "memory_mb": self.memory_mb,
-                "cpu_pct": self.cpu_pct,
-            })
-        return rows
+        return [_csv_row(self, name, metrics) for name, metrics in reports]
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(self._csv_rows())
+
+
+def _csv_row(report: ExperimentReport, scenario: str, metrics: MetricsReport) -> dict[str, Any]:
+    """One CSV row: a report's metrics for one scenario (or overall)."""
+    return {
+        "backend": report.backend_id,
+        "scenario": scenario,
+        "tp": metrics.counts.tp,
+        "fn": metrics.counts.fn,
+        "fp": metrics.counts.fp,
+        "tn": metrics.counts.tn,
+        "accuracy": metrics.accuracy,
+        "precision": "" if metrics.precision is None else metrics.precision,
+        "recall": "" if metrics.recall is None else metrics.recall,
+        "f1": "" if metrics.f1 is None else metrics.f1,
+        "mean_latency_ms": report.latency.mean_ms,
+        "p95_latency_ms": report.latency.p95_ms,
+        "memory_mb": report.memory_mb,
+        "cpu_pct": report.cpu_pct,
+    }
 
 
 def _resolve_profiles(config: ExperimentConfig) -> dict[str, BackendProfile]:
@@ -598,24 +612,6 @@ def compare_backends(reports: Sequence[ExperimentReport]) -> ComparisonTable:
     fingerprints = {report.dataset_fingerprint for report in reports}
     if len(fingerprints) != 1:
         raise ValidationError("reports cover different datasets; comparison is meaningless")
-    rows = []
-    for report in reports:
-        overall = report.overall
-        rows.append({
-            "backend": report.backend_id,
-            "scenario": "overall",
-            "tp": overall.counts.tp,
-            "fn": overall.counts.fn,
-            "fp": overall.counts.fp,
-            "tn": overall.counts.tn,
-            "accuracy": overall.accuracy,
-            "precision": "" if overall.precision is None else overall.precision,
-            "recall": "" if overall.recall is None else overall.recall,
-            "f1": "" if overall.f1 is None else overall.f1,
-            "mean_latency_ms": report.latency.mean_ms,
-            "p95_latency_ms": report.latency.p95_ms,
-            "memory_mb": report.memory_mb,
-            "cpu_pct": report.cpu_pct,
-        })
+    rows = [_csv_row(report, "overall", report.overall) for report in reports]
     rows.sort(key=lambda row: (-(row["f1"] if row["f1"] != "" else -1.0), row["backend"]))
     return ComparisonTable(rows)

@@ -15,20 +15,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .backends import DETECT_ENDPOINTS
 from .cloud.service import ApiRequest, ApiResponse
 from .draws import int_draw
 from .errors import ProtocolError, TransientTransportError
 from .model import AnalyticsRecord, Detection, FrameSample
 
 __all__ = ["NetworkModel", "IngestAck", "FailureInjector", "CloudClient"]
-
-# Response payload field per detection endpoint.
-_DETECT_RESPONSE_FIELD = {
-    "/detect/faces": "face_matches",
-    "/detect/moderation": "moderation_labels",
-    "/detect/text": "text_detections",
-    "/detect/labels": "labels",
-}
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ class CloudClient:
             at_ms=frame.captured_at, delay_key=f"detect:{frame.frame_id}",
         )
         data = self._data(response)
-        field_name = _DETECT_RESPONSE_FIELD.get(path)
+        field_name = DETECT_ENDPOINTS[path][0] if path in DETECT_ENDPOINTS else None
         if field_name is None or field_name not in data:
             raise ProtocolError(f"unexpected detection response for {path}: {list(data)}")
         return [Detection.from_dict(d) for d in data[field_name]]

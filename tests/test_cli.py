@@ -156,6 +156,12 @@ class TestServerCommands:
                      "--to", "700", "--server", base]) == 0
         assert "0 records at door-1 in [0, 700] ms." in capsys.readouterr().out
 
+    def test_rejected_query_exits_1_with_server_message(self, server, capsys):
+        base, _ = server
+        assert main(["query", "--kind", "range-query", "--device", "door-1",
+                     "--from", "5000", "--to", "100", "--server", base]) == 1
+        assert "range from must be <= to" in capsys.readouterr().err
+
     def test_query_unreachable_server_exits_2(self):
         assert main(["query", "--kind", "latest-activity", "--device", "door-1",
                      "--server", "http://127.0.0.1:1"]) == 2

@@ -240,10 +240,6 @@ class TestForward:
 
 
 class TestEdgeConfig:
-    def test_routing_must_cover_all_scenarios(self):
-        with pytest.raises(ValidationError):
-            EdgeConfig(backend_id="x", scenario_routing={ScenarioKind.MULTI_OBJECT: "/detect/labels"})
-
     def test_round_trip(self):
         config = EdgeConfig(backend_id="aws-saas", threshold=70.0,
                             retry=RetryPolicy(max_attempts=5, backoff_ms=20))

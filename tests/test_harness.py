@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -192,6 +196,31 @@ class TestLatencyStats:
         trace = [(0, rng.randrange(10, 500)) for _ in range(100)]
         stats = latency_stats(trace)
         assert stats.p50_ms <= stats.p95_ms
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 101, 1000])
+    def test_matches_numpy_exactly(self, n):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(n)
+        trace = []
+        for _ in range(n):
+            start = rng.randrange(0, 10_000)
+            trace.append((start, start + rng.randrange(0, 500)))
+        samples = np.array([response - request for request, response in trace], dtype=float)
+        stats = latency_stats(trace)
+        assert stats.mean_ms == float(np.mean(samples))
+        assert stats.p50_ms == float(np.percentile(samples, 50))
+        assert stats.p95_ms == float(np.percentile(samples, 95))
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, doorsim; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def small_dataset(seed, scenarios=(ANIMAL,), positives=10, negatives=None):

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from doorsim.backends import DEFAULT_ROUTES, DETECT_ENDPOINTS, REMOTE_BACKEND_ID
 from doorsim.cloud import CloudService
 from doorsim.cloud.httpd import CloudHTTPServer
 from doorsim.cloud.service import ApiRequest, ROUTES
-from doorsim.model import canonical_json
+from doorsim.model import DEFAULT_VOCABULARY, FrameSample, Label, ScenarioKind, canonical_json
+from doorsim.transport import CloudClient, NetworkModel
 from make_golden import GOLDEN_DIR, GOLDEN_SEED
 
 DOCUMENTED_ENDPOINTS = {
@@ -123,6 +125,45 @@ class TestGatewayInventory:
         response = service.handle(ApiRequest("POST", "/detect/moderation", body={"frame": frame}))
         assert response.status == 400
         assert response.body["error"]["code"] == "routing"
+
+
+def frame_of(scenario):
+    """A frame showing the first vocabulary label of its scenario."""
+    return FrameSample(
+        frame_id=f"f-{scenario.value}", device_id="door-1", captured_at=0,
+        truth=frozenset({Label(DEFAULT_VOCABULARY[scenario][0], scenario)}),
+        scenario=scenario,
+        truth_identity="alice" if scenario is ScenarioKind.FACE_RECOGNITION else None,
+    )
+
+
+class TestDetectEndpointTable:
+    @pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
+    def test_every_scenario_has_exactly_one_endpoint(self, scenario):
+        serving = [path for path, (_, scenarios) in DETECT_ENDPOINTS.items()
+                   if scenario in scenarios]
+        assert serving == [DEFAULT_ROUTES[scenario]]
+
+    @pytest.mark.parametrize("path", list(DETECT_ENDPOINTS))
+    def test_endpoint_serves_exactly_its_scenarios(self, path):
+        field_name, scenarios = DETECT_ENDPOINTS[path]
+        assert ("POST", path) in {(method, pattern) for method, pattern, _ in ROUTES}
+        service = CloudService(seed=5)
+        service.profiles[REMOTE_BACKEND_ID] = (
+            service.profiles[REMOTE_BACKEND_ID].with_perfect_recall()
+        )
+        client = CloudClient(service, network=NetworkModel(seed=5))
+        for scenario in ScenarioKind:
+            frame = frame_of(scenario)
+            response = service.handle(ApiRequest("POST", path, body={"frame": frame.to_dict()}))
+            if scenario in scenarios:
+                assert response.status == 200
+                assert list(response.body["data"]) == [field_name]
+                detections = client.detect(path, frame)
+                assert {d.label for d in detections} == frame.truth
+            else:
+                assert response.status == 400
+                assert response.body["error"]["code"] == "routing"
 
 
 GOOD_FRAME = {
