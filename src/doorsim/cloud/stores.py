@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import lt
 
 from ..errors import ConflictError, NotFoundError, ValidationError
 from ..model import AnalyticsRecord, parse_event_id
@@ -14,25 +16,42 @@ __all__ = ["MetadataStore", "BlobStore", "CustomLabelJobs", "CustomLabelJob"]
 
 
 class _DeviceRecords:
-    """One device's records by event id, kept in event-sequence order.
+    """One device's records in capture-time order.
+
+    ``times``, ``seqs`` and ``records`` are parallel lists ordered by
+    ``(captured_at, seq)`` and then by put order; ``times`` holds each
+    record's own ``captured_at`` and is the bisect key of range reads.
+    ``puts`` maps each stored event id to its put position on the device,
+    which orders distinct ids that spell one sequence (``d:1`` and ``d:01``).
 
     ``latest`` is the record with the greatest ``(captured_at, seq)`` key,
     the first one put among equals; ``latest_order`` is its put position in
     the whole store, which breaks ties between devices.
     """
 
-    __slots__ = ("records", "last_seq", "latest", "latest_key", "latest_order")
+    __slots__ = ("puts", "times", "seqs", "records", "latest", "latest_key", "latest_order")
 
     def __init__(self) -> None:
-        self.records: dict[str, AnalyticsRecord] = {}
-        self.last_seq = -1
+        self.puts: dict[str, int] = {}
+        self.times: list[int] = []
+        self.seqs: list[int] = []
+        self.records: list[AnalyticsRecord] = []
         self.latest: AnalyticsRecord | None = None
         self.latest_key: tuple[float, int] = (-math.inf, -1)
         self.latest_order = 0
 
+    def by_sequence(self, lo: int, hi: int) -> list[AnalyticsRecord]:
+        """Records ``lo:hi`` of the index ordered by (seq, put order).
 
-def _event_seq(item: tuple[str, AnalyticsRecord]) -> int:
-    return parse_event_id(item[0])[1]
+        A slice whose sequences already rise strictly is returned as is;
+        otherwise only its own records are sorted.
+        """
+        seqs = self.seqs[lo:hi]
+        records = self.records[lo:hi]
+        if all(map(lt, seqs, seqs[1:])):
+            return records
+        puts = [self.puts[record.event_id] for record in records]
+        return [record for _, _, record in sorted(zip(seqs, puts, records))]
 
 
 class MetadataStore:
@@ -40,14 +59,16 @@ class MetadataStore:
 
     ``put`` is idempotent on the key, so duplicate ingests never create a
     second stored record. Range reads return one device's records ordered
-    by its event sequence.
+    by its event sequence, distinct ids of one sequence in put order.
 
-    Records are grouped by device as they arrive and kept in sequence order
-    (an out-of-order put re-sorts that one device), so no read scans other
-    devices or sorts: ``put`` is O(1) when sequences arrive in order,
-    ``get_activities`` is O(records of the device), ``latest(device)`` and
-    ``len`` are O(1), ``latest(None)`` is O(devices) and ``all_records`` is
-    O(records) plus a sort of the device ids.
+    Each device keeps its records in capture-time order, so no read scans
+    other devices or all of one device: ``get_activities`` is O(log n + k)
+    for n records of the device and k hits, ``put`` is O(1) amortised when
+    ``(captured_at, seq)`` arrives in order and O(log n) plus one list
+    insert otherwise, ``latest(device)`` and ``len`` are O(1) and
+    ``latest(None)`` is O(devices). ``all_records`` is O(records) plus a
+    sort of the device ids, and sorts a device only where its capture
+    times do not rise with its sequences.
     """
 
     def __init__(self) -> None:
@@ -57,19 +78,27 @@ class MetadataStore:
 
     def put(self, record: AnalyticsRecord) -> None:
         seq = parse_event_id(record.event_id)[1]
+        at = record.captured_at
         with self._lock:
             device = self._devices.get(record.device_id)
             if device is None:
                 device = self._devices[record.device_id] = _DeviceRecords()
-            records = device.records
-            if record.event_id in records:
+            puts = device.puts
+            if record.event_id in puts:
                 return
-            records[record.event_id] = record
-            if seq >= device.last_seq:
-                device.last_seq = seq
+            puts[record.event_id] = len(puts)
+            times, seqs = device.times, device.seqs
+            key = (at, seq)
+            if key >= device.latest_key:  # the greatest key is the last in the index
+                times.append(at)
+                seqs.append(seq)
+                device.records.append(record)
             else:
-                device.records = dict(sorted(records.items(), key=_event_seq))
-            key = (record.captured_at, seq)
+                lo = bisect_left(times, at)
+                i = bisect_right(seqs, seq, lo, bisect_right(times, at, lo))
+                times.insert(i, at)
+                seqs.insert(i, seq)
+                device.records.insert(i, record)
             if key > device.latest_key:
                 device.latest, device.latest_key = record, key
                 device.latest_order = self._count
@@ -83,18 +112,16 @@ class MetadataStore:
             device = self._devices.get(device_id)
             if device is None:
                 return []
-            return [
-                record
-                for record in device.records.values()
-                if from_ms <= record.captured_at <= to_ms
-            ]
+            lo = bisect_left(device.times, from_ms)
+            return device.by_sequence(lo, bisect_right(device.times, to_ms, lo))
 
     def all_records(self) -> list[AnalyticsRecord]:
         """Every record, ordered by (device_id, event sequence)."""
         with self._lock:
             records: list[AnalyticsRecord] = []
             for device_id in sorted(self._devices):
-                records.extend(self._devices[device_id].records.values())
+                device = self._devices[device_id]
+                records.extend(device.by_sequence(0, len(device.records)))
         return records
 
     def latest(self, device_id: str | None = None) -> AnalyticsRecord | None:

@@ -59,12 +59,14 @@ class Dataset:
 
     A device index is built once, with the manifest: ``get`` is O(1),
     ``frames_for_device`` is O(frames of that device) and ``device_ids`` is
-    O(devices), whatever the size of the rest of the manifest.
+    O(devices), whatever the size of the rest of the manifest. A dataset
+    never changes after construction, so its fingerprint is hashed once.
     """
 
     def __init__(self, frames: Sequence[FrameSample]):
         self._frames: dict[str, FrameSample] = {}
         self._by_device: dict[str, list[FrameSample]] = {}
+        self._fingerprint: str | None = None
         for frame in frames:
             if frame.frame_id in self._frames:
                 raise DatasetError(f"duplicate frame_id in manifest: {frame.frame_id}")
@@ -94,11 +96,13 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """Content hash of the manifest, used to pair reports with data."""
-        digest = hashlib.sha256()
-        for frame in self:
-            digest.update(json.dumps(manifest_row(frame), sort_keys=True).encode())
-            digest.update(b"\n")
-        return digest.hexdigest()
+        if self._fingerprint is None:
+            digest = hashlib.sha256()
+            for frame in self:
+                digest.update(json.dumps(manifest_row(frame), sort_keys=True).encode())
+                digest.update(b"\n")
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
 
 def load_manifest(path: str | Path) -> Dataset:

@@ -286,6 +286,24 @@ class TestRemoteBackend:
         frame = frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT)
         assert backend.call_latency_ms(frame) == 2 * 40 + 25
 
+    def test_latency_is_the_same_with_or_without_a_prior_detect(self):
+        frames = [
+            frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT, frame_id=f"g{i}") for i in range(20)
+        ]
+        _, fresh = self.make_client(seed=4)
+        fresh_backend = RemoteBackend(fresh, DEFAULT_PROFILES["aws-saas"])
+        cold = [fresh_backend.call_latency_ms(frame) for frame in frames]
+        _, client = self.make_client(seed=4)
+        backend = RemoteBackend(client, DEFAULT_PROFILES["aws-saas"])
+        warm = []
+        for frame in frames:
+            backend.detect(frame, frame.scenario)
+            warm.append(backend.call_latency_ms(frame))
+        assert warm == cold
+        assert len(set(cold)) > 1  # the jitter is really drawn
+        # another frame's latency after a detect is drawn, not taken from the last detect
+        assert backend.call_latency_ms(frames[0]) == cold[0]
+
 
 def test_backend_substitutability_same_record_shape():
     # structurally identical results regardless of the backend used

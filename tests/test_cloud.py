@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from doorsim.cloud import CloudService
 from doorsim.cloud.notify import NotificationHub, SubscriptionFilter, summarize_record
@@ -272,6 +274,88 @@ class TestMetadataStore:
         assert [r.event_id for r in store.all_records()] == [
             "door-1:0", "door-1:1", "door-2:0", "door-2:1",
         ]
+
+    def test_same_sequence_spellings_read_back_in_put_order(self):
+        store = MetadataStore()
+        first = spelled("door-1:1", at=200)
+        second = spelled("door-1:01", at=100)
+        third = spelled("door-1:001", at=100)
+        for r in (first, second, third):
+            store.put(r)
+        assert store.get_activities("door-1", 0, 1000) == [first, second, third]
+        assert store.get_activities("door-1", 100, 100) == [second, third]
+        assert store.all_records() == [first, second, third]
+        assert store.latest("door-1") is first
+
+
+def spelled(event_id, at=0, frame_id=None):
+    """A record whose event id is given verbatim, e.g. a zero-padded one."""
+    device = event_id.rpartition(":")[0]
+    return AnalyticsRecord(
+        event_id=event_id,
+        device_id=device,
+        frame_id=frame_id or f"frame-{event_id}",
+        detections=(),
+        backend_id="aws-saas",
+        captured_at=at,
+        detected_at=at + 100,
+        threshold_used=90.0,
+    )
+
+
+STORE_DEVICES = ("door-1", "door-2", "door-3")
+
+# One put: device index, sequence, extra leading zeros, capture time. Small
+# ranges make duplicate ids, out-of-order sequences, capture times that fall
+# as sequences rise, and several spellings of one sequence all common.
+STORE_PUTS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 12), st.integers(0, 2), st.integers(0, 40)),
+    max_size=40,
+)
+STORE_RANGES = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(-5, 45), st.integers(-5, 45)), max_size=8,
+)
+
+
+class TestMetadataStoreAgainstOracle:
+    """Every read of the store equals a scan of a plain list of the puts."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(device_count=st.integers(1, 3), puts=STORE_PUTS, ranges=STORE_RANGES)
+    def test_reads_match_plain_list(self, device_count, puts, ranges):
+        store = MetadataStore()
+        stored = []  # first record put under each event id, in put order
+        for index, (device_index, seq, pad, at) in enumerate(puts):
+            device = STORE_DEVICES[device_index % device_count]
+            r = spelled(f"{device}:{'0' * pad}{seq}", at=at, frame_id=f"frame-{index}")
+            store.put(r)
+            if r.event_id not in {s.event_id for s in stored}:
+                stored.append(r)
+
+        def seq_of(r):
+            return int(r.event_id.rpartition(":")[2])
+
+        def first_latest(records):
+            best = None
+            for r in records:
+                if best is None or (r.captured_at, seq_of(r)) > (best.captured_at, seq_of(best)):
+                    best = r
+            return best
+
+        for device_index, a, b in ranges:
+            device = (STORE_DEVICES + ("door-9",))[device_index]
+            lo, hi = min(a, b), max(a, b)
+            expected = sorted(
+                (r for r in stored if r.device_id == device and lo <= r.captured_at <= hi),
+                key=seq_of,
+            )
+            assert store.get_activities(device, lo, hi) == expected
+        assert store.all_records() == sorted(stored, key=lambda r: (r.device_id, seq_of(r)))
+        for device in STORE_DEVICES + ("door-9",):
+            assert store.latest(device) is first_latest(r for r in stored if r.device_id == device)
+        assert store.latest() is first_latest(stored)
+        assert len(store) == len(stored)
 
 
 class TestBlobStore:

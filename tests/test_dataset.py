@@ -101,6 +101,22 @@ def test_fingerprint_tracks_content(tmp_path):
     assert Dataset(a).fingerprint() != Dataset(b).fingerprint()
 
 
+def test_fingerprint_is_hashed_once(monkeypatch):
+    import doorsim.dataset as dataset_module
+
+    frames = generate_dataset(
+        GeneratorConfig(scenarios=(ScenarioKind.ANIMAL_DETECTION,), positives=5, seed=1)
+    )
+    dataset = Dataset(frames)
+    first = dataset.fingerprint()
+    rows = []
+    monkeypatch.setattr(dataset_module, "manifest_row", lambda frame: rows.append(frame))
+    assert dataset.fingerprint() == dataset.fingerprint() == first
+    assert rows == []  # the repeated calls hashed nothing
+    monkeypatch.undo()
+    assert first == Dataset(frames).fingerprint()
+
+
 def _frames_across(devices):
     config = GeneratorConfig(
         scenarios=(ScenarioKind.ANIMAL_DETECTION, ScenarioKind.UNSAFE_CONTENT),
