@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -262,13 +261,12 @@ class FaceCollection:
     """Enrolled identity tokens and their categories.
 
     The unknown category is never stored; a lookup miss *returns* unknown
-    instead. Reads may run concurrently; writes are exclusive.
+    instead. Not thread-safe; its owner serializes access.
     """
 
     def __init__(self, collection_id: str = "default"):
         self.collection_id = collection_id
         self._entries: dict[str, FaceCategory] = {}
-        self._lock = threading.RLock()
 
     def enroll(self, identity: str, category: FaceCategory) -> None:
         """Add or overwrite one identity; re-enrollment updates the category."""
@@ -276,24 +274,20 @@ class FaceCollection:
             raise ValidationError("cannot enroll an identity as unknown")
         if not identity:
             raise ValidationError("identity token must be non-empty")
-        with self._lock:
-            self._entries[identity] = category
+        self._entries[identity] = category
 
     def search(self, token: str) -> FaceIdentity:
         """Exact-token match; a miss is the unknown designation, not an error."""
-        with self._lock:
-            category = self._entries.get(token)
+        category = self._entries.get(token)
         if category is None:
             return FaceIdentity(token, FaceCategory.UNKNOWN)
         return FaceIdentity(token, category)
 
     def entries(self) -> dict[str, FaceCategory]:
-        with self._lock:
-            return dict(self._entries)
+        return dict(self._entries)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 def simulate_detections(

@@ -2,6 +2,10 @@
 
 A thin translation layer: HTTP requests become :class:`ApiRequest` values,
 responses are canonical JSON. All behaviour lives in the service object.
+
+Each connection gets its own thread, but the service is single-threaded:
+one lock per server admits one :meth:`CloudService.handle` call at a time.
+Reading the request and writing the response stay outside it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ class CloudHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: CloudService):
         super().__init__(address, _Handler)
         self.service = service
+        self.service_lock = threading.Lock()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -52,7 +57,8 @@ class _Handler(BaseHTTPRequestHandler):
             body=body,
             query=dict(parse_qsl(url.query)),
         )
-        response = self.server.service.handle(request)
+        with self.server.service_lock:
+            response = self.server.service.handle(request)
         self._write(response.status, response.body)
 
     def _protocol_error(self, message: str) -> None:

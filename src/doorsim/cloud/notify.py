@@ -7,7 +7,6 @@ partial handler failure never double-notify.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from ..model import AnalyticsRecord, FaceCategory, ScenarioKind
@@ -89,38 +88,34 @@ class NotificationHub:
     def __init__(self) -> None:
         self._subscriptions: dict[str, Subscription] = {}
         self._delivered: set[tuple[str, str]] = set()
-        self._lock = threading.Lock()
 
     def subscribe(
         self, subscriber_id: str, filter: SubscriptionFilter | None = None
     ) -> Subscription:
-        with self._lock:
-            subscription = Subscription(subscriber_id, filter or SubscriptionFilter())
-            self._subscriptions[subscriber_id] = subscription
+        subscription = Subscription(subscriber_id, filter or SubscriptionFilter())
+        self._subscriptions[subscriber_id] = subscription
         return subscription
 
     def publish(self, record: AnalyticsRecord, at: int) -> list[Notification]:
         """Deliver to every matching subscription; zero subscribers is a no-op."""
         summary = summarize_record(record)
         delivered = []
-        with self._lock:
-            for subscription in self._subscriptions.values():
-                key = (subscription.subscriber_id, record.event_id)
-                if key in self._delivered:
-                    continue
-                if not subscription.filter.matches(record):
-                    continue
-                notification = Notification(
-                    event_id=record.event_id,
-                    device_id=record.device_id,
-                    summary=summary,
-                    at=at,
-                )
-                subscription.delivery_log.append(notification)
-                self._delivered.add(key)
-                delivered.append(notification)
+        for subscription in self._subscriptions.values():
+            key = (subscription.subscriber_id, record.event_id)
+            if key in self._delivered:
+                continue
+            if not subscription.filter.matches(record):
+                continue
+            notification = Notification(
+                event_id=record.event_id,
+                device_id=record.device_id,
+                summary=summary,
+                at=at,
+            )
+            subscription.delivery_log.append(notification)
+            self._delivered.add(key)
+            delivered.append(notification)
         return delivered
 
     def subscription(self, subscriber_id: str) -> Subscription:
-        with self._lock:
-            return self._subscriptions[subscriber_id]
+        return self._subscriptions[subscriber_id]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import random
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -99,6 +98,10 @@ class CloudService:
     detection draw derive from it. ``auto_dispatch`` runs a dispatch pass
     after each ingest so persistence and notification land in the same
     pass; turn it off to drive passes explicitly.
+
+    Not thread-safe: the service and every object it owns assume one
+    caller at a time. The HTTP binding (:mod:`doorsim.cloud.httpd`)
+    serializes its request threads with one lock around :meth:`handle`.
     """
 
     def __init__(
@@ -124,19 +127,16 @@ class CloudService:
         self.dispatcher.register("publish_notification", self._publish_notification)
         self.auto_dispatch = auto_dispatch
         self._now_ms = 0
-        self._clock_lock = threading.Lock()
 
     # -- logical clock ----------------------------------------------------
 
     @property
     def now_ms(self) -> int:
-        with self._clock_lock:
-            return self._now_ms
+        return self._now_ms
 
     def advance_clock(self, at_ms: int) -> int:
-        with self._clock_lock:
-            self._now_ms = max(self._now_ms, at_ms)
-            return self._now_ms
+        self._now_ms = max(self._now_ms, at_ms)
+        return self._now_ms
 
     # -- built-in dispatch handlers ---------------------------------------
 
@@ -177,9 +177,10 @@ class CloudService:
         return ApiResponse(200, {"ok": True, "data": data})
 
     def _body(self, request: ApiRequest) -> Mapping[str, Any]:
-        if request.body is None or not isinstance(request.body, Mapping):
-            raise ProtocolError("request body must be a JSON object")
-        return request.body
+        body = request.body
+        if type(body) is dict or isinstance(body, Mapping):  # dict: skip the ABC check
+            return body
+        raise ProtocolError("request body must be a JSON object")
 
     def _session_device(self, request: ApiRequest) -> str:
         return self.registry.validate_session(request.headers.get("x-session-token"))

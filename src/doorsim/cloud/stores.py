@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import lt
@@ -74,54 +73,50 @@ class MetadataStore:
     def __init__(self) -> None:
         self._devices: dict[str, _DeviceRecords] = {}
         self._count = 0
-        self._lock = threading.Lock()
 
     def put(self, record: AnalyticsRecord) -> None:
         seq = parse_event_id(record.event_id)[1]
         at = record.captured_at
-        with self._lock:
-            device = self._devices.get(record.device_id)
-            if device is None:
-                device = self._devices[record.device_id] = _DeviceRecords()
-            puts = device.puts
-            if record.event_id in puts:
-                return
-            puts[record.event_id] = len(puts)
-            times, seqs = device.times, device.seqs
-            key = (at, seq)
-            if key >= device.latest_key:  # the greatest key is the last in the index
-                times.append(at)
-                seqs.append(seq)
-                device.records.append(record)
-            else:
-                lo = bisect_left(times, at)
-                i = bisect_right(seqs, seq, lo, bisect_right(times, at, lo))
-                times.insert(i, at)
-                seqs.insert(i, seq)
-                device.records.insert(i, record)
-            if key > device.latest_key:
-                device.latest, device.latest_key = record, key
-                device.latest_order = self._count
-            self._count += 1
+        device = self._devices.get(record.device_id)
+        if device is None:
+            device = self._devices[record.device_id] = _DeviceRecords()
+        puts = device.puts
+        if record.event_id in puts:
+            return
+        puts[record.event_id] = len(puts)
+        times, seqs = device.times, device.seqs
+        key = (at, seq)
+        if key >= device.latest_key:  # the greatest key is the last in the index
+            times.append(at)
+            seqs.append(seq)
+            device.records.append(record)
+        else:
+            lo = bisect_left(times, at)
+            i = bisect_right(seqs, seq, lo, bisect_right(times, at, lo))
+            times.insert(i, at)
+            seqs.insert(i, seq)
+            device.records.insert(i, record)
+        if key > device.latest_key:
+            device.latest, device.latest_key = record, key
+            device.latest_order = self._count
+        self._count += 1
 
     def get_activities(self, device_id: str, from_ms: int, to_ms: int) -> list[AnalyticsRecord]:
         """Records of one device captured within [from_ms, to_ms]."""
         if from_ms > to_ms:
             raise ValidationError(f"inverted range: {from_ms} > {to_ms}")
-        with self._lock:
-            device = self._devices.get(device_id)
-            if device is None:
-                return []
-            lo = bisect_left(device.times, from_ms)
-            return device.by_sequence(lo, bisect_right(device.times, to_ms, lo))
+        device = self._devices.get(device_id)
+        if device is None:
+            return []
+        lo = bisect_left(device.times, from_ms)
+        return device.by_sequence(lo, bisect_right(device.times, to_ms, lo))
 
     def all_records(self) -> list[AnalyticsRecord]:
         """Every record, ordered by (device_id, event sequence)."""
-        with self._lock:
-            records: list[AnalyticsRecord] = []
-            for device_id in sorted(self._devices):
-                device = self._devices[device_id]
-                records.extend(device.by_sequence(0, len(device.records)))
+        records: list[AnalyticsRecord] = []
+        for device_id in sorted(self._devices):
+            device = self._devices[device_id]
+            records.extend(device.by_sequence(0, len(device.records)))
         return records
 
     def latest(self, device_id: str | None = None) -> AnalyticsRecord | None:
@@ -129,20 +124,18 @@ class MetadataStore:
 
         Ties on (captured_at, sequence) go to the record put first.
         """
-        with self._lock:
-            if device_id is not None:
-                device = self._devices.get(device_id)
-                return None if device is None else device.latest
-            best = max(
-                self._devices.values(),
-                key=lambda device: (device.latest_key, -device.latest_order),
-                default=None,
-            )
+        if device_id is not None:
+            device = self._devices.get(device_id)
+            return None if device is None else device.latest
+        best = max(
+            self._devices.values(),
+            key=lambda device: (device.latest_key, -device.latest_order),
+            default=None,
+        )
         return None if best is None else best.latest
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
 
 class BlobStore:
@@ -150,24 +143,20 @@ class BlobStore:
 
     def __init__(self) -> None:
         self._blobs: dict[str, bytes] = {}
-        self._lock = threading.Lock()
 
     def put(self, data: bytes) -> str:
         ref = hashlib.sha256(data).hexdigest()
-        with self._lock:
-            self._blobs[ref] = data
+        self._blobs[ref] = data
         return ref
 
     def get(self, ref: str) -> bytes:
-        with self._lock:
-            try:
-                return self._blobs[ref]
-            except KeyError:
-                raise NotFoundError(f"unknown blob ref: {ref}") from None
+        try:
+            return self._blobs[ref]
+        except KeyError:
+            raise NotFoundError(f"unknown blob ref: {ref}") from None
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._blobs)
+        return len(self._blobs)
 
 
 @dataclass(frozen=True)
@@ -191,24 +180,21 @@ class CustomLabelJobs:
 
     def __init__(self) -> None:
         self._jobs: dict[str, CustomLabelJob] = {}
-        self._lock = threading.Lock()
 
     def create(self, name: str, example_count: int, at: int = 0) -> CustomLabelJob:
         if not name:
             raise ValidationError("job name must be non-empty")
         if example_count <= 0:
             raise ValidationError("example_count must be > 0")
-        with self._lock:
-            if name in self._jobs:
-                raise ConflictError(f"custom-label job already exists: {name}")
-            job = CustomLabelJob(name=name, example_count=example_count,
-                                 status="registered", created_at=at)
-            self._jobs[name] = job
+        if name in self._jobs:
+            raise ConflictError(f"custom-label job already exists: {name}")
+        job = CustomLabelJob(name=name, example_count=example_count,
+                             status="registered", created_at=at)
+        self._jobs[name] = job
         return job
 
     def get(self, name: str) -> CustomLabelJob:
-        with self._lock:
-            try:
-                return self._jobs[name]
-            except KeyError:
-                raise NotFoundError(f"unknown custom-label job: {name}") from None
+        try:
+            return self._jobs[name]
+        except KeyError:
+            raise NotFoundError(f"unknown custom-label job: {name}") from None

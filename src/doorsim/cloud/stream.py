@@ -8,7 +8,6 @@ processed, so retried ingests still produce exactly-once effects.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,13 +41,12 @@ class StreamRecord:
 
 
 class IngestStream:
-    """Append-only record stream with an atomic global sequence."""
+    """Append-only record stream with one global sequence."""
 
     def __init__(self) -> None:
         self._records: list[StreamRecord] = []
         self._seen_event_ids: set[str] = set()
         self._last_event_seq: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def append(self, record: AnalyticsRecord, ingested_at: int) -> StreamRecord:
         """Append one record; duplicates are flagged, never suppressed."""
@@ -57,33 +55,30 @@ class IngestStream:
             raise ValidationError(
                 f"event id {record.event_id} does not match device {record.device_id}"
             )
-        with self._lock:
-            duplicate = record.event_id in self._seen_event_ids
-            if not duplicate:
-                last = self._last_event_seq.get(device_id)
-                if last is not None and event_seq < last:
-                    raise ValidationError(
-                        f"out-of-order ingest for {device_id}: {event_seq} after {last}"
-                    )
-                self._last_event_seq[device_id] = event_seq
-                self._seen_event_ids.add(record.event_id)
-            entry = StreamRecord(
-                sequence=len(self._records),
-                partition=device_id,
-                payload=record,
-                ingested_at=ingested_at,
-                duplicate=duplicate,
-            )
-            self._records.append(entry)
+        duplicate = record.event_id in self._seen_event_ids
+        if not duplicate:
+            last = self._last_event_seq.get(device_id)
+            if last is not None and event_seq < last:
+                raise ValidationError(
+                    f"out-of-order ingest for {device_id}: {event_seq} after {last}"
+                )
+            self._last_event_seq[device_id] = event_seq
+            self._seen_event_ids.add(record.event_id)
+        entry = StreamRecord(
+            sequence=len(self._records),
+            partition=device_id,
+            payload=record,
+            ingested_at=ingested_at,
+            duplicate=duplicate,
+        )
+        self._records.append(entry)
         return entry
 
     def read_from(self, sequence: int) -> list[StreamRecord]:
-        with self._lock:
-            return self._records[sequence:]
+        return self._records[sequence:]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
 
 Handler = Callable[[StreamRecord], None]
@@ -108,31 +103,29 @@ class Dispatcher:
         self._failure_counts: dict[int, int] = {}
         self.checkpoint = 0
         self.dead_letters: list[tuple[StreamRecord, str]] = []
-        self._lock = threading.Lock()
 
     def register(self, name: str, handler: Handler) -> None:
         self._handlers.append((name, handler))
 
     def run_pass(self, stream: IngestStream) -> int:
         """One dispatch pass. Returns the new checkpoint position."""
-        with self._lock:
-            for entry in stream.read_from(self.checkpoint):
-                if entry.duplicate or entry.payload.event_id in self._processed_event_ids:
+        for entry in stream.read_from(self.checkpoint):
+            if entry.duplicate or entry.payload.event_id in self._processed_event_ids:
+                self.checkpoint = entry.sequence + 1
+                continue
+            try:
+                for _, handler in self._handlers:
+                    handler(entry)
+            except Exception as exc:  # noqa: BLE001 - handler faults are data
+                failures = self._failure_counts.get(entry.sequence, 0) + 1
+                self._failure_counts[entry.sequence] = failures
+                if failures >= self._poison_passes:
+                    self.dead_letters.append((entry, repr(exc)))
                     self.checkpoint = entry.sequence + 1
                     continue
-                try:
-                    for _, handler in self._handlers:
-                        handler(entry)
-                except Exception as exc:  # noqa: BLE001 - handler faults are data
-                    failures = self._failure_counts.get(entry.sequence, 0) + 1
-                    self._failure_counts[entry.sequence] = failures
-                    if failures >= self._poison_passes:
-                        self.dead_letters.append((entry, repr(exc)))
-                        self.checkpoint = entry.sequence + 1
-                        continue
-                    break
-                self._processed_event_ids.add(entry.payload.event_id)
-                self.checkpoint = entry.sequence + 1
+                break
+            self._processed_event_ids.add(entry.payload.event_id)
+            self.checkpoint = entry.sequence + 1
         return self.checkpoint
 
     def run_until_current(self, stream: IngestStream, max_passes: int = 1000) -> int:

@@ -69,7 +69,11 @@ class DeviceRegistry:
     """Registered devices, their fingerprints, and live session tokens.
 
     Registration and authentication are atomic under a lock so concurrent
-    callers still observe unique device ids and unforgeable tokens.
+    callers still observe unique device ids and unforgeable tokens. This
+    is the one per-object lock left in the core. The rest of
+    :class:`~doorsim.cloud.CloudService` is single-threaded and relies on
+    the HTTP binding's lock, but the registry is also used on its own, and
+    its contract (tested from eight threads) is safe concurrent use.
     """
 
     def __init__(self, rng: random.Random | None = None):

@@ -9,7 +9,7 @@ interleaving, or process restarts.
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 from typing import Sequence
 
 _SEP = "\x1f"
@@ -17,8 +17,7 @@ _SEP = "\x1f"
 
 def unit_draw(*parts: object) -> float:
     """Uniform value in [0, 1) fully determined by the key parts."""
-    key = _SEP.join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
+    digest = sha256(_SEP.join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 

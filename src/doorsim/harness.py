@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import heapq
-import json
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -277,11 +277,6 @@ class ExperimentConfig:
             scripts=scripts,
         )
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "dataset": self.dataset,
@@ -508,7 +503,7 @@ def run_experiment(
     counters["notifications"] = len(service.hub.subscription("operator").delivery_log)
 
     frames: list[FrameOutcome] = []
-    per_scenario: dict[str, ConfusionCounts] = {}
+    per_scenario: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
     stored = {record.event_id: record for record in service.store.all_records()}
     for outcome, frame in outcomes:
         if outcome.record is None:
@@ -528,8 +523,11 @@ def run_experiment(
             )
         )
         tally = tally_frame(set(frame.truth), predicted)
-        key = frame.scenario.value
-        per_scenario[key] = per_scenario.get(key, ConfusionCounts()) + tally
+        counts = per_scenario[frame.scenario.value]
+        counts.tp += tally.tp
+        counts.fn += tally.fn
+        counts.fp += tally.fp
+        counts.tn += tally.tn
 
     scenario_metrics = {
         name: compute_metrics(counts, scenario=name, backend_id=config.backend_id)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .errors import ConflictError, ValidationError
@@ -169,7 +169,8 @@ class FrameSample:
 
     def stamped(self, device_id: str, captured_at: int) -> "FrameSample":
         """Copy of this frame bound to an emitting device and capture time."""
-        return replace(self, device_id=device_id, captured_at=captured_at)
+        return FrameSample(self.frame_id, device_id, captured_at, self.truth,
+                           self.scenario, self.truth_identity)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -268,9 +269,9 @@ def format_event_id(device_id: str, sequence: int) -> str:
 
 
 def parse_event_id(event_id: str) -> tuple[str, int]:
-    """Inverse of :func:`format_event_id`."""
+    """Inverse of :func:`format_event_id`; the sequence is ASCII digits only."""
     device_id, _, seq = event_id.rpartition(":")
-    if not device_id or not seq.isdigit():
+    if not device_id or not (seq.isascii() and seq.isdigit()):
         raise ValidationError(f"malformed event id: {event_id!r}")
     return device_id, int(seq)
 
@@ -280,31 +281,29 @@ class EventIdFactory:
 
     Reusing a sequence number for a device signals a caller bug and raises.
     Each device keeps a next-sequence counter, one above the highest
-    sequence issued so far, so both calls are O(1).
+    sequence issued so far, so both calls are O(1). Not thread-safe: one
+    factory serves one single-threaded run.
     """
 
     def __init__(self) -> None:
-        self._issued: dict[str, set[int]] = {}
+        self._issued: defaultdict[str, set[int]] = defaultdict(set)
         self._next: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def new_event_id(self, device_id: str, sequence: int) -> str:
         event_id = format_event_id(device_id, sequence)
-        with self._lock:
-            issued = self._issued.setdefault(device_id, set())
-            if sequence in issued:
-                raise ConflictError(f"sequence {sequence} already issued for {device_id}")
-            issued.add(sequence)
-            if sequence >= self._next.get(device_id, 0):
-                self._next[device_id] = sequence + 1
+        issued = self._issued[device_id]
+        if sequence in issued:
+            raise ConflictError(f"sequence {sequence} already issued for {device_id}")
+        issued.add(sequence)
+        if sequence >= self._next.get(device_id, 0):
+            self._next[device_id] = sequence + 1
         return event_id
 
     def next_event_id(self, device_id: str) -> str:
         """Issue the sequence one above the highest issued for the device."""
-        with self._lock:
-            sequence = self._next.get(device_id, 0)
-            self._issued.setdefault(device_id, set()).add(sequence)
-            self._next[device_id] = sequence + 1
+        sequence = self._next.get(device_id, 0)
+        self._issued[device_id].add(sequence)
+        self._next[device_id] = sequence + 1
         return format_event_id(device_id, sequence)
 
 

@@ -93,6 +93,14 @@ class TestEventIds:
         with pytest.raises(ValidationError):
             format_event_id("door-1", -1)
 
+    @pytest.mark.parametrize("event_id", ["door-1:\u00b2", "door-1:\u0661", "door-1:1\uff10"],
+                             ids=["superscript_two", "arabic_indic_one", "fullwidth_zero"])
+    def test_parse_accepts_only_ascii_digits(self, event_id):
+        # str.isdigit() holds for each of these, but none is a sequence
+        assert event_id.rpartition(":")[2].isdigit()
+        with pytest.raises(ValidationError):
+            parse_event_id(event_id)
+
 
 class TestConfidenceThreshold:
     def test_below_threshold_dropped(self):

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import sys
+import threading
 import urllib.request
 from urllib.parse import urlsplit
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from doorsim.backends import DEFAULT_ROUTES, DETECT_ENDPOINTS, REMOTE_BACKEND_ID
 from doorsim.cloud import CloudService
-from doorsim.cloud.httpd import CloudHTTPServer
+from doorsim.cloud.httpd import CloudHTTPServer, serve
 from doorsim.cloud.service import ApiRequest, ROUTES
 from doorsim.model import DEFAULT_VOCABULARY, FrameSample, Label, ScenarioKind, canonical_json
 from doorsim.transport import CloudClient, NetworkModel
@@ -302,6 +304,34 @@ class TestGatewayTotality:
         assert response.status == 200
 
 
+class TestEventIdSequence:
+    """An ingest whose event sequence is not ASCII digits is a validation error."""
+
+    @pytest.mark.parametrize("event_id", ["door-1:\u00b2", "door-1:\u0661", "door-1:x"],
+                             ids=["superscript_two", "arabic_indic_one", "letter"])
+    def test_non_ascii_digit_sequence_is_rejected(self, event_id):
+        service, token = service_with_session()
+        response = service.handle(ApiRequest(
+            "POST", "/ingest", headers={"x-session-token": token},
+            body=ingest_body(event_id=event_id),
+        ))
+        assert response.status == 400
+        assert response.body == {"ok": False, "error": {
+            "code": "validation", "message": f"malformed event id: {event_id!r}",
+        }}
+        assert len(service.stream) == 0 and len(service.store) == 0
+
+    def test_ascii_sequence_is_still_accepted_after_a_rejection(self):
+        service, token = service_with_session()
+        headers = {"x-session-token": token}
+        service.handle(ApiRequest("POST", "/ingest", headers=headers,
+                                  body=ingest_body(event_id="door-1:\u0661")))
+        response = service.handle(ApiRequest("POST", "/ingest", headers=headers,
+                                             body=ingest_body(event_id="door-1:1")))
+        assert response.status == 200
+        assert [r.event_id for r in service.store.all_records()] == ["door-1:1"]
+
+
 @pytest.fixture()
 def http_server():
     service = CloudService(seed=GOLDEN_SEED)
@@ -378,3 +408,95 @@ class TestHttpBinding:
         with urllib.request.urlopen(f"{http_server}/blobs/{ref}") as response:
             fetched = json.loads(response.read())
         assert fetched["data"]["data_b64"] == payload
+
+
+def registered_service(seed, device_ids):
+    """A service with an ``operator`` subscription and each device registered
+    and authenticated in order; returns it and the session token per device."""
+    service = CloudService(seed=seed)
+    service.subscribe("operator")
+    tokens = {}
+    for device_id in device_ids:
+        secret = service.handle(ApiRequest(
+            "POST", "/devices/register", body={"device_id": device_id}
+        )).body["data"]["secret"]
+        tokens[device_id] = service.handle(ApiRequest(
+            "POST", "/devices/auth", body={"device_id": device_id, "secret": secret}
+        )).body["data"]["session_token"]
+    return service, tokens
+
+
+class TestConcurrentHttpIngest:
+    THREADS = 8
+    EVENTS_PER_THREAD = 25
+    SEED = 11
+
+    def device_requests(self, index, device_id, token):
+        """One thread's ingests: its own device, rising sequences and sim
+        times interleaved with the other threads', every fifth one re-sent."""
+        requests = []
+        for seq in range(self.EVENTS_PER_THREAD):
+            at = 1000 * seq + index
+            headers = {"x-session-token": token, "x-sim-time": str(at)}
+            body = ingest_body(event_id=f"{device_id}:{seq}", device_id=device_id,
+                               frame_id=f"{device_id}-f{seq}", captured_at=at,
+                               detected_at=at + 5)
+            requests.append((headers, body))
+            if seq % 5 == 0:
+                requests.append((headers, body))
+        return requests
+
+    def test_threads_equal_a_serial_replay_in_sequence_order(self):
+        device_ids = [f"door-{i}" for i in range(self.THREADS)]
+        service, tokens = registered_service(self.SEED, device_ids)
+        requests = {device_id: self.device_requests(i, device_id, tokens[device_id])
+                    for i, device_id in enumerate(device_ids)}
+        server = serve(service, port=0)
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        answered = []  # (response data, headers, body), appended by every thread
+        errors = []
+
+        def post_all(device_id):
+            try:
+                for headers, body in requests[device_id]:
+                    request = urllib.request.Request(
+                        base + "/ingest", data=json.dumps(body).encode(), method="POST",
+                        headers={"content-type": "application/json", **headers},
+                    )
+                    with urllib.request.urlopen(request, timeout=10) as response:
+                        answered.append((json.loads(response.read())["data"], headers, body))
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose a lost update
+        try:
+            threads = [threading.Thread(target=post_all, args=(device_id,))
+                       for device_id in device_ids]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+        assert errors == []
+        assert len(answered) == sum(map(len, requests.values()))
+        answered.sort(key=lambda item: item[0]["sequence"])
+        assert [data["sequence"] for data, _, _ in answered] == list(range(len(answered)))
+
+        replay, replay_tokens = registered_service(self.SEED, device_ids)
+        assert replay_tokens == tokens
+        for data, headers, body in answered:
+            response = replay.handle(ApiRequest("POST", "/ingest", headers=headers, body=body))
+            assert response.body == {"ok": True, "data": data}
+
+        assert ([entry.to_dict() for entry in service.stream.read_from(0)]
+                == [entry.to_dict() for entry in replay.stream.read_from(0)])
+        assert service.store.all_records() == replay.store.all_records()
+        assert len(service.store) == self.THREADS * self.EVENTS_PER_THREAD
+        assert (service.hub.subscription("operator").delivery_log
+                == replay.hub.subscription("operator").delivery_log)
+        assert service.now_ms == replay.now_ms
