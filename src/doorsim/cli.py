@@ -196,7 +196,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     server = args.server or DEFAULT_SERVER
-    body = {"kind": args.kind, "device_id": args.device}
+    body = {"kind": args.kind.replace("-", "_"), "device_id": args.device}
     # An open end is filled in by the service: from 0, to its current clock.
     if args.from_ms is not None:
         body["from"] = args.from_ms

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord
+from ..model import AnalyticsRecord, field
 from .notify import summarize_record
 from .stores import MetadataStore
 
@@ -38,15 +38,12 @@ class QueryRequest:
     @classmethod
     def from_dict(cls, data: Mapping, now_ms: int = 0) -> "QueryRequest":
         """Parse a wire query; an open range end means 0 or ``now_ms``."""
-        kind = QueryKind(str(data["kind"]).replace("-", "_"))
+        kind = field(data, "kind", QueryKind)
+        start, end = field(data, "from", int, None), field(data, "to", int, None)
         range_ = None
-        start, end = data.get("from"), data.get("to")
         if start is not None or end is not None:
-            range_ = (0 if start is None else int(start), now_ms if end is None else int(end))
-        device_id = data["device_id"]
-        if not isinstance(device_id, str):
-            raise TypeError(f"device_id must be a string, not {type(device_id).__name__}")
-        return cls(kind=kind, device_id=device_id, range=range_)
+            range_ = (0 if start is None else start, now_ms if end is None else end)
+        return cls(kind=kind, device_id=field(data, "device_id", str), range=range_)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,17 @@ and one of the 13 documented routes. Responses always have the shape
 ``{"ok": true, "data": ...}`` or ``{"ok": false, "error": {...}}``; callers
 authenticate with the ``x-session-token`` header and may carry their logical
 clock in ``x-sim-time`` (milliseconds) so the service can stamp ingests and
-answer time-relative queries deterministically.
+answer time-relative queries deterministically. Bodies are read with
+:func:`doorsim.model.field`, so a malformed field is a 400 ``protocol``
+envelope and the handlers see well-typed values only.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import random
 import re
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..backends import (
@@ -33,7 +35,7 @@ from ..errors import (
     RoutingError,
     ValidationError,
 )
-from ..model import AnalyticsRecord, FaceCategory, FrameSample
+from ..model import AnalyticsRecord, FaceCategory, FrameSample, field, parse_int
 from .notify import NotificationHub, SubscriptionFilter
 from .queries import QueryRequest, answer_query
 from .stores import BlobStore, CustomLabelJobs, MetadataStore
@@ -42,16 +44,16 @@ from .stream import Dispatcher, IngestStream, StreamRecord
 __all__ = ["ApiRequest", "ApiResponse", "CloudService", "ROUTES"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ApiRequest:
     method: str
     path: str
-    headers: Mapping[str, str] = field(default_factory=dict)
+    headers: Mapping[str, str] = dataclasses.field(default_factory=dict)
     body: Mapping[str, Any] | None = None
-    query: Mapping[str, str] = field(default_factory=dict)
+    query: Mapping[str, str] = dataclasses.field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ApiResponse:
     status: int
     body: Mapping[str, Any]
@@ -156,22 +158,18 @@ class CloudService:
 
     def handle(self, request: ApiRequest) -> ApiResponse:
         """Route one request; every error becomes an ``ok: false`` envelope."""
-        if "x-sim-time" in request.headers:
-            try:
-                self.advance_clock(int(request.headers["x-sim-time"]))
-            except (TypeError, ValueError):
-                return _error(ProtocolError("x-sim-time must be an integer"))
         name = _EXACT_ROUTES.get((request.method, request.path))
         params: dict[str, str] = {}
         if name is None and request.method == "GET":
             match = _BLOB_ROUTE.fullmatch(request.path)
             if match is not None:
                 name, params = "get_blob", match.groupdict()
-        if name is None:
-            return _error(NotFoundError(f"no route for {request.method} {request.path}"))
-        handler = getattr(self, f"_handle_{name}")
         try:
-            data = handler(request, **params)
+            if "x-sim-time" in request.headers:
+                self.advance_clock(parse_int(request.headers["x-sim-time"], "x-sim-time"))
+            if name is None:
+                raise NotFoundError(f"no route for {request.method} {request.path}")
+            data = getattr(self, f"_handle_{name}")(request, **params)
         except DoorsimError as exc:
             return _error(exc)
         return ApiResponse(200, {"ok": True, "data": data})
@@ -189,34 +187,24 @@ class CloudService:
 
     def _handle_register_device(self, request: ApiRequest) -> dict:
         body = self._body(request)
-        if "device_id" not in body:
-            raise ProtocolError("device_id is required")
-        attributes = body.get("attributes") or {}
-        if not isinstance(attributes, Mapping):
-            raise ProtocolError("attributes must be a JSON object")
-        record, credential = self.registry.register(
-            _text(body, "device_id"), attributes, at=self.now_ms
-        )
+        device_id = field(body, "device_id", str)
+        attributes = field(body, "attributes", dict, {})
+        for key in attributes:
+            field(attributes, key, str)
+        record, credential = self.registry.register(device_id, attributes, at=self.now_ms)
         return {"record": record.to_dict(), "secret": credential.secret}
 
     def _handle_authenticate_device(self, request: ApiRequest) -> dict:
         body = self._body(request)
-        if "device_id" not in body or "secret" not in body:
-            raise ProtocolError("device_id and secret are required")
-        token = self.registry.authenticate(_text(body, "device_id"), _text(body, "secret"))
+        token = self.registry.authenticate(field(body, "device_id", str),
+                                           field(body, "secret", str))
         return {"session_token": token}
 
     # -- ingestion ----------------------------------------------------------
 
     def _handle_ingest(self, request: ApiRequest) -> dict:
         device_id = self._session_device(request)
-        body = self._body(request)
-        try:
-            record = AnalyticsRecord.from_dict(body["record"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ProtocolError(f"malformed analytics record: {exc}") from exc
-        if not isinstance(record.event_id, str) or not isinstance(record.device_id, str):
-            raise ProtocolError("event_id and device_id must be strings")
+        record = AnalyticsRecord.from_dict(field(self._body(request), "record", dict))
         if record.device_id != device_id:
             raise AuthError(
                 f"session for {device_id} cannot ingest records of {record.device_id}"
@@ -234,40 +222,23 @@ class CloudService:
 
     def _handle_activities(self, request: ApiRequest) -> dict:
         params = request.query
-        if "device" not in params:
-            raise ProtocolError("device query parameter is required")
-        try:
-            from_ms = int(params.get("from", 0))
-            to_ms = int(params.get("to", self.now_ms))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"from and to must be integers: {exc}") from exc
-        records = self.store.get_activities(params["device"], from_ms, to_ms)
+        device = field(params, "device", str)
+        from_ms = parse_int(params["from"], "from") if "from" in params else 0
+        to_ms = parse_int(params["to"], "to") if "to" in params else self.now_ms
+        records = self.store.get_activities(device, from_ms, to_ms)
         return {"records": [r.to_dict() for r in records]}
 
     def _handle_query(self, request: ApiRequest) -> dict:
-        body = self._body(request)
-        try:
-            query = QueryRequest.from_dict(body, now_ms=self.now_ms)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed query: {exc}") from exc
+        query = QueryRequest.from_dict(self._body(request), now_ms=self.now_ms)
         return answer_query(query, self.store, now_ms=self.now_ms).to_dict()
 
     # -- faces -----------------------------------------------------------------
 
-    def _collection(self, collection_id: str) -> FaceCollection:
-        try:
-            return self.collections[collection_id]
-        except KeyError:
-            raise NotFoundError(f"unknown face collection: {collection_id}") from None
-
     def _handle_enroll_face(self, request: ApiRequest) -> dict:
         body = self._body(request)
-        collection_id = _text(body, "collection_id", "default")
-        identity = _text(body, "identity", "")
-        try:
-            category = FaceCategory(body["category"])
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"bad face category: {exc}") from exc
+        collection_id = field(body, "collection_id", str, "default")
+        identity = field(body, "identity", str, "")
+        category = field(body, "category", FaceCategory)
         collection = self.collections.setdefault(collection_id, FaceCollection(collection_id))
         collection.enroll(identity, category)
         return {"collection_id": collection_id, "enrolled": len(collection)}
@@ -277,31 +248,25 @@ class CloudService:
     def _handle_detect(self, request: ApiRequest) -> dict:
         field_name, scenarios = DETECT_ENDPOINTS[request.path]
         body = self._body(request)
-        try:
-            frame = FrameSample.from_dict(body["frame"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ProtocolError(f"malformed frame: {exc}") from exc
+        frame = FrameSample.from_dict(field(body, "frame", dict))
         if frame.scenario not in scenarios:
             raise RoutingError(
                 f"{frame.scenario.value} frames are not served by this endpoint"
             )
-        collection = self._collection(_text(body, "collection_id", "default"))
-        detections = simulate_detections(
-            frame,
-            frame.scenario,
-            self.profiles[REMOTE_BACKEND_ID],
-            self.seed,
-            collection=collection,
-        )
+        collection_id = field(body, "collection_id", str, "default")
+        collection = self.collections.get(collection_id)
+        if collection is None:
+            raise NotFoundError(f"unknown face collection: {collection_id}")
+        detections = simulate_detections(frame, frame.scenario, self.profiles[REMOTE_BACKEND_ID],
+                                         self.seed, collection=collection)
         return {field_name: [d.to_dict() for d in detections]}
 
     # -- blobs ---------------------------------------------------------------------
 
     def _handle_put_blob(self, request: ApiRequest) -> dict:
-        body = self._body(request)
         try:
-            data = base64.b64decode(body["data_b64"], validate=True)
-        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            data = base64.b64decode(field(self._body(request), "data_b64", str), validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
             raise ProtocolError(f"data_b64 must be valid base64: {exc}") from exc
         return {"ref": self.blobs.put(data)}
 
@@ -313,22 +278,9 @@ class CloudService:
 
     def _handle_create_custom_label_job(self, request: ApiRequest) -> dict:
         body = self._body(request)
-        if "name" not in body or "example_count" not in body:
-            raise ProtocolError("name and example_count are required")
-        try:
-            example_count = int(body["example_count"])
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"example_count must be an integer: {exc}") from exc
-        job = self.jobs.create(_text(body, "name"), example_count, at=self.now_ms)
+        job = self.jobs.create(field(body, "name", str), field(body, "example_count", int),
+                               at=self.now_ms)
         return {"job": job.to_dict()}
-
-
-def _text(body: Mapping[str, Any], name: str, default: str | None = None) -> str:
-    """A string field of a request body; any other JSON type is a protocol error."""
-    value = body.get(name, default)
-    if not isinstance(value, str):
-        raise ProtocolError(f"{name} must be a string")
-    return value
 
 
 def _error(exc: DoorsimError) -> ApiResponse:

@@ -1,9 +1,9 @@
 """Ordered ingestion stream and the function dispatcher that drains it.
 
 The stream is append-only and at-least-once: re-ingested event ids get a
-fresh sequence number plus a duplicate flag. Deduplication happens on the
-consumer side: the dispatcher skips records whose event id it has already
-processed, so retried ingests still produce exactly-once effects.
+fresh sequence number plus a duplicate flag. The dispatcher skips flagged
+entries, and every unflagged entry is the first of its event id, so retried
+ingests still produce exactly-once effects.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ class Dispatcher:
 
     A record advances the checkpoint only once every handler succeeded for
     it. A failing record is redelivered on the next pass and moved to the
-    dead-letter queue after ``poison_passes`` failed passes. Duplicate
-    records (flagged by the stream or already-processed event ids) skip the
-    handlers but still advance the checkpoint.
+    dead-letter queue after ``poison_passes`` failed passes. Entries flagged
+    as duplicates skip the handlers but advance the checkpoint, so each event
+    id is handled successfully at most once, or dead-lettered once.
     """
 
     def __init__(self, poison_passes: int = DEFAULT_POISON_PASSES):
@@ -99,7 +99,6 @@ class Dispatcher:
             raise ValidationError("poison_passes must be >= 1")
         self._handlers: list[tuple[str, Handler]] = []
         self._poison_passes = poison_passes
-        self._processed_event_ids: set[str] = set()
         self._failure_counts: dict[int, int] = {}
         self.checkpoint = 0
         self.dead_letters: list[tuple[StreamRecord, str]] = []
@@ -110,7 +109,7 @@ class Dispatcher:
     def run_pass(self, stream: IngestStream) -> int:
         """One dispatch pass. Returns the new checkpoint position."""
         for entry in stream.read_from(self.checkpoint):
-            if entry.duplicate or entry.payload.event_id in self._processed_event_ids:
+            if entry.duplicate:
                 self.checkpoint = entry.sequence + 1
                 continue
             try:
@@ -124,7 +123,6 @@ class Dispatcher:
                     self.checkpoint = entry.sequence + 1
                     continue
                 break
-            self._processed_event_ids.add(entry.payload.event_id)
             self.checkpoint = entry.sequence + 1
         return self.checkpoint
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .draws import choice_draw, int_draw, unit_draw
-from .errors import DatasetError, ValidationError
+from .errors import DatasetError, ProtocolError, ValidationError
 from .model import DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind
 
 __all__ = [
@@ -115,7 +115,7 @@ def load_manifest(path: str | Path) -> Dataset:
                 continue
             try:
                 frames.append(FrameSample.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (ValueError, ProtocolError) as exc:  # JSONDecodeError is a ValueError
                 raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
     return Dataset(frames)
 

@@ -6,18 +6,20 @@ run can be replayed exactly.
 
 Every type serializes to a flat JSON object with snake_case field names;
 ``canonical_json`` is the single encoder used for wire payloads, reports,
-and golden files.
+and golden files. The ``from_dict`` decoders read every field through the
+strict :func:`field` getter; a broken domain invariant is a ValidationError.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from .errors import ConflictError, ValidationError
+from .errors import ConflictError, ProtocolError, ValidationError
 
 __all__ = [
     "ScenarioKind",
@@ -75,6 +77,53 @@ DEFAULT_VOCABULARY: Mapping[ScenarioKind, tuple[str, ...]] = {
 }
 
 
+REQUIRED: Any = object()  # field()'s default for a field that must be present
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               list: "an array", dict: "an object"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _checked(value: Any, name: str, kind: type) -> Any:
+    if type(value) is kind and (kind is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        return value  # the usual case; a bool is not an int, NaN fails both comparisons
+    if kind is float:
+        if type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float(value)
+    elif kind not in _KIND_NAMES:  # an enum, spelled by its value
+        try:
+            return kind(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            raise ProtocolError(f"{name} must be one of {choices}") from None
+    elif kind is not int and isinstance(value, Mapping if kind is dict else kind):
+        return value  # a str or list subclass, or any mapping
+    raise ProtocolError(f"{name} must be {_KIND_NAMES[kind]}")
+
+
+def field(data: Mapping[str, Any], name: str, kind: type, default: Any = REQUIRED) -> Any:
+    """Field ``name`` of a decoded JSON object, strictly of ``kind``: ``str``,
+    ``int`` (not a bool), ``float`` (any finite number, returned as a float),
+    ``list``, ``dict`` (any mapping) or an enum, spelled by its value. Absent,
+    or ``null`` where the default is ``None``, it yields ``default``; any
+    other value raises :class:`ProtocolError`."""
+    value = data.get(name, default)
+    if type(value) is kind and (kind is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        return value  # _checked's usual case, without the call
+    if value is default:
+        if value is REQUIRED:
+            raise ProtocolError(f"{name} is required")
+        return value
+    return _checked(value, name, kind)
+
+
+def list_field(data: Mapping[str, Any], name: str, kind: type, default: Any = REQUIRED) -> tuple:
+    """Field ``name``, a JSON array whose every item is of ``kind``, as a tuple."""
+    values = field(data, name, list, default)
+    if values is default:
+        return values
+    return tuple([_checked(value, f"an item of {name}", kind) for value in values])
+
+
 @dataclass(frozen=True)
 class Label:
     """A canonical lowercase detection label bound to one scenario."""
@@ -88,12 +137,6 @@ class Label:
         if self.name != self.name.strip().lower():
             raise ValidationError(f"label name must be a lowercase token: {self.name!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": self.kind.value}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Label":
-        return cls(name=data["name"], kind=ScenarioKind(data["kind"]))
 
 
 @dataclass(frozen=True)
@@ -139,15 +182,13 @@ class Detection:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Detection":
-        identity = None
-        if data.get("identity") is not None:
-            identity = FaceIdentity(data["identity"], FaceCategory(data["category"]))
-        box = data.get("box")
+        token = field(data, "identity", str, None)
         return cls(
-            label=Label(data["label"], ScenarioKind(data["kind"])),
-            confidence=float(data["confidence"]),
-            identity=identity,
-            box=None if box is None else tuple(box),
+            label=Label(field(data, "label", str), field(data, "kind", ScenarioKind)),
+            confidence=field(data, "confidence", float),
+            identity=None if token is None
+            else FaceIdentity(token, field(data, "category", FaceCategory)),
+            box=list_field(data, "box", float, None),
         )
 
 
@@ -184,15 +225,15 @@ class FrameSample:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FrameSample":
-        scenario = ScenarioKind(data["scenario"])
-        truth = frozenset(Label(name, scenario) for name in data.get("truth_labels", []))
+        scenario = field(data, "scenario", ScenarioKind)
         return cls(
-            frame_id=data["frame_id"],
-            device_id=data["device_id"],
-            captured_at=int(data.get("captured_at", 0)),
-            truth=truth,
+            frame_id=field(data, "frame_id", str),
+            device_id=field(data, "device_id", str),
+            captured_at=field(data, "captured_at", int, 0),
+            truth=frozenset(Label(name, scenario)
+                            for name in list_field(data, "truth_labels", str, ())),
             scenario=scenario,
-            truth_identity=data.get("truth_identity"),
+            truth_identity=field(data, "truth_identity", str, None),
         )
 
 
@@ -209,8 +250,8 @@ class MotionEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MotionEvent":
-        return cls(device_id=data["device_id"], at=int(data["at"]),
-                   event_id=data["event_id"])
+        return cls(device_id=field(data, "device_id", str), at=field(data, "at", int),
+                   event_id=field(data, "event_id", str))
 
 
 @dataclass(frozen=True)
@@ -250,14 +291,14 @@ class AnalyticsRecord:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AnalyticsRecord":
         return cls(
-            event_id=data["event_id"],
-            device_id=data["device_id"],
-            frame_id=data["frame_id"],
-            detections=tuple(Detection.from_dict(d) for d in data["detections"]),
-            backend_id=data["backend_id"],
-            captured_at=int(data["captured_at"]),
-            detected_at=int(data["detected_at"]),
-            threshold_used=float(data["threshold_used"]),
+            event_id=field(data, "event_id", str),
+            device_id=field(data, "device_id", str),
+            frame_id=field(data, "frame_id", str),
+            detections=tuple(map(Detection.from_dict, list_field(data, "detections", dict))),
+            backend_id=field(data, "backend_id", str),
+            captured_at=field(data, "captured_at", int),
+            detected_at=field(data, "detected_at", int),
+            threshold_used=field(data, "threshold_used", float),
         )
 
 
@@ -268,12 +309,24 @@ def format_event_id(device_id: str, sequence: int) -> str:
     return f"{device_id}:{sequence}"
 
 
+def _decimal(digits: str) -> bool:
+    """ASCII digits, no more than ``int()`` converts (4,300 from Python 3.11)."""
+    return digits.isascii() and digits.isdigit() and len(digits) <= 4300
+
+
 def parse_event_id(event_id: str) -> tuple[str, int]:
     """Inverse of :func:`format_event_id`; the sequence is ASCII digits only."""
     device_id, _, seq = event_id.rpartition(":")
-    if not device_id or not (seq.isascii() and seq.isdigit()):
+    if not device_id or not _decimal(seq):
         raise ValidationError(f"malformed event id: {event_id!r}")
     return device_id, int(seq)
+
+
+def parse_int(text: str, name: str) -> int:
+    """An integer in a query string or header: optional ``-``, then ASCII digits."""
+    if type(text) is str and _decimal(text[1:] if text[:1] == "-" else text):
+        return int(text)
+    raise ProtocolError(f"{name} must be an integer")
 
 
 class EventIdFactory:
@@ -320,5 +373,7 @@ def canonical_json(obj: Any) -> str:
     """The one JSON encoding used on the wire and in reports.
 
     Sorted keys and fixed separators make byte-level comparison meaningful.
+    NaN and the infinities are refused: they are not JSON (RFC 8259, 6).
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False)

@@ -19,7 +19,7 @@ from .backends import DETECT_ENDPOINTS
 from .cloud.service import ApiRequest, ApiResponse
 from .draws import int_draw
 from .errors import ProtocolError, TransientTransportError
-from .model import AnalyticsRecord, Detection, FrameSample
+from .model import AnalyticsRecord, Detection, FrameSample, field, list_field
 
 __all__ = ["NetworkModel", "IngestAck", "FailureInjector", "CloudClient"]
 
@@ -129,9 +129,7 @@ class CloudClient:
             raise ProtocolError(
                 f"{error.get('code', 'error')}: {error.get('message', 'request failed')}"
             )
-        if "data" not in body:
-            raise ProtocolError("response missing data")
-        return body["data"]
+        return field(body, "data", dict)
 
     # -- typed endpoints -----------------------------------------------------
 
@@ -159,10 +157,7 @@ class CloudClient:
         )
         self._last_detect = (frame.frame_id, done - frame.captured_at)
         data = self._data(response)
-        field_name = DETECT_ENDPOINTS[path][0] if path in DETECT_ENDPOINTS else None
-        if field_name is None or field_name not in data:
-            raise ProtocolError(f"unexpected detection response for {path}: {list(data)}")
-        return [Detection.from_dict(d) for d in data[field_name]]
+        return [Detection.from_dict(d) for d in list_field(data, DETECT_ENDPOINTS[path][0], dict)]
 
     def round_trip_ms(self, frame_id: str, service_time_ms: int) -> int:
         """Logical latency of a detect call for this frame."""

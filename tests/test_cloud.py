@@ -150,6 +150,41 @@ class TestDispatcher:
         dispatcher.run_pass(stream)
         assert len(hub.subscription("user").delivery_log) == 1
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        # "pass" runs a dispatch pass; None appends the next event id; an
+        # integer re-appends an already issued id, a duplicate
+        steps=st.lists(st.one_of(st.just("pass"), st.none(), st.integers(0, 9)), max_size=40),
+        failing=st.sets(st.tuples(st.integers(0, 40), st.integers(0, 15)), max_size=25),
+        poison_passes=st.integers(1, 3),
+    )
+    def test_each_event_is_handled_once_or_dead_lettered_once(self, steps, failing,
+                                                              poison_passes):
+        stream, dispatcher = IngestStream(), Dispatcher(poison_passes=poison_passes)
+        attempts, handled = [], []
+        passes = 0
+
+        def flaky(entry):  # fails on the seeded (stream sequence, pass) pairs
+            attempts.append(entry)
+            if (entry.sequence, passes) in failing:
+                raise RuntimeError("seeded handler fault")
+
+        dispatcher.register("flaky", flaky)
+        dispatcher.register("done", lambda entry: handled.append(entry.payload.event_id))
+        issued = 0
+        for step in steps:
+            if step == "pass":
+                dispatcher.run_pass(stream)
+                passes += 1
+                continue
+            seq = issued if step is None or issued == 0 else step % issued
+            issued = max(issued, seq + 1)
+            stream.append(record(seq), ingested_at=len(stream))
+        assert not any(entry.duplicate for entry in attempts)
+        dead = [entry.payload.event_id for entry, _ in dispatcher.dead_letters]
+        for event_id in set(handled) | set(dead):
+            assert handled.count(event_id) + dead.count(event_id) == 1, event_id
+
 
 class TestNotifications:
     def test_single_matching_subscriber(self):

@@ -1,9 +1,13 @@
+import json
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from doorsim.errors import ConflictError, ValidationError
+from doorsim.errors import ConflictError, ProtocolError, ValidationError
 from doorsim.model import (
+    DEFAULT_VOCABULARY,
     AnalyticsRecord,
     Detection,
     EventIdFactory,
@@ -13,8 +17,12 @@ from doorsim.model import (
     Label,
     ScenarioKind,
     apply_confidence_threshold,
+    canonical_json,
+    field,
     format_event_id,
+    list_field,
     parse_event_id,
+    parse_int,
 )
 
 
@@ -217,3 +225,93 @@ class TestSerialization:
             "frame_id", "device_id", "captured_at", "scenario",
             "truth_labels", "truth_identity",
         }
+
+
+class TestWireFields:
+    def test_absent_field_takes_the_default_and_required_names_itself(self):
+        assert field({}, "n", int, 7) == 7
+        with pytest.raises(ProtocolError, match="^n is required$"):
+            field({}, "n", int)
+
+    def test_null_is_accepted_only_where_the_default_is_none(self):
+        assert field({"s": None}, "s", str, None) is None
+        with pytest.raises(ProtocolError, match="^s must be a string$"):
+            field({"s": None}, "s", str, "")
+        with pytest.raises(ProtocolError, match="^s must be a string$"):
+            field({"s": None}, "s", str)
+
+    @pytest.mark.parametrize("value", [True, 5.0, "5", None, [5]])
+    def test_integer_is_an_int_and_not_a_bool(self, value):
+        assert field({"n": 5}, "n", int) == 5
+        with pytest.raises(ProtocolError, match="^n must be an integer$"):
+            field({"n": value}, "n", int)
+
+    @pytest.mark.parametrize("value", [True, "1", float("nan"), float("inf"), -float("inf"),
+                                       10 ** 400, None])
+    def test_number_is_finite_and_returned_as_float(self, value):
+        assert type(field({"x": 5}, "x", float)) is float
+        with pytest.raises(ProtocolError, match="^x must be a finite number$"):
+            field({"x": value}, "x", float)
+
+    def test_object_is_any_mapping(self):
+        proxy = MappingProxyType({"a": 1})
+        assert field({"o": proxy}, "o", dict) is proxy
+        with pytest.raises(ProtocolError, match="^o must be an object$"):
+            field({"o": [1]}, "o", dict)
+
+    def test_enum_by_its_string_value(self):
+        data = {"kind": "dog", "scenario": "animal_detection", "number": 1}
+        assert field(data, "scenario", ScenarioKind) is ScenarioKind.ANIMAL_DETECTION
+        for name in ("kind", "number"):
+            with pytest.raises(ProtocolError, match=f"^{name} must be one of face_recognition, "):
+                field(data, name, ScenarioKind)
+
+    def test_list_items_are_checked(self):
+        assert list_field({"box": [0, 1]}, "box", float) == (0.0, 1.0)
+        with pytest.raises(ProtocolError, match="^an item of box must be a finite number$"):
+            list_field({"box": [0, "1"]}, "box", float)
+        with pytest.raises(ProtocolError, match="^box must be an array$"):
+            list_field({"box": "01"}, "box", float)
+
+    @pytest.mark.parametrize("text,value", [("0", 0), ("-12", -12), ("0042", 42)])
+    def test_parse_int_takes_ascii_digits(self, text, value):
+        assert parse_int(text, "n") == value
+
+    @pytest.mark.parametrize("text", ["", "-", "+1", " 1", "1 ", "1_0", "\u0661", "1.0",
+                                      "1" * 5000, 7])
+    def test_parse_int_rejects_every_other_spelling(self, text):
+        with pytest.raises(ProtocolError, match="^n must be an integer$"):
+            parse_int(text, "n")
+
+    def test_canonical_json_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            canonical_json({"x": float("nan")})
+
+    def test_box_decodes_to_a_tuple_of_floats(self):
+        data = {"label": "dog", "kind": "animal_detection", "confidence": 90, "box": [0, 0, 1, 1]}
+        detection = Detection.from_dict(data)
+        assert detection.box == (0.0, 0.0, 1.0, 1.0) and type(detection.confidence) is float
+
+    @given(st.data())
+    def test_records_round_trip_through_canonical_json(self, data):
+        kind = data.draw(st.sampled_from(list(ScenarioKind)))
+        threshold = data.draw(st.floats(0, 100))
+        detections = tuple(
+            Detection(
+                Label(name, kind), data.draw(st.floats(threshold, 100)),
+                identity=(FaceIdentity(data.draw(st.text(max_size=5)),
+                                       data.draw(st.sampled_from(list(FaceCategory))))
+                          if kind is ScenarioKind.FACE_RECOGNITION else None),
+                box=data.draw(st.none() | st.tuples(*[st.floats(0, 1)] * 4)),
+            )
+            for name in data.draw(st.lists(st.sampled_from(DEFAULT_VOCABULARY[kind]), max_size=3))
+        )
+        captured_at = data.draw(st.integers(-10 ** 6, 10 ** 12))
+        record = AnalyticsRecord(
+            event_id=data.draw(st.text(max_size=5)) + ":3", device_id=data.draw(st.text(max_size=5)),
+            frame_id=data.draw(st.text(max_size=5)), detections=detections,
+            backend_id=data.draw(st.text(max_size=5)), captured_at=captured_at,
+            detected_at=captured_at + data.draw(st.integers(0, 10 ** 6)), threshold_used=threshold,
+        )
+        wire = json.loads(canonical_json(record.to_dict()))
+        assert AnalyticsRecord.from_dict(wire) == record

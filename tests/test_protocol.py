@@ -4,6 +4,7 @@ import http.client
 import json
 import sys
 import threading
+import urllib.error
 import urllib.request
 from urllib.parse import urlsplit
 
@@ -217,6 +218,44 @@ MALFORMED_REQUESTS = [
     ("detect_collection_list", "POST", "/detect/labels",
      {"frame": GOOD_FRAME, "collection_id": [1]}, {}),
     ("blob_not_ascii", "POST", "/blobs", {"data_b64": "\u00e9"}, {}),
+    # Accepted with a coerced value before the codecs were strict.
+    ("ingest_frame_id_int", "POST", "/ingest", ingest_body(frame_id=5), {}),
+    ("ingest_captured_at_string", "POST", "/ingest", ingest_body(captured_at="5"), {}),
+    ("ingest_captured_at_float", "POST", "/ingest", ingest_body(captured_at=5.9), {}),
+    ("ingest_captured_at_bool", "POST", "/ingest", ingest_body(captured_at=True), {}),
+    ("ingest_backend_id_null", "POST", "/ingest", ingest_body(backend_id=None), {}),
+    ("ingest_threshold_nan_string", "POST", "/ingest", ingest_body(threshold_used="nan"), {}),
+    ("ingest_threshold_infinity", "POST", "/ingest",
+     ingest_body(threshold_used=float("inf"), detections=[]), {}),
+    ("ingest_confidence_string", "POST", "/ingest",
+     ingest_body(detections=[{"label": "dog", "kind": "animal_detection", "confidence": "95"}]),
+     {}),
+    ("ingest_confidence_bool", "POST", "/ingest",
+     ingest_body(detections=[{"label": "dog", "kind": "animal_detection", "confidence": True}]),
+     {}),
+    ("detect_frame_id_int", "POST", "/detect/labels", {"frame": {**GOOD_FRAME, "frame_id": 5}}, {}),
+    ("detect_captured_at_bool", "POST", "/detect/labels",
+     {"frame": {**GOOD_FRAME, "captured_at": True}}, {}),
+    ("detect_truth_labels_string", "POST", "/detect/labels",
+     {"frame": {**GOOD_FRAME, "truth_labels": "dog"}}, {}),
+    ("query_from_bool", "POST", "/query",
+     {"kind": "range_query", "device_id": "door-1", "from": True}, {}),
+    ("query_from_float", "POST", "/query",
+     {"kind": "range_query", "device_id": "door-1", "from": 1.9}, {}),
+    ("custom_labels_count_bool", "POST", "/custom-labels",
+     {"name": "job", "example_count": True}, {}),
+    ("custom_labels_count_float", "POST", "/custom-labels",
+     {"name": "job", "example_count": 2.7}, {}),
+    ("custom_labels_count_string", "POST", "/custom-labels",
+     {"name": "job", "example_count": "3"}, {}),
+    ("register_attribute_value_list", "POST", "/devices/register",
+     {"device_id": "door-9", "attributes": {"a": [1]}}, {}),
+    # Integers in a query string are an optional "-" and ASCII digits.
+    ("activities_non_ascii_digits", "GET", "/activities", None,
+     {"device": "d1", "from": "\u0661", "to": "\u0669\u0669"}),
+    ("activities_to_padded", "GET", "/activities", None, {"device": "d1", "to": " 99 "}),
+    ("activities_from_underscore", "GET", "/activities", None,
+     {"device": "d1", "from": "1_0", "to": "99"}),
 ]
 
 
@@ -239,6 +278,19 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=10,
 )
+
+
+def gateway_state(service):
+    """What a rejected request must leave as it found it."""
+    return (
+        [entry.to_dict() for entry in service.stream.read_from(0)],
+        service.store.all_records(),
+        len(service.registry),
+        dict(service.jobs._jobs),
+        len(service.blobs),
+        {cid: len(collection) for cid, collection in service.collections.items()},
+        service.now_ms,
+    )
 
 
 def service_with_session():
@@ -296,6 +348,35 @@ class TestGatewayTotality:
             assert response.body["ok"] is False
             assert set(response.body["error"]) == {"code", "message"}
 
+    @pytest.mark.parametrize(
+        "method,path,body,query", [case[1:] for case in MALFORMED_REQUESTS],
+        ids=[case[0] for case in MALFORMED_REQUESTS],
+    )
+    def test_malformed_request_changes_nothing(self, service_and_token,
+                                               method, path, body, query):
+        service, token = service_and_token
+        before = gateway_state(service)
+        service.handle(ApiRequest(
+            method, path, headers={"x-session-token": token}, body=body, query=query,
+        ))
+        assert gateway_state(service) == before
+
+    @pytest.mark.parametrize("value", ["\u0665\u0660", " 50", "5_0", "+50", "5" * 5000],
+                             ids=["arabic_indic", "padded", "underscore", "plus", "too_long"])
+    def test_sim_time_header_takes_only_ascii_digits(self, value):
+        service = CloudService(seed=0)
+        response = service.handle(ApiRequest(
+            "GET", "/activities", headers={"x-sim-time": value}, query={"device": "d1"},
+        ))
+        assert response.status == 400
+        assert response.body["error"] == {"code": "protocol",
+                                          "message": "x-sim-time must be an integer"}
+        assert service.now_ms == 0
+        response = service.handle(ApiRequest(
+            "GET", "/activities", headers={"x-sim-time": "-5"}, query={"device": "d1"},
+        ))
+        assert response.status == 200 and service.now_ms == 0
+
     def test_well_formed_ingest_is_accepted(self, service_and_token):
         service, token = service_and_token
         response = service.handle(ApiRequest(
@@ -320,6 +401,16 @@ class TestEventIdSequence:
             "code": "validation", "message": f"malformed event id: {event_id!r}",
         }}
         assert len(service.stream) == 0 and len(service.store) == 0
+
+    def test_sequence_beyond_the_int_digit_limit_is_rejected(self):
+        service, token = service_with_session()
+        response = service.handle(ApiRequest(
+            "POST", "/ingest", headers={"x-session-token": token},
+            body=ingest_body(event_id="door-1:" + "1" * 5000),
+        ))
+        assert response.status == 400
+        assert response.body["error"]["code"] == "validation"
+        assert len(service.stream) == 0
 
     def test_ascii_sequence_is_still_accepted_after_a_rejection(self):
         service, token = service_with_session()
@@ -398,6 +489,25 @@ class TestHttpBinding:
         assert status == 400
         assert body["ok"] is False
         assert body["error"]["code"] == "protocol"
+
+    def test_nan_in_a_body_is_protocol_error(self, http_server):
+        _, body = self._post(http_server, "/devices/register", {"device_id": "door-1"})
+        _, body = self._post(http_server, "/devices/auth",
+                             {"device_id": "door-1", "secret": body["data"]["secret"]})
+        raw = json.dumps(ingest_body()).replace('"threshold_used": 70.0',
+                                                '"threshold_used": NaN')
+        assert "NaN" in raw
+        request = urllib.request.Request(
+            http_server + "/ingest", data=raw.encode(), method="POST",
+            headers={"content-type": "application/json",
+                     "x-session-token": body["data"]["session_token"]},
+        )
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request)
+        assert caught.value.code == 400
+        with caught.value:
+            error = json.loads(caught.value.read())["error"]
+        assert error == {"code": "protocol", "message": "threshold_used must be a finite number"}
 
     def test_get_blob_over_http(self, http_server):
         import base64
