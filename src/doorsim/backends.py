@@ -53,7 +53,7 @@ class BackendCategory(enum.Enum):
     ON_EDGE = "on_edge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceModel:
     """Uniform confidence draws: value in [mean - spread, mean + spread).
 
@@ -83,7 +83,7 @@ class ConfidenceModel:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackendProfile:
     """Confusion, latency, and resource model for one detection approach."""
 

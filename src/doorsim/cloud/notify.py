@@ -22,7 +22,7 @@ _KIND_PHRASE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Notification:
     event_id: str
     device_id: str
@@ -38,7 +38,7 @@ class Notification:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscriptionFilter:
     """Optional device/scenario predicate; None matches everything."""
 

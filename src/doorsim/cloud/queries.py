@@ -22,7 +22,7 @@ class QueryKind(enum.Enum):
     RANGE_QUERY = "range_query"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRequest:
     kind: QueryKind
     device_id: str
@@ -46,7 +46,7 @@ class QueryRequest:
         return cls(kind=kind, device_id=field(data, "device_id", str), range=range_)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryAnswer:
     summary: str
     records: tuple[AnalyticsRecord, ...]

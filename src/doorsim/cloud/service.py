@@ -44,7 +44,7 @@ from .stream import Dispatcher, IngestStream, StreamRecord
 __all__ = ["ApiRequest", "ApiResponse", "CloudService", "ROUTES"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ApiRequest:
     method: str
     path: str
@@ -53,7 +53,7 @@ class ApiRequest:
     query: Mapping[str, str] = dataclasses.field(default_factory=dict)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ApiResponse:
     status: int
     body: Mapping[str, Any]

@@ -159,7 +159,7 @@ class BlobStore:
         return len(self._blobs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CustomLabelJob:
     name: str
     example_count: int

@@ -20,7 +20,7 @@ __all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES"
 DEFAULT_POISON_PASSES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamRecord:
     """One stream entry: globally sequenced, partitioned by device."""
 

@@ -114,8 +114,12 @@ def load_manifest(path: str | Path) -> Dataset:
             if not line:
                 continue
             try:
-                frames.append(FrameSample.from_dict(json.loads(line)))
-            except (ValueError, ProtocolError) as exc:  # JSONDecodeError is a ValueError
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ProtocolError("a manifest line must be a JSON object")
+                frames.append(FrameSample.from_dict(row))
+            except (ValueError, ProtocolError, ValidationError) as exc:
+                # JSONDecodeError is a ValueError; a bad label is a ValidationError
                 raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
     return Dataset(frames)
 
@@ -139,7 +143,7 @@ def save_manifest(frames: Iterable[FrameSample], path: str | Path) -> None:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorConfig:
     """Parameters for synthetic manifest generation.
 

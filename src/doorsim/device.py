@@ -40,7 +40,7 @@ def fingerprint_secret(secret: str) -> str:
     return hashlib.sha256(secret.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceRecord:
     device_id: str
     attributes: Mapping[str, str]
@@ -56,7 +56,7 @@ class DeviceRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     """Returned to the device once at registration; never stored server-side."""
 
@@ -133,7 +133,7 @@ class DeviceRegistry:
             return len(self._records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionScript:
     """Scripted motion triggers for one device, sorted by time."""
 

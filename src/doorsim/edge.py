@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingPolicy:
     """Per-device rate limit applied before detection."""
 
@@ -56,7 +56,7 @@ class SamplingPolicy:
             raise ValidationError("min_interval_ms must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetryPolicy:
     max_attempts: int = 3
     backoff_ms: int = 100
@@ -68,7 +68,7 @@ class RetryPolicy:
             raise ValidationError("backoff_ms must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeConfig:
     """Edge deployment configuration; JSON file format mirrors the fields."""
 
@@ -114,7 +114,7 @@ class FrameSampler:
         return frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessOutcome:
     """What happened to one motion event at the edge."""
 

@@ -39,8 +39,10 @@ from .edge import EdgeConfig, EdgePipeline, RetryPolicy, SamplingPolicy
 from .errors import ValidationError
 from .model import (
     DEFAULT_THRESHOLD,
+    AnalyticsRecord,
     EventIdFactory,
     FaceCategory,
+    FrameSample,
     Label,
     canonical_json,
 )
@@ -126,7 +128,7 @@ def f1_score(precision: float | None, recall: float | None) -> float | None:
     return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsReport:
     """Confusion counts plus the derived quality metrics."""
 
@@ -173,7 +175,7 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyStats:
     backend_id: str
     samples: int
@@ -223,7 +225,7 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return a + (b - a) * t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Everything a reproducible end-to-end run depends on.
 
@@ -248,34 +250,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        network_cfg = dict(data.get("network", {}))
-        network_cfg.setdefault("seed", int(data.get("seed", 0)))
-        raw_enroll = data.get("enroll")
-        if raw_enroll is None:
-            enroll = dict(DEFAULT_KNOWN_FACES)
-        else:
-            enroll = {token: FaceCategory(cat) for token, cat in dict(raw_enroll).items()}
-        scripts = None
-        if data.get("scripts"):
-            scripts = tuple(
-                load_motion_script(entry) if isinstance(entry, str)
-                else MotionScript.from_dict(entry)
-                for entry in data["scripts"]
+        """The config of a JSON document; a malformed value is a ValidationError."""
+        try:
+            network_cfg = dict(data.get("network", {}))
+            network_cfg.setdefault("seed", int(data.get("seed", 0)))
+            raw_enroll = data.get("enroll")
+            if raw_enroll is None:
+                enroll = dict(DEFAULT_KNOWN_FACES)
+            else:
+                enroll = {token: FaceCategory(cat) for token, cat in dict(raw_enroll).items()}
+            scripts = None
+            if data.get("scripts"):
+                scripts = tuple(
+                    load_motion_script(entry) if isinstance(entry, str)
+                    else MotionScript.from_dict(entry)
+                    for entry in data["scripts"]
+                )
+            return cls(
+                dataset=data.get("dataset"),
+                backend_id=data.get("backend_id", "aws-saas"),
+                threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
+                seed=int(data.get("seed", 0)),
+                network=NetworkModel(**network_cfg),
+                retry=RetryPolicy(**data.get("retry", {})),
+                sampling=SamplingPolicy(**data.get("sampling", {})),
+                debounce_ms=int(data.get("debounce_ms", DEFAULT_DEBOUNCE_MS)),
+                event_spacing_ms=int(data.get("event_spacing_ms", 2000)),
+                profiles_path=data.get("profiles"),
+                enroll=enroll,
+                scripts=scripts,
             )
-        return cls(
-            dataset=data.get("dataset"),
-            backend_id=data.get("backend_id", "aws-saas"),
-            threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-            seed=int(data.get("seed", 0)),
-            network=NetworkModel(**network_cfg),
-            retry=RetryPolicy(**data.get("retry", {})),
-            sampling=SamplingPolicy(**data.get("sampling", {})),
-            debounce_ms=int(data.get("debounce_ms", DEFAULT_DEBOUNCE_MS)),
-            event_spacing_ms=int(data.get("event_spacing_ms", 2000)),
-            profiles_path=data.get("profiles"),
-            enroll=enroll,
-            scripts=scripts,
-        )
+        except (TypeError, ValueError) as exc:  # a non-number, an unknown key or category
+            raise ValidationError(f"bad experiment config: {exc}") from exc
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -295,7 +301,7 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameOutcome:
     """Raw (truth, prediction) pair for one analyzed frame."""
 
@@ -400,9 +406,8 @@ def _dump_partial_trace(path, config, counters, outcomes) -> None:
         "config": config.to_dict(),
         "counters": counters,
         "frames": [
-            {"event_id": outcome.event.event_id, "frame_id": frame.frame_id,
-             "delivered": outcome.ack is not None}
-            for outcome, frame in outcomes
+            {"event_id": event_id, "frame_id": frame.frame_id, "delivered": delivered}
+            for event_id, _, delivered, frame in outcomes
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -483,18 +488,22 @@ def run_experiment(
     merged = heapq.merge(*streams, key=lambda pair: (pair[0].at, pair[0].device_id))
 
     counters = {"events": 0, "sampled": 0, "ingested": 0, "dead_letters": 0}
-    outcomes = []
+    # (event id, edge record, delivered, frame) per event: only what the
+    # report and the partial trace read, so that each event's MotionEvent,
+    # IngestAck and ProcessOutcome are freed as soon as it is processed.
+    outcomes: list[tuple[str, AnalyticsRecord | None, bool, FrameSample]] = []
     try:
         for event, frame in merged:
             counters["events"] += 1
             outcome = pipeline.process(event, frame, sessions[event.device_id])
+            delivered = outcome.ack is not None
             if outcome.sampled:
                 counters["sampled"] += 1
-            if outcome.ack is not None:
+            if delivered:
                 counters["ingested"] += 1
             if outcome.dead_lettered:
                 counters["dead_letters"] += 1
-            outcomes.append((outcome, frame))
+            outcomes.append((event.event_id, outcome.record, delivered, frame))
     except Exception:
         if partial_trace_path is not None:
             _dump_partial_trace(partial_trace_path, config, counters, outcomes)
@@ -505,13 +514,13 @@ def run_experiment(
     frames: list[FrameOutcome] = []
     per_scenario: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
     stored = {record.event_id: record for record in service.store.all_records()}
-    for outcome, frame in outcomes:
-        if outcome.record is None:
+    for event_id, edge_record, _, frame in outcomes:
+        if edge_record is None:
             continue
         # Detection quality is tallied from what the cloud persisted; a
         # dead-lettered record falls back to the edge-side copy, since the
         # analysis happened even when delivery did not (counted separately).
-        record = stored.get(outcome.record.event_id, outcome.record)
+        record = stored.get(event_id, edge_record)
         predicted = {d.label for d in record.detections}
         frames.append(
             FrameOutcome(

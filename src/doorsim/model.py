@@ -1,13 +1,17 @@
 """Shared domain vocabulary: frames, events, detections, and records.
 
 All types here are immutable values, safe to copy between pipeline stages.
-Timestamps are logical simulation milliseconds, never wall clock, so any
-run can be replayed exactly.
+They are slotted dataclasses, with no per-instance ``__dict__``, because a
+run holds several of them for every frame. Timestamps are logical
+simulation milliseconds, never wall clock, so any run can be replayed
+exactly.
 
 Every type serializes to a flat JSON object with snake_case field names;
 ``canonical_json`` is the single encoder used for wire payloads, reports,
 and golden files. The ``from_dict`` decoders read every field through the
 strict :func:`field` getter; a broken domain invariant is a ValidationError.
+A decoded label of the :data:`DEFAULT_VOCABULARY` is one shared instance
+per (name, scenario); any other name decodes to a new, validated Label.
 """
 
 from __future__ import annotations
@@ -90,9 +94,9 @@ def _checked(value: Any, name: str, kind: type) -> Any:
         if type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX:
             return float(value)
     elif kind not in _KIND_NAMES:  # an enum, spelled by its value
-        try:
-            return kind(value)
-        except ValueError:
+        try:  # the enum's own value -> member table, without Enum.__call__
+            return kind._value2member_map_[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             choices = ", ".join(member.value for member in kind)
             raise ProtocolError(f"{name} must be one of {choices}") from None
     elif kind is not int and isinstance(value, Mapping if kind is dict else kind):
@@ -124,7 +128,7 @@ def list_field(data: Mapping[str, Any], name: str, kind: type, default: Any = RE
     return tuple([_checked(value, f"an item of {name}", kind) for value in values])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """A canonical lowercase detection label bound to one scenario."""
 
@@ -138,8 +142,22 @@ class Label:
             raise ValidationError(f"label name must be a lowercase token: {self.name!r}")
 
 
+# One Label per (name, scenario) of the default vocabulary, built once.
+# Fixed at import: decoding never adds to it.
+_VOCABULARY_LABELS: Mapping[tuple[str, ScenarioKind], Label] = {
+    (name, kind): Label(name, kind)
+    for kind, names in DEFAULT_VOCABULARY.items() for name in names
+}
 
-@dataclass(frozen=True)
+
+def _vocabulary_label(name: str, kind: ScenarioKind) -> Label:
+    """The shared Label of a default-vocabulary name; any other name builds
+    (and validates) a new one."""
+    label = _VOCABULARY_LABELS.get((name, kind))
+    return Label(name, kind) if label is None else label
+
+
+@dataclass(frozen=True, slots=True)
 class FaceIdentity:
     """An opaque identity token plus the category it resolved to."""
 
@@ -147,7 +165,7 @@ class FaceIdentity:
     category: FaceCategory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One labeled output of a detection backend.
 
@@ -184,7 +202,7 @@ class Detection:
     def from_dict(cls, data: Mapping[str, Any]) -> "Detection":
         token = field(data, "identity", str, None)
         return cls(
-            label=Label(field(data, "label", str), field(data, "kind", ScenarioKind)),
+            label=_vocabulary_label(field(data, "label", str), field(data, "kind", ScenarioKind)),
             confidence=field(data, "confidence", float),
             identity=None if token is None
             else FaceIdentity(token, field(data, "category", FaceCategory)),
@@ -192,7 +210,7 @@ class Detection:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameSample:
     """A unit of captured media.
 
@@ -230,14 +248,14 @@ class FrameSample:
             frame_id=field(data, "frame_id", str),
             device_id=field(data, "device_id", str),
             captured_at=field(data, "captured_at", int, 0),
-            truth=frozenset(Label(name, scenario)
-                            for name in list_field(data, "truth_labels", str, ())),
+            truth=frozenset([_vocabulary_label(name, scenario)
+                             for name in list_field(data, "truth_labels", str, ())]),
             scenario=scenario,
             truth_identity=field(data, "truth_identity", str, None),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionEvent:
     """A motion trigger emitted by one device."""
 
@@ -254,7 +272,7 @@ class MotionEvent:
                    event_id=field(data, "event_id", str))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyticsRecord:
     """The metadata envelope shipped from the edge to the cloud."""
 

@@ -24,7 +24,7 @@ from .model import AnalyticsRecord, Detection, FrameSample, field, list_field
 __all__ = ["NetworkModel", "IngestAck", "FailureInjector", "CloudClient"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkModel:
     """One-way delay = base +/- uniform jitter, keyed per message."""
 
@@ -49,7 +49,7 @@ class NetworkModel:
         return {"base_delay_ms": self.base_delay_ms, "jitter_ms": self.jitter_ms}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IngestAck:
     """Successful delivery: the cloud sequence number and logical times."""
 

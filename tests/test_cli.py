@@ -63,6 +63,24 @@ class TestEvaluate:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("overrides,named", [
+        ({"threshold": "abc"}, "'abc'"),
+        ({"retry": {"tries": 2}}, "'tries'"),
+        ({"sampling": {"rate": 2}}, "'rate'"),
+        ({"network": {"delay": 2}}, "'delay'"),
+        ({"enroll": {"alice": "boss"}}, "'boss'"),
+    ], ids=["threshold_not_a_number", "unknown_retry_key", "unknown_sampling_key",
+            "unknown_network_key", "unknown_enroll_category"])
+    def test_malformed_config_exits_1_with_message(self, tmp_path, dataset_path, capsys,
+                                                   overrides, named):
+        config = experiment_config(tmp_path, dataset_path, **overrides)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(config), "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad experiment config: ") and named in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
     def test_same_argv_is_byte_identical(self, tmp_path, dataset_path):
         config = experiment_config(tmp_path, dataset_path)
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

@@ -95,6 +95,24 @@ def test_bad_manifest_line(tmp_path):
         load_manifest(path)
 
 
+GOOD_ROW = ('{"frame_id": "f0", "device_id": "door-1", "scenario": "animal_detection", '
+            '"truth_labels": ["dog"], "truth_identity": null}')
+
+
+@pytest.mark.parametrize("row,message", [
+    ("[1]", "a manifest line must be a JSON object"),
+    ('"x"', "a manifest line must be a JSON object"),
+    (GOOD_ROW.replace('"dog"', '"Dog"'), "label name must be a lowercase token: 'Dog'"),
+    (GOOD_ROW.replace('"dog"', '""'), "label name must be non-empty"),
+], ids=["array", "string", "uppercase_label", "empty_label"])
+def test_bad_manifest_line_names_its_location(tmp_path, row, message):
+    path = tmp_path / "bad.ndjson"
+    path.write_text(GOOD_ROW.replace("f0", "f1") + "\n\n" + row + "\n")
+    with pytest.raises(DatasetError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}:3: bad manifest line: {message}"
+
+
 def test_fingerprint_tracks_content(tmp_path):
     a = generate_dataset(GeneratorConfig(scenarios=(ScenarioKind.ANIMAL_DETECTION,), positives=5, seed=1))
     b = generate_dataset(GeneratorConfig(scenarios=(ScenarioKind.ANIMAL_DETECTION,), positives=5, seed=2))

@@ -1,10 +1,16 @@
+import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import doorsim
+from doorsim import model
 from doorsim.errors import ConflictError, ProtocolError, ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
@@ -315,3 +321,91 @@ class TestWireFields:
         )
         wire = json.loads(canonical_json(record.to_dict()))
         assert AnalyticsRecord.from_dict(wire) == record
+
+
+def frozen_dataclasses():
+    """Every frozen dataclass defined in a doorsim module."""
+    found = []
+    for info in pkgutil.walk_packages(doorsim.__path__, "doorsim."):
+        module = importlib.import_module(info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+                    and cls.__dataclass_params__.frozen):
+                found.append(cls)
+    return found
+
+
+class TestSlottedValues:
+    def test_every_frozen_dataclass_is_slotted(self):
+        classes = frozen_dataclasses()
+        names = {cls.__name__ for cls in classes}
+        assert {"Label", "Detection", "FrameSample", "AnalyticsRecord", "StreamRecord",
+                "ProcessOutcome", "IngestAck", "ApiRequest"} <= names
+        for cls in classes:
+            assert "__slots__" in vars(cls), cls.__qualname__
+            assert cls.__dictoffset__ == 0, f"{cls.__qualname__} instances have a __dict__"
+
+    def test_slotted_values_stay_frozen_and_replaceable(self):
+        label = Label("dog", ScenarioKind.ANIMAL_DETECTION)
+        assert not hasattr(label, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            label.name = "cat"
+        assert dataclasses.replace(label, name="cat") == Label("cat", ScenarioKind.ANIMAL_DETECTION)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(label, name="Cat")
+
+
+def frame_row(*names, scenario="animal_detection"):
+    return {"frame_id": "f", "device_id": "d", "scenario": scenario, "truth_labels": list(names)}
+
+
+class TestVocabularyLabels:
+    def test_a_known_label_decodes_to_one_shared_instance(self):
+        first = FrameSample.from_dict(frame_row("dog"))
+        second = FrameSample.from_dict(frame_row("dog"))
+        (a,), (b,) = first.truth, second.truth
+        assert a is b
+        detection = Detection.from_dict(
+            {"label": "dog", "kind": "animal_detection", "confidence": 90.0})
+        assert detection.label is a
+
+    def test_every_vocabulary_label_is_shared_per_scenario(self):
+        for kind, names in DEFAULT_VOCABULARY.items():
+            first = FrameSample.from_dict(frame_row(*names, scenario=kind.value)).truth
+            second = FrameSample.from_dict(frame_row(*names, scenario=kind.value)).truth
+            assert first == {Label(name, kind) for name in names}
+            assert {id(label) for label in first} == {id(label) for label in second}
+        (animal_dog,) = FrameSample.from_dict(frame_row("dog")).truth
+        (multi_dog,) = FrameSample.from_dict(frame_row("dog", scenario="multi_object")).truth
+        assert animal_dog.kind is ScenarioKind.ANIMAL_DETECTION
+        assert multi_dog.kind is ScenarioKind.MULTI_OBJECT
+
+    def test_an_unknown_label_decodes_to_an_equal_fresh_instance(self):
+        size = len(model._VOCABULARY_LABELS)
+        (a,) = FrameSample.from_dict(frame_row("zebra")).truth
+        (b,) = FrameSample.from_dict(frame_row("zebra")).truth
+        assert a == b == Label("zebra", ScenarioKind.ANIMAL_DETECTION)
+        assert a is not b
+        detection = Detection.from_dict(
+            {"label": "zebra", "kind": "animal_detection", "confidence": 90.0})
+        assert detection.label == a and detection.label is not a
+        assert len(model._VOCABULARY_LABELS) == size == sum(map(len, DEFAULT_VOCABULARY.values()))
+
+    @pytest.mark.parametrize("name,message", [
+        ("Dog", "label name must be a lowercase token: 'Dog'"),
+        (" dog", "label name must be a lowercase token: ' dog'"),
+        ("", "label name must be non-empty"),
+    ])
+    def test_an_invalid_label_is_still_rejected(self, name, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FrameSample.from_dict(frame_row(name))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Detection.from_dict({"label": name, "kind": "animal_detection", "confidence": 90.0})
+
+    @pytest.mark.parametrize("value", ["Animal_Detection", "", 1, None, [1], {"a": 1},
+                                       float("nan"), ScenarioKind.MULTI_OBJECT.name])
+    def test_an_enum_miss_names_the_field_and_the_choices(self, value):
+        with pytest.raises(ProtocolError) as info:
+            field({"scenario": value}, "scenario", ScenarioKind, default=ScenarioKind.MULTI_OBJECT)
+        assert str(info.value) == ("scenario must be one of "
+                                   + ", ".join(kind.value for kind in ScenarioKind))

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import re
 import sys
 import threading
 import urllib.error
@@ -16,7 +17,9 @@ from doorsim.backends import DEFAULT_ROUTES, DETECT_ENDPOINTS, REMOTE_BACKEND_ID
 from doorsim.cloud import CloudService
 from doorsim.cloud.httpd import CloudHTTPServer, serve
 from doorsim.cloud.service import ApiRequest, ROUTES
-from doorsim.model import DEFAULT_VOCABULARY, FrameSample, Label, ScenarioKind, canonical_json
+from doorsim.model import (
+    DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind, canonical_json,
+)
 from doorsim.transport import CloudClient, NetworkModel
 from make_golden import GOLDEN_DIR, GOLDEN_SEED
 
@@ -383,6 +386,132 @@ class TestGatewayTotality:
             "POST", "/ingest", headers={"x-session-token": token}, body=ingest_body(),
         ))
         assert response.status == 200
+
+
+FACE_DETECTION = {
+    "label": "face", "kind": "face_recognition", "confidence": 95.0,
+    "identity": "alice", "category": "family", "box": [0.0, 0.25, 0.5, 1.0],
+}
+VALID_BODIES = {
+    "/ingest": ingest_body(detections=[FACE_DETECTION]),
+    "/detect/labels": {"frame": GOOD_FRAME, "collection_id": "default"},
+}
+
+
+def decoded_fields():
+    """(route, path to a value, the kind its getter reads, the field name an
+    error must give) for every field the two routes decode from VALID_BODIES.
+    An int step in a path is a list index."""
+    record, frame = ("record",), ("frame",)
+    detection = record + ("detections", 0)
+    fields = [
+        ("/ingest", record, dict, "record"),
+        ("/ingest", record + ("detections",), list, "detections"),
+        ("/ingest", detection, dict, "detections"),
+        ("/ingest", detection + ("box",), list, "box"),
+        ("/ingest", detection + ("box", 2), float, "box"),
+        ("/detect/labels", frame, dict, "frame"),
+        ("/detect/labels", ("collection_id",), str, "collection_id"),
+        ("/detect/labels", frame + ("truth_labels",), list, "truth_labels"),
+        ("/detect/labels", frame + ("truth_labels", 0), str, "truth_labels"),
+    ]
+    fields += [("/ingest", record + (name,), kind, name) for name, kind in [
+        ("event_id", str), ("device_id", str), ("frame_id", str), ("backend_id", str),
+        ("captured_at", int), ("detected_at", int), ("threshold_used", float),
+    ]]
+    fields += [("/ingest", detection + (name,), kind, name) for name, kind in [
+        ("label", str), ("kind", ScenarioKind), ("confidence", float),
+        ("identity", str), ("category", FaceCategory),
+    ]]
+    fields += [("/detect/labels", frame + (name,), kind, name) for name, kind in [
+        ("frame_id", str), ("device_id", str), ("captured_at", int),
+        ("scenario", ScenarioKind), ("truth_identity", str),
+    ]]
+    return fields
+
+
+NAN = st.just(float("nan"))
+NUMBERS = st.integers() | st.floats()
+STRINGS = st.text(max_size=4) | st.integers().map(str)
+
+
+def wrong_values(kind):
+    """JSON values of the wrong type for a field of ``kind``, NaN among them."""
+    if kind in (int, float):
+        return st.booleans() | STRINGS | NAN
+    if kind is str:
+        return NUMBERS
+    if kind in (dict, list):
+        return NUMBERS | STRINGS
+    values = {member.value for member in kind}
+    return st.text(max_size=8).filter(lambda text: text not in values) | NUMBERS
+
+
+class TestStrictFields:
+    @pytest.mark.parametrize("path", sorted(VALID_BODIES))
+    def test_valid_bodies_are_accepted(self, path):
+        service, token = service_with_session()
+        response = service.handle(ApiRequest(
+            "POST", path, headers={"x-session-token": token}, body=VALID_BODIES[path],
+        ))
+        assert response.status == 200, response.body
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), target=st.sampled_from(decoded_fields()))
+    def test_one_wrong_typed_field_is_a_protocol_error_naming_it(self, data, target):
+        route, steps, kind, name = target
+        body = json.loads(json.dumps(VALID_BODIES[route]))
+        parent = body
+        for step in steps[:-1]:
+            parent = parent[step]
+        parent[steps[-1]] = data.draw(wrong_values(kind), label=name)
+        service, token = service_with_session()
+        before = gateway_state(service)
+        response = service.handle(ApiRequest(
+            "POST", route, headers={"x-session-token": token}, body=body,
+        ))
+        assert response.status == 400
+        assert response.body["error"]["code"] == "protocol"
+        assert re.match(f"(an item of )?{name} must be ", response.body["error"]["message"])
+        assert gateway_state(service) == before
+
+
+class TestWireLabels:
+    @pytest.mark.parametrize("route,body", [
+        ("/ingest", ingest_body(detections=[
+            {"label": "Dog", "kind": "animal_detection", "confidence": 95.0}])),
+        ("/detect/labels", {"frame": {**GOOD_FRAME, "truth_labels": ["Dog"]}}),
+    ], ids=["ingest", "detect"])
+    def test_a_label_that_is_not_lowercase_is_a_validation_error(self, route, body):
+        service, token = service_with_session()
+        response = service.handle(ApiRequest(
+            "POST", route, headers={"x-session-token": token}, body=body,
+        ))
+        assert response.status == 400
+        assert response.body == {"ok": False, "error": {
+            "code": "validation", "message": "label name must be a lowercase token: 'Dog'",
+        }}
+        assert len(service.stream) == 0
+
+    def test_an_unknown_label_is_decoded_and_served(self):
+        service, token = service_with_session()
+        service.profiles[REMOTE_BACKEND_ID] = (
+            service.profiles[REMOTE_BACKEND_ID].with_perfect_recall()
+        )
+        response = service.handle(ApiRequest(
+            "POST", "/detect/labels", body={"frame": {**GOOD_FRAME, "truth_labels": ["zebra"]}},
+        ))
+        assert response.status == 200
+        assert [d["label"] for d in response.body["data"]["labels"]] == ["zebra"]
+        zebra = {"label": "zebra", "kind": "animal_detection", "confidence": 95.0}
+        response = service.handle(ApiRequest(
+            "POST", "/ingest", headers={"x-session-token": token},
+            body=ingest_body(detections=[zebra]),
+        ))
+        assert response.status == 200
+        (record,) = service.store.all_records()
+        assert record.detections[0].label == Label("zebra", ScenarioKind.ANIMAL_DETECTION)
 
 
 class TestEventIdSequence:
