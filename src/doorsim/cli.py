@@ -13,6 +13,7 @@ import logging
 import sys
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -76,10 +77,9 @@ def _error_message(body: bytes) -> str | None:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
+    config = GeneratorConfig.from_dict(_load_config(args.config))
     if args.seed is not None:
-        raw["seed"] = args.seed
-    config = GeneratorConfig.from_dict(raw)
+        config = replace(config, seed=args.seed)
     log.info("generating %d positives for %d scenario(s), seed %d",
              config.positives, len(config.scenarios), config.seed)
     frames = generate_dataset(config)
@@ -90,11 +90,10 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = _load_config(args.config)
+    config = ExperimentConfig.from_dict(_load_config(args.config))
     if args.seed is not None:
-        raw["seed"] = args.seed
-        raw.setdefault("network", {})["seed"] = args.seed
-    return ExperimentConfig.from_dict(raw)
+        config = replace(config, seed=args.seed)
+    return config
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .draws import choice_draw, int_draw, unit_draw
 from .errors import DatasetError, ProtocolError, ValidationError
-from .model import DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind
+from .model import DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind, list_field
 
 __all__ = [
     "Dataset",
@@ -174,21 +174,28 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "GeneratorConfig":
-        scenarios = tuple(ScenarioKind(s) for s in data.get("scenarios", []))
-        known = {
-            token: FaceCategory(cat)
-            for token, cat in dict(data.get("known_faces", DEFAULT_KNOWN_FACES)).items()
-        }
-        return cls(
-            scenarios=scenarios or tuple(ScenarioKind),
-            positives=int(data.get("positives", 100)),
-            negatives=(None if data.get("negatives") is None else int(data["negatives"])),
-            devices=tuple(data.get("devices", ("door-1",))),
-            seed=int(data.get("seed", 0)),
-            known_faces=known,
-            known_face_fraction=float(data.get("known_face_fraction", 0.5)),
-            max_labels_per_frame=int(data.get("max_labels_per_frame", 2)),
-        )
+        """The config of a JSON object; a malformed value is a ValidationError."""
+        if not isinstance(data, Mapping):
+            raise ValidationError("bad generator config: the document must be a JSON object")
+        try:
+            scenarios = list_field(data, "scenarios", ScenarioKind, ())
+            known = {
+                token: FaceCategory(cat)
+                for token, cat in dict(data.get("known_faces", DEFAULT_KNOWN_FACES)).items()
+            }
+            return cls(
+                scenarios=scenarios or tuple(ScenarioKind),
+                positives=int(data.get("positives", 100)),
+                negatives=(None if data.get("negatives") is None else int(data["negatives"])),
+                devices=list_field(data, "devices", str, ("door-1",)),
+                seed=int(data.get("seed", 0)),
+                known_faces=known,
+                known_face_fraction=float(data.get("known_face_fraction", 0.5)),
+                max_labels_per_frame=int(data.get("max_labels_per_frame", 2)),
+            )
+        except (TypeError, ValueError, ProtocolError) as exc:
+            # a non-number, a string for an array, an unknown scenario or category
+            raise ValidationError(f"bad generator config: {exc}") from exc
 
 
 def _negative_count(config: GeneratorConfig, scenario: ScenarioKind) -> int:

@@ -4,15 +4,15 @@ Frames from different devices may be in flight concurrently; one device's
 frames are processed strictly in order, which is what keeps per-device
 ingest ordering intact across retries. Backend latency and retry backoff
 advance the logical clock instead of sleeping, so latency measurements are
-deterministic.
+deterministic: each record's ``captured_at -> detected_at`` is its latency
+sample. The edge config is built in code and has no file format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
 
 from .backends import DetectorBackend
 from .errors import (
@@ -70,7 +70,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True, slots=True)
 class EdgeConfig:
-    """Edge deployment configuration; JSON file format mirrors the fields."""
+    """Edge deployment configuration, built in code (it has no file format)."""
 
     backend_id: str
     threshold: float = DEFAULT_THRESHOLD
@@ -80,18 +80,6 @@ class EdgeConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 100.0:
             raise ValidationError(f"threshold out of [0, 100]: {self.threshold}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EdgeConfig":
-        return cls(
-            backend_id=data["backend_id"],
-            threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-            retry=RetryPolicy(**data.get("retry", {})),
-            sampling=SamplingPolicy(**data.get("sampling", {})),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 class FrameSampler:
@@ -116,22 +104,32 @@ class FrameSampler:
 
 @dataclass(frozen=True, slots=True)
 class ProcessOutcome:
-    """What happened to one motion event at the edge."""
+    """What happened to one motion event at the edge.
 
-    event: MotionEvent
+    ``record`` is None when the sampler suppressed the frame; ``ack`` is
+    None when it did not reach the cloud (suppressed or dead-lettered).
+    """
+
     record: AnalyticsRecord | None
     ack: IngestAck | None
-    sampled: bool
-    dead_lettered: bool = False
+
+    @property
+    def sampled(self) -> bool:
+        return self.record is not None
+
+    @property
+    def dead_lettered(self) -> bool:
+        return self.record is not None and self.ack is None
 
 
 class EdgePipeline:
     """sample -> analyze -> threshold -> forward, with at-least-once retry.
 
     Exactly one analytics record is produced per sampled frame regardless
-    of how many delivery attempts it takes. Records that exhaust retries
-    land in the in-memory dead-letter queue, which can be flushed to JSON
-    at shutdown.
+    of how many delivery attempts it takes; its ``captured_at`` and
+    ``detected_at`` are the frame's detection latency. Records that exhaust
+    retries land in the in-memory dead-letter queue, which can be flushed
+    to JSON at shutdown.
     """
 
     def __init__(self, config: EdgeConfig, backend: DetectorBackend, client: CloudClient):
@@ -145,8 +143,6 @@ class EdgePipeline:
         self.client = client
         self.sampler = FrameSampler(config.sampling)
         self.dead_letters: list[AnalyticsRecord] = []
-        # (backend_id, frame_id, request_at, response_at) per detect call
-        self.latency_trace: list[tuple[str, str, int, int]] = []
 
     def analyze(self, event: MotionEvent, frame: FrameSample) -> AnalyticsRecord:
         """Run detection on one frame and package the metadata envelope."""
@@ -158,10 +154,6 @@ class EdgePipeline:
         except Exception as exc:  # backend bug or unavailability
             raise DetectionFailedError(f"detection failed for {frame.frame_id}: {exc}") from exc
         detections = apply_confidence_threshold(raw, self.config.threshold)
-        detected_at = frame.captured_at + latency
-        self.latency_trace.append(
-            (self.config.backend_id, frame.frame_id, frame.captured_at, detected_at)
-        )
         return AnalyticsRecord(
             event_id=event.event_id,
             device_id=frame.device_id,
@@ -169,7 +161,7 @@ class EdgePipeline:
             detections=tuple(detections),
             backend_id=self.config.backend_id,
             captured_at=frame.captured_at,
-            detected_at=detected_at,
+            detected_at=frame.captured_at + latency,
             threshold_used=self.config.threshold,
         )
 
@@ -193,13 +185,13 @@ class EdgePipeline:
         """Full edge handling of one motion event."""
         sampled = self.sampler.sample(event, frame)
         if sampled is None:
-            return ProcessOutcome(event, None, None, sampled=False)
+            return ProcessOutcome(None, None)
         record = self.analyze(event, sampled)
         try:
             ack = self.forward(record, session_token)
         except DeliveryFailedError:
-            return ProcessOutcome(event, record, None, sampled=True, dead_lettered=True)
-        return ProcessOutcome(event, record, ack, sampled=True)
+            return ProcessOutcome(record, None)
+        return ProcessOutcome(record, ack)
 
     def flush_dead_letters(self, path: str | Path) -> int:
         """Write the dead-letter queue to a JSON file; returns the count."""

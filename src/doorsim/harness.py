@@ -36,15 +36,14 @@ from .device import (
     script_covering,
 )
 from .edge import EdgeConfig, EdgePipeline, RetryPolicy, SamplingPolicy
-from .errors import ValidationError
+from .errors import ProtocolError, ValidationError
 from .model import (
     DEFAULT_THRESHOLD,
-    AnalyticsRecord,
     EventIdFactory,
     FaceCategory,
-    FrameSample,
     Label,
     canonical_json,
+    field as json_field,
 )
 from .transport import CloudClient, FailureInjector, NetworkModel
 
@@ -250,17 +249,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """The config of a JSON document; a malformed value is a ValidationError."""
+        """The config of a JSON object whose keys are those of :meth:`to_dict`.
+
+        A malformed value or an unknown key is a ValidationError. The
+        network's seed is the top-level ``seed``, not a ``network`` key.
+        """
+        if not isinstance(data, Mapping):
+            raise ValidationError("bad experiment config: the document must be a JSON object")
+        unknown = data.keys() - cls().to_dict().keys()
+        if unknown:
+            names = ", ".join(repr(key) for key in sorted(unknown, key=str))
+            plural = "s" if len(unknown) > 1 else ""
+            raise ValidationError(f"bad experiment config: unknown key{plural} {names}")
         try:
-            network_cfg = dict(data.get("network", {}))
-            network_cfg.setdefault("seed", int(data.get("seed", 0)))
+            seed = int(data.get("seed", 0))
             raw_enroll = data.get("enroll")
             if raw_enroll is None:
                 enroll = dict(DEFAULT_KNOWN_FACES)
             else:
                 enroll = {token: FaceCategory(cat) for token, cat in dict(raw_enroll).items()}
             scripts = None
-            if data.get("scripts"):
+            if json_field(data, "scripts", list, None):
                 scripts = tuple(
                     load_motion_script(entry) if isinstance(entry, str)
                     else MotionScript.from_dict(entry)
@@ -270,8 +279,8 @@ class ExperimentConfig:
                 dataset=data.get("dataset"),
                 backend_id=data.get("backend_id", "aws-saas"),
                 threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-                seed=int(data.get("seed", 0)),
-                network=NetworkModel(**network_cfg),
+                seed=seed,
+                network=NetworkModel(**data.get("network", {}), seed=seed),
                 retry=RetryPolicy(**data.get("retry", {})),
                 sampling=SamplingPolicy(**data.get("sampling", {})),
                 debounce_ms=int(data.get("debounce_ms", DEFAULT_DEBOUNCE_MS)),
@@ -280,7 +289,10 @@ class ExperimentConfig:
                 enroll=enroll,
                 scripts=scripts,
             )
-        except (TypeError, ValueError) as exc:  # a non-number, an unknown key or category
+        except KeyError as exc:  # a script without one of its keys
+            raise ValidationError(f"bad experiment config: missing key {exc}") from exc
+        except (TypeError, ValueError, ProtocolError) as exc:
+            # a non-number, a string for an array, an unknown key or category
             raise ValidationError(f"bad experiment config: {exc}") from exc
 
     def to_dict(self) -> dict[str, Any]:
@@ -401,13 +413,13 @@ def _resolve_profiles(config: ExperimentConfig) -> dict[str, BackendProfile]:
     return dict(DEFAULT_PROFILES)
 
 
-def _dump_partial_trace(path, config, counters, outcomes) -> None:
+def _dump_partial_trace(path, config, counters, trace) -> None:
     doc = {
         "config": config.to_dict(),
         "counters": counters,
         "frames": [
-            {"event_id": event_id, "frame_id": frame.frame_id, "delivered": delivered}
-            for event_id, _, delivered, frame in outcomes
+            {"event_id": event_id, "frame_id": frame_id, "delivered": delivered}
+            for event_id, frame_id, delivered in trace
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -488,55 +500,42 @@ def run_experiment(
     merged = heapq.merge(*streams, key=lambda pair: (pair[0].at, pair[0].device_id))
 
     counters = {"events": 0, "sampled": 0, "ingested": 0, "dead_letters": 0}
-    # (event id, edge record, delivered, frame) per event: only what the
-    # report and the partial trace read, so that each event's MotionEvent,
-    # IngestAck and ProcessOutcome are freed as soon as it is processed.
-    outcomes: list[tuple[str, AnalyticsRecord | None, bool, FrameSample]] = []
+    # Each event is tallied from the edge's own record as it is processed; a
+    # dead-lettered record counts too, since the analysis happened even when
+    # delivery did not. Per event, only the partial trace's fields are kept.
+    trace: list[tuple[str, str, bool]] = []
+    frames: list[FrameOutcome] = []
+    latencies: list[tuple[int, int]] = []
+    per_scenario: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
     try:
         for event, frame in merged:
             counters["events"] += 1
             outcome = pipeline.process(event, frame, sessions[event.device_id])
+            record = outcome.record
             delivered = outcome.ack is not None
-            if outcome.sampled:
-                counters["sampled"] += 1
-            if delivered:
-                counters["ingested"] += 1
-            if outcome.dead_lettered:
-                counters["dead_letters"] += 1
-            outcomes.append((event.event_id, outcome.record, delivered, frame))
+            trace.append((event.event_id, frame.frame_id, delivered))
+            if record is None:
+                continue
+            counters["sampled"] += 1
+            counters["ingested" if delivered else "dead_letters"] += 1
+            latencies.append((record.captured_at, record.detected_at))
+            predicted = {d.label for d in record.detections}
+            frames.append(
+                FrameOutcome(
+                    frame_id=frame.frame_id,
+                    event_id=record.event_id,
+                    scenario=frame.scenario.value,
+                    truth=tuple(sorted(l.name for l in frame.truth)),
+                    predicted=tuple(sorted(l.name for l in predicted)),
+                )
+            )
+            per_scenario[frame.scenario.value] += tally_frame(set(frame.truth), predicted)
     except Exception:
         if partial_trace_path is not None:
-            _dump_partial_trace(partial_trace_path, config, counters, outcomes)
+            _dump_partial_trace(partial_trace_path, config, counters, trace)
         raise
     service.run_dispatch()
     counters["notifications"] = len(service.hub.subscription("operator").delivery_log)
-
-    frames: list[FrameOutcome] = []
-    per_scenario: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
-    stored = {record.event_id: record for record in service.store.all_records()}
-    for event_id, edge_record, _, frame in outcomes:
-        if edge_record is None:
-            continue
-        # Detection quality is tallied from what the cloud persisted; a
-        # dead-lettered record falls back to the edge-side copy, since the
-        # analysis happened even when delivery did not (counted separately).
-        record = stored.get(event_id, edge_record)
-        predicted = {d.label for d in record.detections}
-        frames.append(
-            FrameOutcome(
-                frame_id=frame.frame_id,
-                event_id=record.event_id,
-                scenario=frame.scenario.value,
-                truth=tuple(sorted(l.name for l in frame.truth)),
-                predicted=tuple(sorted(l.name for l in predicted)),
-            )
-        )
-        tally = tally_frame(set(frame.truth), predicted)
-        counts = per_scenario[frame.scenario.value]
-        counts.tp += tally.tp
-        counts.fn += tally.fn
-        counts.fp += tally.fp
-        counts.tn += tally.tn
 
     scenario_metrics = {
         name: compute_metrics(counts, scenario=name, backend_id=config.backend_id)
@@ -546,10 +545,7 @@ def run_experiment(
     for counts in per_scenario.values():
         overall_counts = overall_counts + counts
     overall = compute_metrics(overall_counts, scenario=None, backend_id=config.backend_id)
-    latency = latency_stats(
-        [(req, resp) for _, _, req, resp in pipeline.latency_trace],
-        backend_id=config.backend_id,
-    )
+    latency = latency_stats(latencies, backend_id=config.backend_id)
     return ExperimentReport(
         backend_id=config.backend_id,
         dataset_fingerprint=dataset.fingerprint(),

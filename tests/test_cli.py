@@ -44,6 +44,25 @@ class TestGenDataset:
         assert main(["gen-dataset", "--config", str(tmp_path / "missing.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document,named", [
+        ({"positives": "abc"}, "'abc'"),
+        ({"scenarios": "animal_detection"}, "scenarios must be an array"),
+        ({"scenarios": ["animal"]}, "an item of scenarios must be one of"),
+        ({"devices": "door-1"}, "devices must be an array"),
+        ([1], "must be a JSON object"),
+    ], ids=["positives_not_a_number", "scenarios_a_string", "unknown_scenario",
+            "devices_a_string", "top_level_array"])
+    def test_malformed_config_exits_1_with_message(self, tmp_path, capsys, document, named):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "data.ndjson"
+        assert main(["gen-dataset", "--config", str(config), "--out", str(out),
+                     "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad generator config: ") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_writes_report_and_csv(self, tmp_path, dataset_path, capsys):
@@ -69,8 +88,12 @@ class TestEvaluate:
         ({"sampling": {"rate": 2}}, "'rate'"),
         ({"network": {"delay": 2}}, "'delay'"),
         ({"enroll": {"alice": "boss"}}, "'boss'"),
+        ({"scripts": [{"entries": [{"at": 0, "frame_id": "f0"}]}]}, "'device_id'"),
+        ({"network": {"seed": 5}}, "'seed'"),
+        ({"thresold": 10}, "'thresold'"),
     ], ids=["threshold_not_a_number", "unknown_retry_key", "unknown_sampling_key",
-            "unknown_network_key", "unknown_enroll_category"])
+            "unknown_network_key", "unknown_enroll_category", "script_without_device_id",
+            "network_seed", "unknown_top_level_key"])
     def test_malformed_config_exits_1_with_message(self, tmp_path, dataset_path, capsys,
                                                    overrides, named):
         config = experiment_config(tmp_path, dataset_path, **overrides)
@@ -78,6 +101,25 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(config), "--out", str(report)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad experiment config: ") and named in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
+    def test_top_level_array_exits_1_with_message(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps([{"backend_id": "haar"}]))
+        assert main(["evaluate", "--config", str(config), "--out",
+                     str(tmp_path / "report.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad experiment config: ") and "JSON object" in err
+
+    def test_malformed_network_with_seed_flag_exits_1_with_message(self, tmp_path,
+                                                                    dataset_path, capsys):
+        config = experiment_config(tmp_path, dataset_path, network=5)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(config), "--out", str(report),
+                     "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad experiment config: ") and "mapping" in err
         assert "Traceback" not in err
         assert not report.exists()
 

@@ -225,7 +225,6 @@ class TestForward:
         outcome = pipeline.process(event(), frame(), session)
         assert outcome.ack is not None
         assert CountingBackend.calls == 1
-        assert len(pipeline.latency_trace) == 1
 
     def test_dead_letter_flush(self, tmp_path):
         always_fail = FailureInjector(probability=1.0, seed=1, ack_lost_fraction=0.0)
@@ -240,11 +239,6 @@ class TestForward:
 
 
 class TestEdgeConfig:
-    def test_round_trip(self):
-        config = EdgeConfig(backend_id="aws-saas", threshold=70.0,
-                            retry=RetryPolicy(max_attempts=5, backoff_ms=20))
-        assert EdgeConfig.from_dict(config.to_dict()) == config
-
     def test_backend_must_match_config(self):
         service = CloudService(seed=0)
         client = CloudClient(service)

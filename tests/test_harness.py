@@ -338,6 +338,31 @@ class TestRunExperiment:
         echoed = config.to_dict()["scripts"][0]
         assert echoed["entries"] == [{"at": 0, "frame_id": "f0"}]
 
+    def test_config_round_trips_through_its_own_keys(self):
+        config = ExperimentConfig(backend_id="haar", threshold=70.0, seed=4,
+                                  network=NetworkModel(base_delay_ms=30, jitter_ms=5, seed=4))
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("ack_lost_fraction", [0.0, 1.0])
+    def test_dead_lettered_frames_are_tallied_from_the_edge_record(self, ack_lost_fraction):
+        dataset = small_dataset(seed=4, scenarios=(ANIMAL, ScenarioKind.UNSAFE_CONTENT),
+                                positives=8)
+        config = ExperimentConfig(backend_id="aws-saas", threshold=70.0, seed=6)
+        clean = run_experiment(config, dataset=dataset)
+        faulty = run_experiment(config, dataset=dataset, failure_injector=FailureInjector(
+            probability=1.0, ack_lost_fraction=ack_lost_fraction))
+        sampled = faulty.counters["sampled"]
+        assert sampled == clean.counters["sampled"] == len(dataset)
+        assert faulty.counters["dead_letters"] == sampled
+        assert faulty.counters["ingested"] == 0
+        # With every ack lost the cloud still stored (and notified) each record.
+        assert faulty.counters["notifications"] == (sampled if ack_lost_fraction else 0)
+        assert faulty.latency.samples == sampled
+        assert faulty.latency == clean.latency
+        assert faulty.scenario_metrics == clean.scenario_metrics
+        assert faulty.overall == clean.overall
+        assert faulty.frames == clean.frames
+
     def test_component_error_dumps_partial_trace(self, tmp_path, monkeypatch):
         from doorsim.backends import SimulatedBackend
 
