@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -27,6 +27,7 @@ from .model import (
     FrameSample,
     Label,
     ScenarioKind,
+    value,
 )
 
 __all__ = [
@@ -53,7 +54,7 @@ class BackendCategory(enum.Enum):
     ON_EDGE = "on_edge"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ConfidenceModel:
     """Uniform confidence draws: value in [mean - spread, mean + spread).
 
@@ -83,7 +84,7 @@ class ConfidenceModel:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class BackendProfile:
     """Confusion, latency, and resource model for one detection approach."""
 

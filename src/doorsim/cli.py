@@ -36,14 +36,18 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, what: str = "config") -> dict:
+    """The JSON object in file ``path``; any other document is a ValidationError."""
     if not path:
         raise ValidationError("--config is required for this command")
     config_path = Path(path)
     if not config_path.exists():
         raise ValidationError(f"config file not found: {path}")
     with open(config_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        document = json.load(fh)
+    if not isinstance(document, dict):
+        raise ValidationError(f"bad {what}: the document must be a JSON object")
+    return document
 
 
 def _post(server: str, path: str, body: dict) -> dict:
@@ -77,7 +81,7 @@ def _error_message(body: bytes) -> str | None:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    config = GeneratorConfig.from_dict(_load_config(args.config))
+    config = GeneratorConfig.from_dict(_load_config(args.config, "generator config"))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     log.info("generating %d positives for %d scenario(s), seed %d",
@@ -90,7 +94,7 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig.from_dict(_load_config(args.config))
+    config = ExperimentConfig.from_dict(_load_config(args.config, "experiment config"))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     return config

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model import AnalyticsRecord, FaceCategory, ScenarioKind
+from ..model import AnalyticsRecord, FaceCategory, ScenarioKind, value
 
 __all__ = ["Notification", "SubscriptionFilter", "Subscription", "NotificationHub", "summarize_record"]
 
@@ -22,7 +22,7 @@ _KIND_PHRASE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Notification:
     event_id: str
     device_id: str
@@ -38,7 +38,7 @@ class Notification:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SubscriptionFilter:
     """Optional device/scenario predicate; None matches everything."""
 

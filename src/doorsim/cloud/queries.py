@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, field
+from ..model import AnalyticsRecord, field, value
 from .notify import summarize_record
 from .stores import MetadataStore
 
@@ -22,7 +21,7 @@ class QueryKind(enum.Enum):
     RANGE_QUERY = "range_query"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class QueryRequest:
     kind: QueryKind
     device_id: str
@@ -46,7 +45,7 @@ class QueryRequest:
         return cls(kind=kind, device_id=field(data, "device_id", str), range=range_)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class QueryAnswer:
     summary: str
     records: tuple[AnalyticsRecord, ...]

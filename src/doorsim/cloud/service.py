@@ -35,7 +35,7 @@ from ..errors import (
     RoutingError,
     ValidationError,
 )
-from ..model import AnalyticsRecord, FaceCategory, FrameSample, field, parse_int
+from ..model import AnalyticsRecord, FaceCategory, FrameSample, field, parse_int, value
 from .notify import NotificationHub, SubscriptionFilter
 from .queries import QueryRequest, answer_query
 from .stores import BlobStore, CustomLabelJobs, MetadataStore
@@ -44,7 +44,7 @@ from .stream import Dispatcher, IngestStream, StreamRecord
 __all__ = ["ApiRequest", "ApiResponse", "CloudService", "ROUTES"]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@value
 class ApiRequest:
     method: str
     path: str
@@ -53,7 +53,7 @@ class ApiRequest:
     query: Mapping[str, str] = dataclasses.field(default_factory=dict)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@value
 class ApiResponse:
     status: int
     body: Mapping[str, Any]

@@ -5,11 +5,10 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import lt
 
 from ..errors import ConflictError, NotFoundError, ValidationError
-from ..model import AnalyticsRecord, parse_event_id
+from ..model import AnalyticsRecord, parse_event_id, value
 
 __all__ = ["MetadataStore", "BlobStore", "CustomLabelJobs", "CustomLabelJob"]
 
@@ -159,7 +158,7 @@ class BlobStore:
         return len(self._blobs)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CustomLabelJob:
     name: str
     example_count: int

@@ -8,11 +8,10 @@ ingests still produce exactly-once effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, parse_event_id
+from ..model import AnalyticsRecord, parse_event_id, value
 
 __all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES"]
 
@@ -20,7 +19,7 @@ __all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES"
 DEFAULT_POISON_PASSES = 3
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class StreamRecord:
     """One stream entry: globally sequenced, partitioned by device."""
 

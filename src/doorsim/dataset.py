@@ -13,13 +13,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .draws import choice_draw, int_draw, unit_draw
 from .errors import DatasetError, ProtocolError, ValidationError
-from .model import DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind, list_field
+from .model import (
+    DEFAULT_VOCABULARY,
+    FaceCategory,
+    FrameSample,
+    Label,
+    ScenarioKind,
+    list_field,
+    refuse_unknown_keys,
+    value,
+)
 
 __all__ = [
     "Dataset",
@@ -143,7 +152,7 @@ def save_manifest(frames: Iterable[FrameSample], path: str | Path) -> None:
             fh.write("\n")
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class GeneratorConfig:
     """Parameters for synthetic manifest generation.
 
@@ -174,9 +183,11 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "GeneratorConfig":
-        """The config of a JSON object; a malformed value is a ValidationError."""
+        """The config of a JSON object whose keys are the field names; a malformed
+        value or an unknown key is a ValidationError."""
         if not isinstance(data, Mapping):
             raise ValidationError("bad generator config: the document must be a JSON object")
+        refuse_unknown_keys(data, (f.name for f in fields(cls)), "generator config")
         try:
             scenarios = list_field(data, "scenarios", ScenarioKind, ())
             known = {

@@ -12,13 +12,12 @@ import hashlib
 import json
 import random
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .dataset import Dataset
 from .errors import AuthError, ConflictError, DatasetError, NotFoundError, ValidationError
-from .model import EventIdFactory, FrameSample, MotionEvent
+from .model import EventIdFactory, FrameSample, MotionEvent, value
 
 __all__ = [
     "DeviceRecord",
@@ -40,7 +39,7 @@ def fingerprint_secret(secret: str) -> str:
     return hashlib.sha256(secret.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class DeviceRecord:
     device_id: str
     attributes: Mapping[str, str]
@@ -56,7 +55,7 @@ class DeviceRecord:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Credential:
     """Returned to the device once at registration; never stored server-side."""
 
@@ -133,7 +132,7 @@ class DeviceRegistry:
             return len(self._records)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MotionScript:
     """Scripted motion triggers for one device, sorted by time."""
 

@@ -11,7 +11,7 @@ sample. The edge config is built in code and has no file format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 
 from .backends import DetectorBackend
@@ -29,6 +29,7 @@ from .model import (
     FrameSample,
     MotionEvent,
     apply_confidence_threshold,
+    value,
 )
 from .transport import CloudClient, IngestAck
 
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SamplingPolicy:
     """Per-device rate limit applied before detection."""
 
@@ -56,7 +57,7 @@ class SamplingPolicy:
             raise ValidationError("min_interval_ms must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class RetryPolicy:
     max_attempts: int = 3
     backoff_ms: int = 100
@@ -68,7 +69,7 @@ class RetryPolicy:
             raise ValidationError("backoff_ms must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class EdgeConfig:
     """Edge deployment configuration, built in code (it has no file format)."""
 
@@ -102,7 +103,7 @@ class FrameSampler:
         return frame
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ProcessOutcome:
     """What happened to one motion event at the edge.
 

@@ -44,6 +44,8 @@ from .model import (
     Label,
     canonical_json,
     field as json_field,
+    refuse_unknown_keys,
+    value,
 )
 from .transport import CloudClient, FailureInjector, NetworkModel
 
@@ -127,7 +129,7 @@ def f1_score(precision: float | None, recall: float | None) -> float | None:
     return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MetricsReport:
     """Confusion counts plus the derived quality metrics."""
 
@@ -174,7 +176,7 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LatencyStats:
     backend_id: str
     samples: int
@@ -224,7 +226,7 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return a + (b - a) * t
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ExperimentConfig:
     """Everything a reproducible end-to-end run depends on.
 
@@ -256,11 +258,7 @@ class ExperimentConfig:
         """
         if not isinstance(data, Mapping):
             raise ValidationError("bad experiment config: the document must be a JSON object")
-        unknown = data.keys() - cls().to_dict().keys()
-        if unknown:
-            names = ", ".join(repr(key) for key in sorted(unknown, key=str))
-            plural = "s" if len(unknown) > 1 else ""
-            raise ValidationError(f"bad experiment config: unknown key{plural} {names}")
+        refuse_unknown_keys(data, cls().to_dict(), "experiment config")
         try:
             seed = int(data.get("seed", 0))
             raw_enroll = data.get("enroll")
@@ -313,7 +311,7 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class FrameOutcome:
     """Raw (truth, prediction) pair for one analyzed frame."""
 

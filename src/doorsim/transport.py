@@ -12,19 +12,18 @@ after the server applied it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .backends import DETECT_ENDPOINTS
 from .cloud.service import ApiRequest, ApiResponse
 from .draws import int_draw
 from .errors import ProtocolError, TransientTransportError
-from .model import AnalyticsRecord, Detection, FrameSample, field, list_field
+from .model import AnalyticsRecord, Detection, FrameSample, field, list_field, value
 
 __all__ = ["NetworkModel", "IngestAck", "FailureInjector", "CloudClient"]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class NetworkModel:
     """One-way delay = base +/- uniform jitter, keyed per message."""
 
@@ -49,7 +48,7 @@ class NetworkModel:
         return {"base_delay_ms": self.base_delay_ms, "jitter_ms": self.jitter_ms}
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class IngestAck:
     """Successful delivery: the cloud sequence number and logical times."""
 

@@ -50,8 +50,9 @@ class TestGenDataset:
         ({"scenarios": ["animal"]}, "an item of scenarios must be one of"),
         ({"devices": "door-1"}, "devices must be an array"),
         ([1], "must be a JSON object"),
+        ({"positive": 3, "scenarios": ["animal_detection"]}, "unknown key 'positive'"),
     ], ids=["positives_not_a_number", "scenarios_a_string", "unknown_scenario",
-            "devices_a_string", "top_level_array"])
+            "devices_a_string", "top_level_array", "unknown_key"])
     def test_malformed_config_exits_1_with_message(self, tmp_path, capsys, document, named):
         config = tmp_path / "gen.json"
         config.write_text(json.dumps(document))
@@ -171,6 +172,18 @@ class TestCompare:
         }))
         assert main(["compare", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("document", [[1], "compare", None],
+                             ids=["array", "string", "null"])
+    def test_non_object_config_exits_1_with_message(self, tmp_path, capsys, document):
+        config = tmp_path / "compare.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--config", str(config), "--out", str(out),
+                     "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad config: the document must be a JSON object\n"
+        assert not out.exists()
+
 
 class TestServerCommands:
     @pytest.fixture()
@@ -221,6 +234,14 @@ class TestServerCommands:
         assert main(["query", "--kind", "range-query", "--device", "door-1",
                      "--from", "5000", "--to", "100", "--server", base]) == 1
         assert "range from must be <= to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["enroll", "serve-cloud"])
+    def test_non_object_config_exits_1_with_message(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"port": 0}]))
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad config: the document must be a JSON object\n"
 
     def test_query_unreachable_server_exits_2(self):
         assert main(["query", "--kind", "latest-activity", "--device", "door-1",

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import doorsim
 from doorsim import model
+from doorsim.cloud.service import ApiRequest
+from doorsim.edge import RetryPolicy
 from doorsim.errors import ConflictError, ProtocolError, ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
@@ -21,6 +23,7 @@ from doorsim.model import (
     FaceIdentity,
     FrameSample,
     Label,
+    MotionEvent,
     ScenarioKind,
     apply_confidence_threshold,
     canonical_json,
@@ -29,6 +32,7 @@ from doorsim.model import (
     list_field,
     parse_event_id,
     parse_int,
+    value,
 )
 
 
@@ -217,8 +221,6 @@ class TestSerialization:
         assert AnalyticsRecord.from_dict(record.to_dict()) == record
 
     def test_motion_event_round_trip(self):
-        from doorsim.model import MotionEvent
-
         event = MotionEvent(device_id="door-1", at=1500, event_id="door-1:3")
         assert MotionEvent.from_dict(event.to_dict()) == event
 
@@ -353,6 +355,87 @@ class TestSlottedValues:
         assert dataclasses.replace(label, name="cat") == Label("cat", ScenarioKind.ANIMAL_DETECTION)
         with pytest.raises(ValidationError):
             dataclasses.replace(label, name="Cat")
+
+
+class TestValueConstruction:
+    def test_every_frozen_dataclass_stores_through_its_slot_descriptors(self):
+        # A dataclass-generated __init__ has no closure: it stores through
+        # object.__setattr__, about twice the cost per field.
+        for cls in frozen_dataclasses():
+            setters = {cell.cell_contents for cell in cls.__init__.__closure__ or ()}
+            for f in dataclasses.fields(cls):
+                assert vars(cls)[f.name].__set__ in setters, f"{cls.__qualname__}.{f.name}"
+
+    def test_every_signature_matches_the_dataclass_fields(self):
+        for cls in frozen_dataclasses():
+            params = list(inspect.signature(cls).parameters.values())
+            fields = dataclasses.fields(cls)
+            assert [p.name for p in params] == [f.name for f in fields], cls.__qualname__
+            for param, f in zip(params, fields):
+                assert param.kind is param.POSITIONAL_OR_KEYWORD
+                if f.default is not dataclasses.MISSING:
+                    assert param.default is f.default, f"{cls.__qualname__}.{f.name}"
+                elif f.default_factory is not dataclasses.MISSING:
+                    assert repr(param.default) == "<factory>", f"{cls.__qualname__}.{f.name}"
+                else:
+                    assert param.default is param.empty, f"{cls.__qualname__}.{f.name}"
+
+    def test_missing_or_unexpected_arguments_raise_type_error(self):
+        with pytest.raises(TypeError):
+            MotionEvent("door-1", 0)
+        with pytest.raises(TypeError):
+            MotionEvent("door-1", 0, "door-1:0", "extra")
+        with pytest.raises(TypeError):
+            MotionEvent("door-1", 0, event_id="door-1:0", at=1)
+        with pytest.raises(TypeError):
+            Label("dog", ScenarioKind.ANIMAL_DETECTION, colour="brown")
+
+    def test_factory_fields_are_fresh_per_instance(self):
+        first, second = ApiRequest("GET", "/x"), ApiRequest("GET", "/x")
+        assert first.headers == first.query == {}
+        assert first.headers is not second.headers
+        assert first.query is not second.query
+        headers = {"x-device-token": "t"}
+        assert ApiRequest("GET", "/x", headers=headers).headers is headers
+
+    def test_post_init_checks_construction_and_replace(self):
+        with pytest.raises(ValidationError):
+            det(confidence=101.0)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(det(), confidence=101.0)
+        record = AnalyticsRecord("d:0", "d", "f", (), "haar", 10, 20, 70.0)
+        with pytest.raises(ValidationError):
+            AnalyticsRecord("d:0", "d", "f", (), "haar", 10, 9, 70.0)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(record, detected_at=9)
+        with pytest.raises(ValidationError):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(RetryPolicy(), max_attempts=0)
+
+    def test_fields_can_be_neither_set_nor_deleted(self):
+        for instance in (det(), ApiRequest("GET", "/x"), RetryPolicy()):
+            name = dataclasses.fields(instance)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(instance, name)
+
+    def test_equal_values_hash_equal(self):
+        assert det() == det() and hash(det()) == hash(det())
+        assert RetryPolicy(2, 5) == RetryPolicy(2, 5)
+        assert hash(RetryPolicy(2, 5)) == hash(RetryPolicy(2, 5))
+        assert det() != det(confidence=86.0)
+
+    @pytest.mark.parametrize("annotation,default", [
+        (dataclasses.InitVar[int], 0),
+        (int, dataclasses.field(default=0, init=False)),
+        (int, dataclasses.field(default=0, kw_only=True)),
+    ], ids=["init_var", "init_false", "kw_only"])
+    def test_unsupported_field_kinds_are_refused(self, annotation, default):
+        cls = type("Odd", (), {"__annotations__": {"x": annotation}, "x": default})
+        with pytest.raises(TypeError, match="Odd.x"):
+            value(cls)
 
 
 def frame_row(*names, scenario="animal_detection"):
