@@ -14,10 +14,11 @@ import enum
 import json
 from abc import ABC, abstractmethod
 from dataclasses import field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
 
-from .draws import choice_draw, unit_draw
+from .draws import key_prefix, unit_draw
 from .errors import RoutingError, ValidationError
 from .model import (
     DEFAULT_VOCABULARY,
@@ -68,10 +69,10 @@ class ConfidenceModel:
     fp_spread: float = 10.0
 
     def draw(self, spurious: bool, *key: object) -> float:
-        mean, spread = (self.fp_mean, self.fp_spread) if spurious else (
-            self.true_mean,
-            self.true_spread,
-        )
+        if spurious:
+            mean, spread = self.fp_mean, self.fp_spread
+        else:
+            mean, spread = self.true_mean, self.true_spread
         value = mean - spread + 2.0 * spread * unit_draw(*key)
         return min(100.0, max(0.0, value))
 
@@ -291,6 +292,9 @@ class FaceCollection:
         return len(self._entries)
 
 
+_NAME = attrgetter("name")
+
+
 def simulate_detections(
     frame: FrameSample,
     scenario: ScenarioKind,
@@ -303,7 +307,7 @@ def simulate_detections(
     Each truth label is emitted with probability ``recall``; empty-truth
     frames sprout one spurious label with probability
     ``false_positive_rate``. All draws are keyed by
-    (seed, frame_id, backend_id, label) and therefore replayable.
+    (seed, backend_id, frame_id, label) and therefore replayable.
     """
     if frame.scenario is not scenario:
         raise RoutingError(
@@ -311,26 +315,22 @@ def simulate_detections(
             f"routed as {scenario.value}"
         )
     recall = profile.recall_for(scenario)
-    backend_id = profile.backend_id
+    # (seed, backend_id, frame_id), joined once: the middle of every key below
+    frame_key = key_prefix(seed, profile.backend_id, frame.frame_id)
     detections: list[Detection] = []
-    for label in sorted(frame.truth, key=lambda l: l.name):
-        if unit_draw("emit", seed, backend_id, frame.frame_id, label.name) >= recall:
+    for label in sorted(frame.truth, key=_NAME):
+        if unit_draw("emit", frame_key, label.name) >= recall:
             continue
-        confidence = profile.confidence.draw(
-            False, "conf", seed, backend_id, frame.frame_id, label.name
-        )
+        confidence = profile.confidence.draw(False, "conf", frame_key, label.name)
         identity = None
         if scenario is ScenarioKind.FACE_RECOGNITION:
-            identity = _resolve_identity(frame, profile, seed, collection)
+            identity = _resolve_identity(frame, profile, frame_key, collection)
         detections.append(Detection(label=label, confidence=confidence, identity=identity))
     if not frame.truth:
-        if unit_draw("fp", seed, backend_id, frame.frame_id) < profile.false_positive_rate:
-            name = choice_draw(
-                DEFAULT_VOCABULARY[scenario], "fp-label", seed, backend_id, frame.frame_id
-            )
-            confidence = profile.confidence.draw(
-                True, "fp-conf", seed, backend_id, frame.frame_id
-            )
+        if unit_draw("fp", frame_key) < profile.false_positive_rate:
+            vocabulary = DEFAULT_VOCABULARY[scenario]  # choice_draw, written out
+            name = vocabulary[int(unit_draw("fp-label", frame_key) * len(vocabulary))]
+            confidence = profile.confidence.draw(True, "fp-conf", frame_key)
             identity = None
             if scenario is ScenarioKind.FACE_RECOGNITION:
                 identity = FaceIdentity("unknown", FaceCategory.UNKNOWN)
@@ -343,12 +343,12 @@ def simulate_detections(
 def _resolve_identity(
     frame: FrameSample,
     profile: BackendProfile,
-    seed: int,
+    frame_key: str,
     collection: FaceCollection | None,
 ) -> FaceIdentity:
     token = frame.truth_identity or "unknown"
     miss_rate = profile.effective_face_miss_rate
-    missed = unit_draw("face-miss", seed, profile.backend_id, frame.frame_id) < miss_rate
+    missed = unit_draw("face-miss", frame_key) < miss_rate
     if missed or collection is None:
         return FaceIdentity(token, FaceCategory.UNKNOWN)
     return collection.search(token)

@@ -129,6 +129,8 @@ class CloudService:
         self.dispatcher.register("publish_notification", self._publish_notification)
         self.auto_dispatch = auto_dispatch
         self._now_ms = 0
+        # Route name -> bound handler, looked up once per request.
+        self._handlers = {name: getattr(self, f"_handle_{name}") for _, _, name in ROUTES}
 
     # -- logical clock ----------------------------------------------------
 
@@ -169,7 +171,7 @@ class CloudService:
                 self.advance_clock(parse_int(request.headers["x-sim-time"], "x-sim-time"))
             if name is None:
                 raise NotFoundError(f"no route for {request.method} {request.path}")
-            data = getattr(self, f"_handle_{name}")(request, **params)
+            data = self._handlers[name](request, **params)
         except DoorsimError as exc:
             return _error(exc)
         return ApiResponse(200, {"ok": True, "data": data})

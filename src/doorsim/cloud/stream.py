@@ -65,7 +65,7 @@ class IngestStream:
             self._seen_event_ids.add(record.event_id)
         entry = StreamRecord(
             sequence=len(self._records),
-            partition=device_id,
+            partition=record.device_id,  # equal to device_id, and not a copy of it
             payload=record,
             ingested_at=ingested_at,
             duplicate=duplicate,
@@ -106,23 +106,22 @@ class Dispatcher:
         self._handlers.append((name, handler))
 
     def run_pass(self, stream: IngestStream) -> int:
-        """One dispatch pass. Returns the new checkpoint position."""
-        for entry in stream.read_from(self.checkpoint):
-            if entry.duplicate:
-                self.checkpoint = entry.sequence + 1
-                continue
-            try:
-                for _, handler in self._handlers:
-                    handler(entry)
-            except Exception as exc:  # noqa: BLE001 - handler faults are data
-                failures = self._failure_counts.get(entry.sequence, 0) + 1
-                self._failure_counts[entry.sequence] = failures
-                if failures >= self._poison_passes:
+        """One dispatch pass over the entries present when it starts.
+        Returns the new checkpoint position."""
+        records = stream._records  # walked in place: no copy of the tail
+        for sequence in range(self.checkpoint, len(records)):
+            entry = records[sequence]
+            if not entry.duplicate:
+                try:
+                    for _, handler in self._handlers:
+                        handler(entry)
+                except Exception as exc:  # noqa: BLE001 - handler faults are data
+                    failures = self._failure_counts.get(sequence, 0) + 1
+                    self._failure_counts[sequence] = failures
+                    if failures < self._poison_passes:
+                        break
                     self.dead_letters.append((entry, repr(exc)))
-                    self.checkpoint = entry.sequence + 1
-                    continue
-                break
-            self.checkpoint = entry.sequence + 1
+            self.checkpoint = sequence + 1
         return self.checkpoint
 
     def run_until_current(self, stream: IngestStream, max_passes: int = 1000) -> int:

@@ -15,7 +15,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping, Sequence
 
 from .backends import (
     DEFAULT_PROFILES,
@@ -88,9 +88,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fn + self.fp + self.tn
 
-    def add(self, outcome: Outcome, count: int = 1) -> None:
-        setattr(self, outcome.value, getattr(self, outcome.value) + count)
-
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
             self.tp + other.tp, self.fn + other.fn, self.fp + other.fp, self.tn + other.tn
@@ -106,19 +103,25 @@ def classify_outcome(truth: set[Label], predicted: set[Label], target: Label) ->
     return Outcome.FP if in_predicted else Outcome.TN
 
 
-def tally_frame(truth: set[Label], predicted: set[Label]) -> ConfusionCounts:
+def tally_frame(
+    truth: AbstractSet[Label], predicted: AbstractSet[Label],
+    counts: ConfusionCounts | None = None,
+) -> ConfusionCounts:
     """Confusion contribution of one frame, per-object accounting.
 
     Targets are the union of truth and predictions; a frame with neither
-    counts as one true negative (absence correctly reported).
+    counts as one true negative (absence correctly reported). The
+    contribution is added to ``counts`` in place (a new ConfusionCounts
+    when it is None), which is returned.
     """
-    counts = ConfusionCounts()
-    targets = truth | predicted
-    if not targets:
-        counts.tn = 1
-        return counts
-    for target in targets:
-        counts.add(classify_outcome(truth, predicted, target))
+    if counts is None:
+        counts = ConfusionCounts()
+    tp = len(truth & predicted)  # each target is in truth, predicted or both
+    counts.tp += tp
+    counts.fn += len(truth) - tp
+    counts.fp += len(predicted) - tp
+    if not truth and not predicted:
+        counts.tn += 1
     return counts
 
 
@@ -518,16 +521,17 @@ def run_experiment(
             counters["ingested" if delivered else "dead_letters"] += 1
             latencies.append((record.captured_at, record.detected_at))
             predicted = {d.label for d in record.detections}
+            scenario = frame.scenario._value_
             frames.append(
                 FrameOutcome(
                     frame_id=frame.frame_id,
                     event_id=record.event_id,
-                    scenario=frame.scenario.value,
+                    scenario=scenario,
                     truth=tuple(sorted(l.name for l in frame.truth)),
                     predicted=tuple(sorted(l.name for l in predicted)),
                 )
             )
-            per_scenario[frame.scenario.value] += tally_frame(set(frame.truth), predicted)
+            tally_frame(frame.truth, predicted, per_scenario[scenario])
     except Exception:
         if partial_trace_path is not None:
             _dump_partial_trace(partial_trace_path, config, counters, trace)

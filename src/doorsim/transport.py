@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from .backends import DETECT_ENDPOINTS
 from .cloud.service import ApiRequest, ApiResponse
-from .draws import int_draw
+from .draws import key_prefix, unit_draw
 from .errors import ProtocolError, TransientTransportError
 from .model import AnalyticsRecord, Detection, FrameSample, field, list_field, value
 
@@ -38,11 +38,17 @@ class NetworkModel:
             raise ValueError("jitter must not exceed the base delay")
 
     def one_way_ms(self, *key: object) -> int:
+        """The delay keyed by ("net", seed, *key)."""
+        return self.keyed_ms(key_prefix("net", self.seed), *key)
+
+    def keyed_ms(self, prefix: str, *key: object) -> int:
+        """:meth:`one_way_ms` with its leading parts prebuilt as ``prefix``
+        (``key_prefix("net", seed, ...)``): one draw, no per-call formatting.
+        Jitter j is ``int_draw(-j, j, ...)`` written out."""
         if self.jitter_ms == 0:
             return self.base_delay_ms
-        return self.base_delay_ms + int_draw(
-            -self.jitter_ms, self.jitter_ms, "net", self.seed, *key
-        )
+        jitter = self.jitter_ms
+        return self.base_delay_ms - jitter + int(unit_draw(prefix, *key) * (2 * jitter + 1))
 
     def to_dict(self) -> dict[str, int]:
         return {"base_delay_ms": self.base_delay_ms, "jitter_ms": self.jitter_ms}
@@ -91,6 +97,9 @@ class CloudClient:
     ):
         self._service = service
         self.network = network or NetworkModel()
+        # The constant leading key parts of each direction's delay draw.
+        self._c2s = key_prefix("net", self.network.seed, "c2s")
+        self._s2c = key_prefix("net", self.network.seed, "s2c")
         self.failure_injector = failure_injector
         # (frame_id, c2s + s2c) of the last detect call, so that
         # round_trip_ms for that frame does not draw the same jitter again.
@@ -109,7 +118,7 @@ class CloudClient:
         delay_key: object = "",
     ) -> tuple[ApiResponse, int]:
         """One round trip. Returns (response, logical response time)."""
-        arrive = at_ms + self.network.one_way_ms("c2s", delay_key)
+        arrive = at_ms + self.network.keyed_ms(self._c2s, delay_key)
         request = ApiRequest(
             method=method,
             path=path,
@@ -118,7 +127,7 @@ class CloudClient:
             query=query or {},
         )
         response = self._service.handle(request)
-        done = arrive + self.network.one_way_ms("s2c", delay_key)
+        done = arrive + self.network.keyed_ms(self._s2c, delay_key)
         return response, done
 
     def _data(self, response: ApiResponse) -> Mapping[str, Any]:
@@ -165,9 +174,9 @@ class CloudClient:
             return last[1] + service_time_ms
         key = f"detect:{frame_id}"
         return (
-            self.network.one_way_ms("c2s", key)
+            self.network.keyed_ms(self._c2s, key)
             + service_time_ms
-            + self.network.one_way_ms("s2c", key)
+            + self.network.keyed_ms(self._s2c, key)
         )
 
     def ingest(self, record: AnalyticsRecord, session_token: str,

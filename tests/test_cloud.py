@@ -36,6 +36,29 @@ def record(seq=0, device="door-1", names=("dog",), at=0, kind=ScenarioKind.ANIMA
     )
 
 
+def pass_over_tail_copy(self, stream):
+    """A dispatch pass written over a copy of the stream's tail: the
+    reference that Dispatcher.run_pass, which walks the stream in place,
+    must equal."""
+    for entry in stream.read_from(self.checkpoint):
+        if entry.duplicate:
+            self.checkpoint = entry.sequence + 1
+            continue
+        try:
+            for _, handler in self._handlers:
+                handler(entry)
+        except Exception as exc:
+            failures = self._failure_counts.get(entry.sequence, 0) + 1
+            self._failure_counts[entry.sequence] = failures
+            if failures >= self._poison_passes:
+                self.dead_letters.append((entry, repr(exc)))
+                self.checkpoint = entry.sequence + 1
+                continue
+            break
+        self.checkpoint = entry.sequence + 1
+    return self.checkpoint
+
+
 class TestIngestStream:
     def test_first_sequence_is_zero(self):
         stream = IngestStream()
@@ -59,6 +82,13 @@ class TestIngestStream:
         entry = stream.append(record(0, device="door-2"), 0)
         assert entry.partition == "door-2"
         assert entry.duplicate is False
+
+    def test_partition_is_the_records_own_device_id(self):
+        # one string per device, not a fresh slice of every entry's event id
+        stream = IngestStream()
+        records = [record(i, device="door-10") for i in range(3)]
+        entries = [stream.append(r, i) for i, r in enumerate(records)]
+        assert all(e.partition is r.device_id for e, r in zip(entries, records))
 
 
 class TestDispatcher:
@@ -124,6 +154,40 @@ class TestDispatcher:
             dispatcher.run_pass(stream)
         assert len(dispatcher.dead_letters) == 2
         assert dispatcher.checkpoint == 2
+
+    def test_a_pass_stops_at_the_head_it_started_with(self):
+        stream, store, hub, dispatcher = self.make()
+        dispatcher.register("reingest", lambda e: stream.append(e.payload, e.ingested_at + 1))
+        stream.append(record(0), 0)
+        assert dispatcher.run_pass(stream) == 1  # the re-ingest waits for the next pass
+        assert len(stream) == 2
+        assert dispatcher.run_pass(stream) == 2  # a duplicate: skipped, not re-handled
+        assert len(stream) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.integers(1, 3),
+           st.sets(st.tuples(st.integers(0, 7), st.integers(0, 5))), st.integers(1, 6))
+    def test_passes_equal_a_pass_over_a_copy_of_the_tail(self, seqs, poison_passes,
+                                                          faults, passes):
+        # faults: (sequence, pass) pairs at which the handler raises
+        def run(run_pass):
+            stream, dispatcher = IngestStream(), Dispatcher(poison_passes=poison_passes)
+            handled, current = [], [0]
+
+            def handler(entry):
+                if (entry.sequence, current[0]) in faults:
+                    raise RuntimeError(f"fault {entry.sequence}")
+                handled.append(entry.sequence)
+
+            dispatcher.register("h", handler)
+            for seq in sorted(seqs):  # per-device order; repeats are duplicates
+                stream.append(record(seq), seq)
+            checkpoints = []
+            for current[0] in range(passes):
+                checkpoints.append(run_pass(dispatcher, stream))
+            return checkpoints, handled, [(e.sequence, m) for e, m in dispatcher.dead_letters]
+
+        assert run(Dispatcher.run_pass) == run(pass_over_tail_copy)
 
     def test_notification_lands_in_same_pass_as_persistence(self):
         # "real time" budget: the notification carries the ingest timestamp
