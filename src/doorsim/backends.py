@@ -13,13 +13,13 @@ from __future__ import annotations
 import enum
 import json
 from abc import ABC, abstractmethod
-from dataclasses import field, replace
+from dataclasses import asdict, field, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
 
 from .draws import key_prefix, unit_draw
-from .errors import RoutingError, ValidationError
+from .errors import ProtocolError, RoutingError, ValidationError
 from .model import (
     DEFAULT_VOCABULARY,
     Detection,
@@ -28,7 +28,11 @@ from .model import (
     FrameSample,
     Label,
     ScenarioKind,
+    field as json_field,
+    map_field,
+    refuse_unknown_keys,
     value,
+    value_field,
 )
 
 __all__ = [
@@ -77,12 +81,7 @@ class ConfidenceModel:
         return min(100.0, max(0.0, value))
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "true_mean": self.true_mean,
-            "true_spread": self.true_spread,
-            "fp_mean": self.fp_mean,
-            "fp_spread": self.fp_spread,
-        }
+        return asdict(self)
 
 
 @value
@@ -151,20 +150,20 @@ class BackendProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BackendProfile":
-        confidence = ConfidenceModel(**data.get("confidence_model", {}))
+        """The profile of a JSON object whose keys are those of :meth:`to_dict`;
+        a malformed value or an unknown key is a ProtocolError naming it."""
+        refuse_unknown_keys(data, DEFAULT_PROFILES[REMOTE_BACKEND_ID].to_dict(), "a profile")
         return cls(
-            backend_id=data["backend_id"],
-            category=BackendCategory(data["category"]),
-            memory_mb=float(data["memory_mb"]),
-            cpu_pct=float(data["cpu_pct"]),
-            service_time_ms=int(data["service_time_ms"]),
-            per_scenario_recall={
-                ScenarioKind(k): float(v)
-                for k, v in data["per_scenario_recall"].items()
-            },
-            false_positive_rate=float(data.get("false_positive_rate", 0.0)),
-            confidence=confidence,
-            face_miss_rate=data.get("face_miss_rate"),
+            backend_id=json_field(data, "backend_id", str),
+            category=json_field(data, "category", BackendCategory),
+            memory_mb=json_field(data, "memory_mb", float),
+            cpu_pct=json_field(data, "cpu_pct", float),
+            service_time_ms=json_field(data, "service_time_ms", int),
+            per_scenario_recall=map_field(data, "per_scenario_recall", float,
+                                          key_kind=ScenarioKind),
+            false_positive_rate=json_field(data, "false_positive_rate", float, 0.0),
+            confidence=value_field(data, "confidence_model", ConfidenceModel),
+            face_miss_rate=json_field(data, "face_miss_rate", float, None),
         )
 
 
@@ -245,17 +244,21 @@ DEFAULT_ROUTES: Mapping[ScenarioKind, str] = {
 
 
 def load_profiles(path: str | Path) -> dict[str, BackendProfile]:
-    """Load a profile registry: a JSON array of profile objects."""
+    """Load a profile registry: a JSON array of profile objects. A malformed
+    registry is a ValidationError naming the refused value."""
     with open(path, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ValidationError("profile registry must be a JSON array")
     profiles = {}
-    for entry in entries:
-        profile = BackendProfile.from_dict(entry)
-        if profile.backend_id in profiles:
-            raise ValidationError(f"duplicate backend_id: {profile.backend_id}")
-        profiles[profile.backend_id] = profile
+    try:
+        if not isinstance(entries, list):
+            raise ProtocolError("the document must be a JSON array")
+        for entry in entries:
+            profile = BackendProfile.from_dict(entry)
+            if profile.backend_id in profiles:
+                raise ValidationError(f"duplicate backend_id: {profile.backend_id}")
+            profiles[profile.backend_id] = profile
+    except (ProtocolError, ValidationError) as exc:
+        raise ValidationError(f"bad profile registry: {exc}") from exc
     return profiles
 
 

@@ -20,9 +20,9 @@ from . import __version__
 from .cloud import CloudService
 from .cloud.httpd import CloudHTTPServer
 from .dataset import GeneratorConfig, generate_dataset, load_manifest, save_manifest
-from .errors import DoorsimError, ValidationError
+from .errors import DoorsimError, ProtocolError, ValidationError
 from .harness import ExperimentConfig, compare_backends, run_experiment
-from .model import canonical_json
+from .model import FaceCategory, canonical_json, field, list_field, map_field, refuse_unknown_keys
 
 log = logging.getLogger("doorsim")
 
@@ -36,8 +36,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
-def _load_config(path: str | None, what: str = "config") -> dict:
-    """The JSON object in file ``path``; any other document is a ValidationError."""
+def _read_config(path: str | None, what: str, decode):
+    """``decode`` of the JSON object in file ``path``; a malformed one is ``bad <what>: …``."""
     if not path:
         raise ValidationError("--config is required for this command")
     config_path = Path(path)
@@ -45,9 +45,18 @@ def _load_config(path: str | None, what: str = "config") -> dict:
         raise ValidationError(f"config file not found: {path}")
     with open(config_path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
-    if not isinstance(document, dict):
-        raise ValidationError(f"bad {what}: the document must be a JSON object")
-    return document
+    try:
+        if not isinstance(document, dict):
+            raise ProtocolError("the document must be a JSON object")
+        return decode(document)
+    except (ProtocolError, ValidationError) as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
+
+
+def _seeded_config(args: argparse.Namespace, what: str, decode):
+    """The ``--config`` document read by ``decode``, with ``--seed`` as its seed if given."""
+    config = _read_config(args.config, what, decode)
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _post(server: str, path: str, body: dict) -> dict:
@@ -81,9 +90,7 @@ def _error_message(body: bytes) -> str | None:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    config = GeneratorConfig.from_dict(_load_config(args.config, "generator config"))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _seeded_config(args, "generator config", GeneratorConfig.from_dict)
     log.info("generating %d positives for %d scenario(s), seed %d",
              config.positives, len(config.scenarios), config.seed)
     frames = generate_dataset(config)
@@ -93,15 +100,8 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig.from_dict(_load_config(args.config, "experiment config"))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    config = _seeded_config(args, "experiment config", ExperimentConfig.from_dict)
     report = run_experiment(config)
     summary = {
         "backend_id": report.backend_id,
@@ -110,14 +110,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     print(canonical_json(summary))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(summary))
-            fh.write("\n")
+        Path(args.out).write_text(canonical_json(summary) + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    config = _seeded_config(args, "experiment config", ExperimentConfig.from_dict)
     out = args.out or "report.json"
     report = run_experiment(config, partial_trace_path=f"{out}.partial")
     report.write_json(out)
@@ -132,21 +130,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compare_config(data: dict) -> tuple[ExperimentConfig, tuple[str, ...]]:
+    """An experiment config plus ``backend_ids``, the backends to compare."""
+    rest = {key: value for key, value in data.items() if key != "backend_ids"}
+    return ExperimentConfig.from_dict(rest), list_field(data, "backend_ids", str, ())
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
+    config, backend_ids = _read_config(args.config, "config", _compare_config)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    backend_ids = raw.pop("backend_ids", None)
-    if not backend_ids or len(backend_ids) < 2:
+        config = replace(config, seed=args.seed)
+    if len(backend_ids) < 2:
         raise ValidationError("compare config needs backend_ids with >= 2 entries")
-    dataset = load_manifest(raw.get("dataset")) if raw.get("dataset") else None
-    if dataset is None:
+    if not config.dataset:
         raise ValidationError("compare config needs a dataset path")
+    dataset = load_manifest(config.dataset)
     reports = []
     for backend_id in backend_ids:
         log.info("evaluating %s", backend_id)
-        config = ExperimentConfig.from_dict({**raw, "backend_id": backend_id})
-        reports.append(run_experiment(config, dataset=dataset))
+        reports.append(run_experiment(replace(config, backend_id=backend_id), dataset=dataset))
     table = compare_backends(reports)
     out = args.out or "comparison.csv"
     if out.endswith(".json"):
@@ -163,11 +165,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_config(data: dict) -> tuple[str, int, int]:
+    refuse_unknown_keys(data, ("host", "port", "seed"))
+    port = field(data, "port", int, 8750)
+    if not 0 <= port <= 65535:
+        raise ValidationError("port must be in [0, 65535]")
+    return field(data, "host", str, "127.0.0.1"), port, field(data, "seed", int, 0)
+
+
 def cmd_serve_cloud(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    host = raw.get("host", "127.0.0.1")
-    port = int(raw.get("port", 8750))
+    host, port, seed = (_read_config(args.config, "config", _serve_config) if args.config
+                        else _serve_config({}))
+    seed = args.seed if args.seed is not None else seed
     service = CloudService(seed=seed)
     server = CloudHTTPServer((host, port), service)
     print(f"serving mock cloud on http://{host}:{port} (seed {seed})")
@@ -180,20 +189,24 @@ def cmd_serve_cloud(args: argparse.Namespace) -> int:
     return 0
 
 
+def _enroll_config(data: dict) -> tuple[str, str, dict[str, FaceCategory]]:
+    refuse_unknown_keys(data, ("server", "collection_id", "faces"))
+    return (field(data, "server", str, DEFAULT_SERVER),
+            field(data, "collection_id", str, "default"),
+            map_field(data, "faces", FaceCategory, {}))
+
+
 def cmd_enroll(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
-    server = args.server or raw.get("server", DEFAULT_SERVER)
-    collection_id = raw.get("collection_id", "default")
-    faces = raw.get("faces", {})
+    server, collection_id, faces = _read_config(args.config, "config", _enroll_config)
     if not faces:
         raise ValidationError("enroll config has no faces")
     for identity, category in sorted(faces.items()):
-        data = _post(server, "/faces/enroll", {
+        data = _post(args.server or server, "/faces/enroll", {
             "collection_id": collection_id,
             "identity": identity,
-            "category": category,
+            "category": category.value,
         })
-        print(f"enrolled {identity} as {category} ({data['enrolled']} total)")
+        print(f"enrolled {identity} as {category.value} ({data['enrolled']} total)")
     return 0
 
 
@@ -208,9 +221,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     data = _post(server, "/query", body)
     print(data["summary"])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(data))
-            fh.write("\n")
+        Path(args.out).write_text(canonical_json(data) + "\n", encoding="utf-8")
     return 0
 
 

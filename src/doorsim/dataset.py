@@ -25,7 +25,9 @@ from .model import (
     FrameSample,
     Label,
     ScenarioKind,
+    field as json_field,
     list_field,
+    map_field,
     refuse_unknown_keys,
     value,
 )
@@ -184,29 +186,19 @@ class GeneratorConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "GeneratorConfig":
         """The config of a JSON object whose keys are the field names; a malformed
-        value or an unknown key is a ValidationError."""
-        if not isinstance(data, Mapping):
-            raise ValidationError("bad generator config: the document must be a JSON object")
-        refuse_unknown_keys(data, (f.name for f in fields(cls)), "generator config")
-        try:
-            scenarios = list_field(data, "scenarios", ScenarioKind, ())
-            known = {
-                token: FaceCategory(cat)
-                for token, cat in dict(data.get("known_faces", DEFAULT_KNOWN_FACES)).items()
-            }
-            return cls(
-                scenarios=scenarios or tuple(ScenarioKind),
-                positives=int(data.get("positives", 100)),
-                negatives=(None if data.get("negatives") is None else int(data["negatives"])),
-                devices=list_field(data, "devices", str, ("door-1",)),
-                seed=int(data.get("seed", 0)),
-                known_faces=known,
-                known_face_fraction=float(data.get("known_face_fraction", 0.5)),
-                max_labels_per_frame=int(data.get("max_labels_per_frame", 2)),
-            )
-        except (TypeError, ValueError, ProtocolError) as exc:
-            # a non-number, a string for an array, an unknown scenario or category
-            raise ValidationError(f"bad generator config: {exc}") from exc
+        value or an unknown key is a ProtocolError naming it."""
+        refuse_unknown_keys(data, (f.name for f in fields(cls)))
+        known = map_field(data, "known_faces", FaceCategory, None)
+        return cls(
+            scenarios=list_field(data, "scenarios", ScenarioKind, ()) or tuple(ScenarioKind),
+            positives=json_field(data, "positives", int, 100),
+            negatives=json_field(data, "negatives", int, None),
+            devices=list_field(data, "devices", str, ("door-1",)),
+            seed=json_field(data, "seed", int, 0),
+            known_faces=dict(DEFAULT_KNOWN_FACES) if known is None else known,
+            known_face_fraction=json_field(data, "known_face_fraction", float, 0.5),
+            max_labels_per_frame=json_field(data, "max_labels_per_frame", int, 2),
+        )
 
 
 def _negative_count(config: GeneratorConfig, scenario: ScenarioKind) -> int:

@@ -16,8 +16,10 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .dataset import Dataset
-from .errors import AuthError, ConflictError, DatasetError, NotFoundError, ValidationError
-from .model import EventIdFactory, FrameSample, MotionEvent, value
+from .errors import (AuthError, ConflictError, DatasetError, NotFoundError, ProtocolError,
+                     ValidationError)
+from .model import (EventIdFactory, FrameSample, MotionEvent, field, list_field,
+                    refuse_unknown_keys, value)
 
 __all__ = [
     "DeviceRecord",
@@ -156,16 +158,25 @@ class MotionScript:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MotionScript":
-        return cls(
-            device_id=data["device_id"],
-            entries=tuple((int(e["at"]), e["frame_id"]) for e in data["entries"]),
-            debounce_ms=int(data.get("debounce_ms", DEFAULT_DEBOUNCE_MS)),
-        )
+        """The script of a JSON object shaped as :meth:`to_dict`; a malformed
+        value or an unknown key is a ProtocolError naming it."""
+        refuse_unknown_keys(data, ("device_id", "debounce_ms", "entries"), "a motion script")
+        device_id = field(data, "device_id", str)
+        entries = []
+        for entry in list_field(data, "entries", dict):
+            refuse_unknown_keys(entry, ("at", "frame_id"), "an item of entries")
+            entries.append((field(entry, "at", int), field(entry, "frame_id", str)))
+        return cls(device_id, tuple(entries), field(data, "debounce_ms", int, DEFAULT_DEBOUNCE_MS))
 
 
 def load_motion_script(path: str | Path) -> MotionScript:
+    """Read a motion script file; a malformed script is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return MotionScript.from_dict(json.load(fh))
+        document = json.load(fh)
+    try:
+        return MotionScript.from_dict(document)
+    except (ProtocolError, ValidationError) as exc:
+        raise ValidationError(f"bad motion script: {exc}") from exc
 
 
 def script_covering(

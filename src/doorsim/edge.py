@@ -10,9 +10,7 @@ sample. The edge config is built in code and has no file format.
 
 from __future__ import annotations
 
-import json
 from dataclasses import field
-from pathlib import Path
 
 from .backends import DetectorBackend
 from .errors import (
@@ -118,10 +116,6 @@ class ProcessOutcome:
     def sampled(self) -> bool:
         return self.record is not None
 
-    @property
-    def dead_lettered(self) -> bool:
-        return self.record is not None and self.ack is None
-
 
 class EdgePipeline:
     """sample -> analyze -> threshold -> forward, with at-least-once retry.
@@ -129,8 +123,7 @@ class EdgePipeline:
     Exactly one analytics record is produced per sampled frame regardless
     of how many delivery attempts it takes; its ``captured_at`` and
     ``detected_at`` are the frame's detection latency. Records that exhaust
-    retries land in the in-memory dead-letter queue, which can be flushed
-    to JSON at shutdown.
+    retries land in the in-memory dead-letter queue, ``dead_letters``.
     """
 
     def __init__(self, config: EdgeConfig, backend: DetectorBackend, client: CloudClient):
@@ -193,10 +186,3 @@ class EdgePipeline:
         except DeliveryFailedError:
             return ProcessOutcome(record, None)
         return ProcessOutcome(record, ack)
-
-    def flush_dead_letters(self, path: str | Path) -> int:
-        """Write the dead-letter queue to a JSON file; returns the count."""
-        records = [r.to_dict() for r in self.dead_letters]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, sort_keys=True, indent=2)
-        return len(records)

@@ -36,7 +36,7 @@ from .device import (
     script_covering,
 )
 from .edge import EdgeConfig, EdgePipeline, RetryPolicy, SamplingPolicy
-from .errors import ProtocolError, ValidationError
+from .errors import ValidationError
 from .model import (
     DEFAULT_THRESHOLD,
     EventIdFactory,
@@ -44,8 +44,10 @@ from .model import (
     Label,
     canonical_json,
     field as json_field,
+    map_field,
     refuse_unknown_keys,
     value,
+    value_field,
 )
 from .transport import CloudClient, FailureInjector, NetworkModel
 
@@ -188,13 +190,7 @@ class LatencyStats:
     p95_ms: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "backend_id": self.backend_id,
-            "samples": self.samples,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-        }
+        return asdict(self)
 
 
 def latency_stats(trace: Sequence[tuple[int, int]], backend_id: str = "") -> LatencyStats:
@@ -254,47 +250,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """The config of a JSON object whose keys are those of :meth:`to_dict`.
-
-        A malformed value or an unknown key is a ValidationError. The
-        network's seed is the top-level ``seed``, not a ``network`` key.
-        """
-        if not isinstance(data, Mapping):
-            raise ValidationError("bad experiment config: the document must be a JSON object")
-        refuse_unknown_keys(data, cls().to_dict(), "experiment config")
-        try:
-            seed = int(data.get("seed", 0))
-            raw_enroll = data.get("enroll")
-            if raw_enroll is None:
-                enroll = dict(DEFAULT_KNOWN_FACES)
-            else:
-                enroll = {token: FaceCategory(cat) for token, cat in dict(raw_enroll).items()}
-            scripts = None
-            if json_field(data, "scripts", list, None):
-                scripts = tuple(
-                    load_motion_script(entry) if isinstance(entry, str)
-                    else MotionScript.from_dict(entry)
-                    for entry in data["scripts"]
-                )
-            return cls(
-                dataset=data.get("dataset"),
-                backend_id=data.get("backend_id", "aws-saas"),
-                threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-                seed=seed,
-                network=NetworkModel(**data.get("network", {}), seed=seed),
-                retry=RetryPolicy(**data.get("retry", {})),
-                sampling=SamplingPolicy(**data.get("sampling", {})),
-                debounce_ms=int(data.get("debounce_ms", DEFAULT_DEBOUNCE_MS)),
-                event_spacing_ms=int(data.get("event_spacing_ms", 2000)),
-                profiles_path=data.get("profiles"),
-                enroll=enroll,
-                scripts=scripts,
-            )
-        except KeyError as exc:  # a script without one of its keys
-            raise ValidationError(f"bad experiment config: missing key {exc}") from exc
-        except (TypeError, ValueError, ProtocolError) as exc:
-            # a non-number, a string for an array, an unknown key or category
-            raise ValidationError(f"bad experiment config: {exc}") from exc
+        """The config of a JSON object whose keys are those of :meth:`to_dict`,
+        read strictly: a malformed value or an unknown key is a ProtocolError
+        naming it. The network's seed is the top-level ``seed``. A ``scripts``
+        item is a motion script object or the path of a motion script file."""
+        refuse_unknown_keys(data, cls().to_dict())
+        seed = json_field(data, "seed", int, 0)
+        enroll = map_field(data, "enroll", FaceCategory, None)
+        scripts = json_field(data, "scripts", list, None)
+        return cls(
+            dataset=json_field(data, "dataset", str, None),
+            backend_id=json_field(data, "backend_id", str, "aws-saas"),
+            threshold=json_field(data, "threshold", float, DEFAULT_THRESHOLD),
+            seed=seed,
+            network=value_field(data, "network", NetworkModel, seed=seed),
+            retry=value_field(data, "retry", RetryPolicy),
+            sampling=value_field(data, "sampling", SamplingPolicy),
+            debounce_ms=json_field(data, "debounce_ms", int, DEFAULT_DEBOUNCE_MS),
+            event_spacing_ms=json_field(data, "event_spacing_ms", int, 2000),
+            profiles_path=json_field(data, "profiles", str, None),
+            enroll=dict(DEFAULT_KNOWN_FACES) if enroll is None else enroll,
+            scripts=tuple(
+                load_motion_script(entry) if type(entry) is str else MotionScript.from_dict(entry)
+                for entry in scripts
+            ) if scripts else None,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -373,19 +353,14 @@ class ExperimentReport:
         return doc
 
     def write_json(self, path: str | Path, include_trace: bool = False) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(self.to_dict(include_trace)))
-            fh.write("\n")
-
-    def _csv_rows(self) -> list[dict[str, Any]]:
-        reports = list(self.scenario_metrics.items()) + [("overall", self.overall)]
-        return [_csv_row(self, name, metrics) for name, metrics in reports]
+        Path(path).write_text(canonical_json(self.to_dict(include_trace)) + "\n", encoding="utf-8")
 
     def write_csv(self, path: str | Path) -> None:
+        reports = [*self.scenario_metrics.items(), ("overall", self.overall)]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            writer.writerows(self._csv_rows())
+            writer.writerows(_csv_row(self, name, metrics) for name, metrics in reports)
 
 
 def _csv_row(report: ExperimentReport, scenario: str, metrics: MetricsReport) -> dict[str, Any]:
@@ -423,9 +398,7 @@ def _dump_partial_trace(path, config, counters, trace) -> None:
             for event_id, frame_id, delivered in trace
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
-        fh.write("\n")
+    Path(path).write_text(canonical_json(doc) + "\n", encoding="utf-8")
 
 
 def _make_backend(
@@ -543,9 +516,7 @@ def run_experiment(
         name: compute_metrics(counts, scenario=name, backend_id=config.backend_id)
         for name, counts in per_scenario.items()
     }
-    overall_counts = ConfusionCounts()
-    for counts in per_scenario.values():
-        overall_counts = overall_counts + counts
+    overall_counts = sum(per_scenario.values(), ConfusionCounts())
     overall = compute_metrics(overall_counts, scenario=None, backend_id=config.backend_id)
     latency = latency_stats(latencies, backend_id=config.backend_id)
     return ExperimentReport(
@@ -598,9 +569,7 @@ class ComparisonTable:
         return {"rows": self.rows}
 
     def write_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(self.to_dict()))
-            fh.write("\n")
+        Path(path).write_text(canonical_json(self.to_dict()) + "\n", encoding="utf-8")
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -26,7 +26,8 @@ Their ``to_dict`` reads an enum member's ``_value_`` directly: on CPython
 read, the attribute 10-33 ns. A broken domain invariant is a
 ValidationError. A decoded label of the :data:`DEFAULT_VOCABULARY` is one
 shared instance per (name, scenario); any other name decodes to a new,
-validated Label.
+validated Label. Every config document, profile registry and motion script
+is read through the same getters, with :func:`refuse_unknown_keys`.
 """
 
 from __future__ import annotations
@@ -144,13 +145,37 @@ def list_field(data: Mapping[str, Any], name: str, kind: type, default: Any = RE
     return tuple([_checked(value, f"an item of {name}", kind) for value in values])
 
 
-def refuse_unknown_keys(data: Mapping[str, Any], known: Iterable[str], what: str) -> None:
-    """Raise ValidationError naming every key of ``data`` outside ``known``."""
+def map_field(data: Mapping[str, Any], name: str, kind: type, default: Any = REQUIRED,
+              key_kind: type = str) -> dict:
+    """Field ``name``, a JSON object of ``kind`` values, as a dict with ``key_kind`` keys."""
+    values = field(data, name, dict, default)
+    if values is default:
+        return values
+    return {_checked(key, f"a key of {name}", key_kind): _checked(value, f"{name}.{key}", kind)
+            for key, value in values.items()}
+
+
+def value_field(data: Mapping[str, Any], name: str, cls: type, /, **fixed: Any) -> Any:
+    """Field ``name``, a JSON object read as ``cls``, a value type whose every
+    field has an ``int`` or ``float`` default: each key is read as its
+    default's type. A field named in ``fixed`` takes that value instead."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in fixed}
+    obj = field(data, name, dict, {})
+    refuse_unknown_keys(obj, defaults, name)
+    return cls(**{key: field(obj, key, type(default), default)
+                  for key, default in defaults.items()}, **fixed)
+
+
+def refuse_unknown_keys(data: Any, known: Iterable[str], where: str | None = None) -> None:
+    """Raise ProtocolError unless ``data`` is a mapping with no key outside
+    ``known``; ``where`` names the object in its document (None: the document)."""
+    if not isinstance(data, Mapping):
+        raise ProtocolError(f"{where or 'the document'} must be a JSON object")
     unknown = data.keys() - set(known)
     if unknown:
         names = ", ".join(repr(key) for key in sorted(unknown, key=str))
         plural = "s" if len(unknown) > 1 else ""
-        raise ValidationError(f"bad {what}: unknown key{plural} {names}")
+        raise ProtocolError(f"unknown key{plural} {names}" + (f" in {where}" if where else ""))
 
 
 class _Factory:

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from .backends import DETECT_ENDPOINTS
 from .cloud.service import ApiRequest, ApiResponse
 from .draws import key_prefix, unit_draw
-from .errors import ProtocolError, TransientTransportError
+from .errors import ProtocolError, TransientTransportError, ValidationError
 from .model import AnalyticsRecord, Detection, FrameSample, field, list_field, value
 
 __all__ = ["NetworkModel", "IngestAck", "FailureInjector", "CloudClient"]
@@ -33,9 +33,9 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         if self.base_delay_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("delays must be non-negative")
+            raise ValidationError("delays must be non-negative")
         if self.jitter_ms > self.base_delay_ms:
-            raise ValueError("jitter must not exceed the base delay")
+            raise ValidationError("jitter must not exceed the base delay")
 
     def one_way_ms(self, *key: object) -> int:
         """The delay keyed by ("net", seed, *key)."""
@@ -75,7 +75,7 @@ class FailureInjector:
 
     def __init__(self, probability: float, seed: int = 0, ack_lost_fraction: float = 0.5):
         if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
+            raise ValidationError("probability must be in [0, 1]")
         self.probability = probability
         self._rng = random.Random(seed)
         self._ack_lost_fraction = ack_lost_fraction

@@ -1,11 +1,15 @@
 import hashlib
+import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from doorsim.backends import (
     DEFAULT_PROFILES,
     BackendCategory,
     BackendProfile,
+    ConfidenceModel,
     FaceCollection,
     RemoteBackend,
     SimulatedBackend,
@@ -34,6 +38,26 @@ def profile_with(recall, fp_rate=0.0, backend_id="test-backend", **kwargs):
         per_scenario_recall={kind: recall for kind in ScenarioKind},
         false_positive_rate=fp_rate,
         **kwargs,
+    )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0, 1)
+
+
+@st.composite
+def profiles(draw):
+    """Valid profiles, every field drawn."""
+    return BackendProfile(
+        backend_id=draw(st.text(max_size=8)),
+        category=draw(st.sampled_from(list(BackendCategory))),
+        memory_mb=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+        cpu_pct=draw(FINITE),
+        service_time_ms=draw(st.integers(0, 10 ** 6)),
+        per_scenario_recall=draw(st.dictionaries(st.sampled_from(list(ScenarioKind)), UNIT)),
+        false_positive_rate=draw(UNIT),
+        confidence=ConfidenceModel(draw(FINITE), draw(FINITE), draw(FINITE), draw(FINITE)),
+        face_miss_rate=draw(st.none() | UNIT),
     )
 
 
@@ -234,6 +258,16 @@ class TestProfiles:
         loaded = load_profiles(path)
         assert set(loaded) == set(DEFAULT_PROFILES)
         assert loaded["aws-saas"] == DEFAULT_PROFILES["aws-saas"]
+
+    @pytest.mark.parametrize("backend_id", sorted(DEFAULT_PROFILES))
+    def test_shipped_profile_round_trips(self, backend_id):
+        profile = DEFAULT_PROFILES[backend_id]
+        assert BackendProfile.from_dict(json.loads(canonical_json(profile.to_dict()))) == profile
+
+    @given(st.data())
+    def test_strict_reading_accepts_every_profile_the_program_writes(self, data):
+        profile = data.draw(profiles())
+        assert BackendProfile.from_dict(json.loads(canonical_json(profile.to_dict()))) == profile
 
     def test_perfect_recall_variant(self):
         perfect = DEFAULT_PROFILES["aws-saas"].with_perfect_recall()

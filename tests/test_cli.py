@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+from doorsim import cli
+from doorsim.backends import DEFAULT_PROFILES
 from doorsim.cli import main
 from doorsim.cloud import CloudService
 from doorsim.cloud.httpd import CloudHTTPServer
@@ -45,7 +47,7 @@ class TestGenDataset:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("document,named", [
-        ({"positives": "abc"}, "'abc'"),
+        ({"positives": "abc"}, "positives must be an integer"),
         ({"scenarios": "animal_detection"}, "scenarios must be an array"),
         ({"scenarios": ["animal"]}, "an item of scenarios must be one of"),
         ({"devices": "door-1"}, "devices must be an array"),
@@ -84,12 +86,12 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(tmp_path / "missing.json")]) == 1
 
     @pytest.mark.parametrize("overrides,named", [
-        ({"threshold": "abc"}, "'abc'"),
+        ({"threshold": "abc"}, "threshold must be a finite number"),
         ({"retry": {"tries": 2}}, "'tries'"),
         ({"sampling": {"rate": 2}}, "'rate'"),
         ({"network": {"delay": 2}}, "'delay'"),
-        ({"enroll": {"alice": "boss"}}, "'boss'"),
-        ({"scripts": [{"entries": [{"at": 0, "frame_id": "f0"}]}]}, "'device_id'"),
+        ({"enroll": {"alice": "boss"}}, "enroll.alice must be one of family"),
+        ({"scripts": [{"entries": [{"at": 0, "frame_id": "f0"}]}]}, "device_id is required"),
         ({"network": {"seed": 5}}, "'seed'"),
         ({"thresold": 10}, "'thresold'"),
     ], ids=["threshold_not_a_number", "unknown_retry_key", "unknown_sampling_key",
@@ -120,7 +122,7 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(config), "--out", str(report),
                      "--seed", "3"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bad experiment config: ") and "mapping" in err
+        assert err.startswith("error: bad experiment config: ") and "network must be an object" in err
         assert "Traceback" not in err
         assert not report.exists()
 
@@ -255,3 +257,110 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "gen-dataset" in capsys.readouterr().out
+
+
+def _profile(**changes):
+    """The shipped aws-saas profile as a registry entry, with ``changes``."""
+    entry = DEFAULT_PROFILES["aws-saas"].to_dict()
+    entry.update(changes)
+    return entry
+
+
+def _no_category():
+    entry = _profile()
+    del entry["category"]
+    return entry
+
+
+def _script(**entry):
+    return {"device_id": "door-1", "entries": [{"at": 0, "frame_id": "f0", **entry}]}
+
+
+# (command, config document, profile registry or None, the whole of stderr).
+# The evaluate and compare documents also get the fixture dataset's path.
+MALFORMED_DOCUMENTS = {
+    "threshold_a_string": ("evaluate", {"threshold": "70"}, None,
+                           "bad experiment config: threshold must be a finite number"),
+    "seed_true": ("evaluate", {"seed": True}, None,
+                  "bad experiment config: seed must be an integer"),
+    "seed_a_fraction": ("evaluate", {"seed": 1.9}, None,
+                        "bad experiment config: seed must be an integer"),
+    "debounce_a_string": ("evaluate", {"debounce_ms": "5"}, None,
+                          "bad experiment config: debounce_ms must be an integer"),
+    "dataset_a_number": ("evaluate", {"dataset": 5}, None,
+                         "bad experiment config: dataset must be a string"),
+    "profiles_a_number": ("evaluate", {"profiles": 5}, None,
+                          "bad experiment config: profiles must be a string"),
+    "retry_attempts_a_string": ("evaluate", {"retry": {"max_attempts": "3"}}, None,
+                                "bad experiment config: max_attempts must be an integer"),
+    "network_delay_a_fraction": ("evaluate", {"network": {"base_delay_ms": 1.5}}, None,
+                                 "bad experiment config: base_delay_ms must be an integer"),
+    "network_delay_negative": ("evaluate", {"network": {"base_delay_ms": -1}}, None,
+                               "bad experiment config: delays must be non-negative"),
+    "sampling_interval_a_string": ("evaluate", {"sampling": {"min_interval_ms": "0"}}, None,
+                                   "bad experiment config: min_interval_ms must be an integer"),
+    "script_a_number": ("evaluate", {"scripts": [5]}, None,
+                        "bad experiment config: a motion script must be a JSON object"),
+    "script_time_a_string": ("evaluate", {"scripts": [_script(at="5")]}, None,
+                             "bad experiment config: at must be an integer"),
+    "script_entry_unknown_key": ("evaluate", {"scripts": [_script(when=5)]}, None,
+                                 "bad experiment config: unknown key 'when' in an item of entries"),
+    "enroll_an_array": ("evaluate", {"enroll": [1]}, None,
+                        "bad experiment config: enroll must be an object"),
+    "profile_without_category": ("evaluate", {}, [_no_category()],
+                                 "bad profile registry: category is required"),
+    "profile_a_number": ("evaluate", {}, [5],
+                         "bad profile registry: a profile must be a JSON object"),
+    "profile_unknown_key": ("evaluate", {}, [_profile(speed=1)],
+                            "bad profile registry: unknown key 'speed' in a profile"),
+    "confidence_unknown_key": (
+        "evaluate", {}, [_profile(confidence_model={"mean": 80.0})],
+        "bad profile registry: unknown key 'mean' in confidence_model"),
+    "positives_a_fraction": ("gen-dataset", {"positives": 2.9}, None,
+                             "bad generator config: positives must be an integer"),
+    "positives_true": ("gen-dataset", {"positives": True}, None,
+                       "bad generator config: positives must be an integer"),
+    "negatives_a_string": ("gen-dataset", {"negatives": "2"}, None,
+                           "bad generator config: negatives must be an integer"),
+    "known_face_fraction_a_string": (
+        "gen-dataset", {"known_face_fraction": "0.3"}, None,
+        "bad generator config: known_face_fraction must be a finite number"),
+    "port_a_string": ("serve-cloud", {"port": "x"}, None, "bad config: port must be an integer"),
+    "port_out_of_range": ("serve-cloud", {"port": 65536}, None,
+                          "bad config: port must be in [0, 65535]"),
+    "host_a_number": ("serve-cloud", {"host": 5}, None, "bad config: host must be a string"),
+    "serve_seed_a_string": ("serve-cloud", {"seed": "7"}, None,
+                            "bad config: seed must be an integer"),
+    "faces_an_array": ("enroll", {"faces": ["a"]}, None, "bad config: faces must be an object"),
+    "server_a_number": ("enroll", {"server": 5, "faces": {"alice": "family"}}, None,
+                        "bad config: server must be a string"),
+    "backend_ids_a_string": ("compare", {"backend_ids": "ab"}, None,
+                             "bad config: backend_ids must be an array"),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a malformed config reached the network")
+
+
+@pytest.mark.parametrize("command,document,registry,message", MALFORMED_DOCUMENTS.values(),
+                         ids=MALFORMED_DOCUMENTS.keys())
+def test_malformed_document_exits_1_naming_the_field(tmp_path, dataset_path, capsys, monkeypatch,
+                                                     command, document, registry, message):
+    monkeypatch.setattr(cli, "CloudHTTPServer", _refuse)
+    monkeypatch.setattr(cli, "_post", _refuse)
+    work = tmp_path / "probe"
+    work.mkdir()
+    if command in ("evaluate", "compare"):
+        document = {"dataset": str(dataset_path), **document}
+    if registry is not None:
+        (work / "profiles.json").write_text(json.dumps(registry))
+        document = {**document, "profiles": str(work / "profiles.json")}
+    config = work / "config.json"
+    config.write_text(json.dumps(document))
+    argv = [command, "--config", str(config)]
+    if command in ("evaluate", "gen-dataset", "compare"):
+        argv += ["--out", str(work / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {path.name for path in work.iterdir()} <= {"config.json", "profiles.json"}

@@ -182,6 +182,26 @@ class TestMotionScript:
         with pytest.raises(ValidationError):
             script_covering(dataset, "door-1", spacing_ms=500, debounce_ms=1000)
 
+    @pytest.mark.parametrize("document,message", [
+        ({"device_id": "door-1", "entries": [{"at": "5", "frame_id": "f0"}]},
+         "at must be an integer"),
+        ({"device_id": "door-1", "entries": [], "debounce": 5}, "unknown key 'debounce'"),
+        ({"device_id": "door-1", "entries": [{"at": 5, "frame": "f0"}]},
+         "unknown key 'frame' in an item of entries"),
+        ({"device_id": "door-1", "entries": [[5, "f0"]]}, "an item of entries must be an object"),
+        ({"entries": []}, "device_id is required"),
+        ([], "a motion script must be a JSON object"),
+        ({"device_id": "door-1", "entries": [{"at": 5, "frame_id": "a"},
+                                             {"at": 1, "frame_id": "b"}]}, "sorted by time"),
+    ], ids=["time_a_string", "unknown_key", "unknown_entry_key", "entry_an_array",
+            "no_device_id", "not_an_object", "unsorted"])
+    def test_malformed_script_file_is_a_validation_error(self, tmp_path, document, message):
+        path = tmp_path / "script.json"
+        path.write_text(__import__("json").dumps(document))
+        with pytest.raises(ValidationError, match="^bad motion script: ") as excinfo:
+            load_motion_script(path)
+        assert message in str(excinfo.value)
+
     def test_script_json_round_trip(self, tmp_path):
         script = MotionScript("door-1", ((0, "f0"), (2000, "f1")), debounce_ms=750)
         path = tmp_path / "script.json"

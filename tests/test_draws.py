@@ -11,6 +11,7 @@ from doorsim.backends import (
 )
 from doorsim.cloud import CloudService
 from doorsim.draws import choice_draw, int_draw, key_prefix, unit_draw
+from doorsim.errors import ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
     Detection,
@@ -85,7 +86,7 @@ class TestNetworkModel:
         assert network.one_way_ms("c2s", "f0") == network.one_way_ms("c2s", "f0")
 
     def test_jitter_must_not_exceed_base(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             NetworkModel(base_delay_ms=5, jitter_ms=10)
 
 

@@ -226,16 +226,15 @@ class TestForward:
         assert outcome.ack is not None
         assert CountingBackend.calls == 1
 
-    def test_dead_letter_flush(self, tmp_path):
+    def test_exhausted_retries_dead_letter_the_record(self):
         always_fail = FailureInjector(probability=1.0, seed=1, ack_lost_fraction=0.0)
         _, pipeline, session = make_stack(
             retry=RetryPolicy(max_attempts=2), injector=always_fail
         )
         outcome = pipeline.process(event(), frame(), session)
-        assert outcome.dead_lettered
-        path = tmp_path / "dlq.json"
-        assert pipeline.flush_dead_letters(path) == 1
-        assert "door-1:0" in path.read_text()
+        assert outcome.record is not None
+        assert outcome.ack is None
+        assert [record.event_id for record in pipeline.dead_letters] == ["door-1:0"]
 
 
 class TestEdgeConfig:

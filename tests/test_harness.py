@@ -25,7 +25,9 @@ from doorsim.harness import (
     run_experiment,
     tally_frame,
 )
-from doorsim.model import Label, ScenarioKind, canonical_json
+from doorsim.device import MotionScript
+from doorsim.edge import RetryPolicy, SamplingPolicy
+from doorsim.model import FaceCategory, Label, ScenarioKind, canonical_json
 from doorsim.transport import FailureInjector, NetworkModel
 
 ANIMAL = ScenarioKind.ANIMAL_DETECTION
@@ -223,6 +225,38 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
+NAMES = st.text(max_size=8)
+COUNTS = st.integers(0, 10 ** 6)
+
+
+@st.composite
+def motion_scripts(draw):
+    entries = draw(st.lists(st.tuples(COUNTS, NAMES), max_size=4))
+    return MotionScript(draw(NAMES), tuple(sorted(entries)), debounce_ms=draw(COUNTS))
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid configs, every field drawn; the network's seed is the config's."""
+    seed = draw(st.integers() | st.integers(-(2 ** 70), 2 ** 70))
+    base = draw(COUNTS)
+    return ExperimentConfig(
+        dataset=draw(st.none() | NAMES),
+        backend_id=draw(NAMES),
+        threshold=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        seed=seed,
+        network=NetworkModel(base, draw(st.integers(0, base)), seed),
+        retry=RetryPolicy(draw(st.integers(1, 10)), draw(COUNTS)),
+        sampling=SamplingPolicy(draw(st.integers(1, 10)), draw(COUNTS)),
+        debounce_ms=draw(COUNTS),
+        event_spacing_ms=draw(COUNTS),
+        profiles_path=draw(st.none() | NAMES),
+        enroll=draw(st.dictionaries(NAMES, st.sampled_from(list(FaceCategory)), max_size=4)),
+        # [] is read as "no scripts" (None), so a drawn script list is non-empty
+        scripts=draw(st.none() | st.lists(motion_scripts(), min_size=1, max_size=3).map(tuple)),
+    )
+
+
 def small_dataset(seed, scenarios=(ANIMAL,), positives=10, negatives=None):
     return Dataset(generate_dataset(GeneratorConfig(
         scenarios=scenarios, positives=positives, negatives=negatives, seed=seed,
@@ -342,6 +376,12 @@ class TestRunExperiment:
         config = ExperimentConfig(backend_id="haar", threshold=70.0, seed=4,
                                   network=NetworkModel(base_delay_ms=30, jitter_ms=5, seed=4))
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    @given(st.data())
+    def test_strict_reading_accepts_every_config_the_program_writes(self, data):
+        config = data.draw(experiment_configs())
+        written = json.loads(canonical_json(config.to_dict()))
+        assert ExperimentConfig.from_dict(written) == config
 
     @pytest.mark.parametrize("ack_lost_fraction", [0.0, 1.0])
     def test_dead_lettered_frames_are_tallied_from_the_edge_record(self, ack_lost_fraction):
