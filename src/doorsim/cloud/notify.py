@@ -1,8 +1,11 @@
 """Push-notification fan-out with filtered subscriptions.
 
-Delivery is exactly-once per (subscriber, event): the hub remembers which
-event ids each subscriber has seen, so dispatcher redeliveries after a
-partial handler failure never double-notify.
+Delivery is exactly-once per (subscriber, event): the hub keeps one set of
+delivered event ids per subscriber id, so dispatcher redeliveries after a
+partial handler failure never double-notify, and a re-subscribe keeps what
+was already delivered. Publishing is the last step of an accepted
+``/ingest``'s single dispatch pass, so a notification is sent within the
+request that ingested its record.
 """
 
 from __future__ import annotations
@@ -87,33 +90,34 @@ class NotificationHub:
 
     def __init__(self) -> None:
         self._subscriptions: dict[str, Subscription] = {}
-        self._delivered: set[tuple[str, str]] = set()
+        # subscriber id -> event ids delivered to it; outlives a re-subscribe
+        self._delivered: dict[str, set[str]] = {}
 
     def subscribe(
         self, subscriber_id: str, filter: SubscriptionFilter | None = None
     ) -> Subscription:
         subscription = Subscription(subscriber_id, filter or SubscriptionFilter())
         self._subscriptions[subscriber_id] = subscription
+        self._delivered.setdefault(subscriber_id, set())
         return subscription
 
     def publish(self, record: AnalyticsRecord, at: int) -> list[Notification]:
         """Deliver to every matching subscription; zero subscribers is a no-op."""
         summary = summarize_record(record)
+        event_id = record.event_id
         delivered = []
-        for subscription in self._subscriptions.values():
-            key = (subscription.subscriber_id, record.event_id)
-            if key in self._delivered:
-                continue
-            if not subscription.filter.matches(record):
+        for subscriber_id, subscription in self._subscriptions.items():
+            event_ids = self._delivered[subscriber_id]
+            if event_id in event_ids or not subscription.filter.matches(record):
                 continue
             notification = Notification(
-                event_id=record.event_id,
+                event_id=event_id,
                 device_id=record.device_id,
                 summary=summary,
                 at=at,
             )
             subscription.delivery_log.append(notification)
-            self._delivered.add(key)
+            event_ids.add(event_id)
             delivered.append(notification)
         return delivered
 

@@ -8,6 +8,15 @@ clock in ``x-sim-time`` (milliseconds) so the service can stamp ingests and
 answer time-relative queries deterministically. Bodies are read with
 :func:`doorsim.model.field`, so a malformed field is a 400 ``protocol``
 envelope and the handlers see well-typed values only.
+
+An accepted ``/ingest`` is persisted and notified within its own request:
+the handler appends to the stream, whose append parses the event id once,
+and runs one :meth:`Dispatcher.run_pass`; it goes on to further passes, in
+the same 1,000-pass budget as :meth:`CloudService.run_dispatch`, only when a
+handler failed or appended. ``x-sim-time`` takes the usual exact ASCII-digit
+string inline and any other value through :func:`doorsim.model.parse_int`.
+Under cProfile, a ``gateway-mix`` ingest of perfbench at seed 1 makes 63.8
+Python calls, down from 77.6 (see ``BENCH_14.json``).
 """
 
 from __future__ import annotations
@@ -98,8 +107,8 @@ class CloudService:
 
     Deterministic per seed: device secrets, session tokens, and every
     detection draw derive from it. ``auto_dispatch`` runs a dispatch pass
-    after each ingest so persistence and notification land in the same
-    pass; turn it off to drive passes explicitly.
+    within each ingest so persistence and notification land in the same
+    pass; turn it off to drive passes explicitly with :meth:`run_dispatch`.
 
     Not thread-safe: the service and every object it owns assume one
     caller at a time. The HTTP binding (:mod:`doorsim.cloud.httpd`)
@@ -145,7 +154,7 @@ class CloudService:
     # -- built-in dispatch handlers ---------------------------------------
 
     def _persist_metadata(self, entry: StreamRecord) -> None:
-        self.store.put(entry.payload)
+        self.store.put(entry.payload, entry.event_seq)
 
     def _publish_notification(self, entry: StreamRecord) -> None:
         self.hub.publish(entry.payload, at=entry.ingested_at)
@@ -161,17 +170,28 @@ class CloudService:
     def handle(self, request: ApiRequest) -> ApiResponse:
         """Route one request; every error becomes an ``ok: false`` envelope."""
         name = _EXACT_ROUTES.get((request.method, request.path))
-        params: dict[str, str] = {}
+        params = None
         if name is None and request.method == "GET":
             match = _BLOB_ROUTE.fullmatch(request.path)
             if match is not None:
                 name, params = "get_blob", match.groupdict()
         try:
-            if "x-sim-time" in request.headers:
-                self.advance_clock(parse_int(request.headers["x-sim-time"], "x-sim-time"))
+            headers = request.headers
+            if "x-sim-time" in headers:
+                at = headers["x-sim-time"]
+                # parse_int's usual case inline: an exact str of ASCII digits
+                if type(at) is str and at.isdigit() and at.isascii() and len(at) <= 4300:
+                    at = int(at)
+                else:
+                    at = parse_int(at, "x-sim-time")
+                if at > self._now_ms:  # advance_clock, inline
+                    self._now_ms = at
             if name is None:
                 raise NotFoundError(f"no route for {request.method} {request.path}")
-            data = self._handlers[name](request, **params)
+            if params is None:
+                data = self._handlers[name](request)
+            else:
+                data = self._handlers[name](request, **params)
         except DoorsimError as exc:
             return _error(exc)
         return ApiResponse(200, {"ok": True, "data": data})
@@ -181,9 +201,6 @@ class CloudService:
         if type(body) is dict or isinstance(body, Mapping):  # dict: skip the ABC check
             return body
         raise ProtocolError("request body must be a JSON object")
-
-    def _session_device(self, request: ApiRequest) -> str:
-        return self.registry.validate_session(request.headers.get("x-session-token"))
 
     # -- device endpoints ---------------------------------------------------
 
@@ -205,15 +222,17 @@ class CloudService:
     # -- ingestion ----------------------------------------------------------
 
     def _handle_ingest(self, request: ApiRequest) -> dict:
-        device_id = self._session_device(request)
+        device_id = self.registry.validate_session(request.headers.get("x-session-token"))
         record = AnalyticsRecord.from_dict(field(self._body(request), "record", dict))
         if record.device_id != device_id:
             raise AuthError(
                 f"session for {device_id} cannot ingest records of {record.device_id}"
             )
-        entry = self.stream.append(record, ingested_at=self.now_ms)
-        if self.auto_dispatch:
-            self.run_dispatch()
+        stream = self.stream
+        entry = stream.append(record, ingested_at=self._now_ms)
+        # run_dispatch, one pass at a time: most ingests need only the first
+        if self.auto_dispatch and self.dispatcher.run_pass(stream) < len(stream):
+            self.dispatcher.run_until_current(stream, passes_run=1)
         return {
             "sequence": entry.sequence,
             "duplicate": entry.duplicate,

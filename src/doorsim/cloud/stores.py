@@ -73,8 +73,11 @@ class MetadataStore:
         self._devices: dict[str, _DeviceRecords] = {}
         self._count = 0
 
-    def put(self, record: AnalyticsRecord) -> None:
-        seq = parse_event_id(record.event_id)[1]
+    def put(self, record: AnalyticsRecord, seq: int | None = None) -> None:
+        """Store ``record`` unless its key is stored; ``seq`` is its event
+        sequence when the caller has parsed the event id already."""
+        if seq is None:
+            seq = parse_event_id(record.event_id)[1]
         at = record.captured_at
         device = self._devices.get(record.device_id)
         if device is None:

@@ -252,13 +252,16 @@ class ExperimentConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
         """The config of a JSON object whose keys are those of :meth:`to_dict`,
         read strictly: a malformed value or an unknown key is a ProtocolError
-        naming it. The network's seed is the top-level ``seed``. A ``scripts``
-        item is a motion script object or the path of a motion script file."""
+        naming it. A ``threshold`` outside [0, 100] or an ``enroll`` category
+        of ``unknown``, which the run would refuse, is a ValidationError
+        naming it, raised once every field is read. The network's seed
+        is the top-level ``seed``. A ``scripts`` item is a motion script
+        object or the path of a motion script file."""
         refuse_unknown_keys(data, cls().to_dict())
         seed = json_field(data, "seed", int, 0)
         enroll = map_field(data, "enroll", FaceCategory, None)
         scripts = json_field(data, "scripts", list, None)
-        return cls(
+        config = cls(
             dataset=json_field(data, "dataset", str, None),
             backend_id=json_field(data, "backend_id", str, "aws-saas"),
             threshold=json_field(data, "threshold", float, DEFAULT_THRESHOLD),
@@ -275,6 +278,14 @@ class ExperimentConfig:
                 for entry in scripts
             ) if scripts else None,
         )
+        # Well-typed values that the run would refuse, refused here instead.
+        if not 0.0 <= config.threshold <= 100.0:  # as EdgeConfig
+            raise ValidationError(f"threshold out of [0, 100]: {config.threshold}")
+        for identity, category in config.enroll.items():
+            if category is FaceCategory.UNKNOWN:  # as FaceCollection.enroll
+                raise ValidationError(
+                    f"enroll.{identity}: cannot enroll an identity as {category.value}")
+        return config
 
     def to_dict(self) -> dict[str, Any]:
         return {

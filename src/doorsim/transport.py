@@ -137,6 +137,9 @@ class CloudClient:
             raise ProtocolError(
                 f"{error.get('code', 'error')}: {error.get('message', 'request failed')}"
             )
+        data = body.get("data")
+        if type(data) is dict:  # field()'s usual case, without the call
+            return data
         return field(body, "data", dict)
 
     # -- typed endpoints -----------------------------------------------------
@@ -165,7 +168,18 @@ class CloudClient:
         )
         self._last_detect = (frame.frame_id, done - frame.captured_at)
         data = self._data(response)
-        return [Detection.from_dict(d) for d in list_field(data, DETECT_ENDPOINTS[path][0], dict)]
+        # As AnalyticsRecord.from_dict: an exact array of exact objects
+        # inline, list_field() for the rest.
+        name = DETECT_ENDPOINTS[path][0]
+        items = data.get(name)
+        if type(items) is list:
+            for item in items:
+                if type(item) is not dict:
+                    items = None
+                    break
+        if type(items) is not list:
+            items = list_field(data, name, dict)
+        return list(map(Detection.from_dict, items))
 
     def round_trip_ms(self, frame_id: str, service_time_ms: int) -> int:
         """Logical latency of a detect call for this frame."""

@@ -307,6 +307,10 @@ MALFORMED_DOCUMENTS = {
                                  "bad experiment config: unknown key 'when' in an item of entries"),
     "enroll_an_array": ("evaluate", {"enroll": [1]}, None,
                         "bad experiment config: enroll must be an object"),
+    "enroll_unknown": ("evaluate", {"enroll": {"alice": "unknown"}}, None,
+                       "bad experiment config: enroll.alice: cannot enroll an identity as unknown"),
+    "threshold_out_of_range": ("evaluate", {"threshold": 150}, None,
+                               "bad experiment config: threshold out of [0, 100]: 150.0"),
     "profile_without_category": ("evaluate", {}, [_no_category()],
                                  "bad profile registry: category is required"),
     "profile_a_number": ("evaluate", {}, [5],

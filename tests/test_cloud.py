@@ -1,13 +1,24 @@
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from doorsim import model
 from doorsim.cloud import CloudService
-from doorsim.cloud.notify import NotificationHub, SubscriptionFilter, summarize_record
+from doorsim.cloud import service as service_module
+from doorsim.cloud import stores as stores_module
+from doorsim.cloud import stream as stream_module
+from doorsim.cloud.notify import (
+    Notification,
+    NotificationHub,
+    Subscription,
+    SubscriptionFilter,
+    summarize_record,
+)
 from doorsim.cloud.queries import QueryKind, QueryRequest, answer_query
+from doorsim.cloud.service import ApiRequest, ApiResponse
 from doorsim.cloud.stores import BlobStore, CustomLabelJobs, MetadataStore
 from doorsim.cloud.stream import Dispatcher, IngestStream
-from doorsim.errors import ConflictError, NotFoundError, ValidationError
+from doorsim.errors import AuthError, ConflictError, DoorsimError, NotFoundError, ValidationError
 from doorsim.model import (
     AnalyticsRecord,
     Detection,
@@ -15,6 +26,8 @@ from doorsim.model import (
     FaceIdentity,
     Label,
     ScenarioKind,
+    field,
+    parse_int,
 )
 
 
@@ -585,3 +598,278 @@ class TestServiceWiring:
             body={"record": record(0, device="door-1").to_dict()},
         ))
         assert response.status == 401
+
+
+# -- one-pass ingest against the pass-by-pass reference ------------------------
+#
+# CloudService runs an accepted /ingest as one pass: the stream parses the
+# event id once and hands its sequence to the store, ``x-sim-time`` is read
+# inline, the ingest runs Dispatcher.run_pass itself and goes on only when a
+# handler failed or appended, and the hub keeps one delivered-id set per
+# subscriber. ReferenceService is the service as it was written before,
+# kept here as the reference that it must equal.
+
+def run_until_current_pass_by_pass(dispatcher, stream, max_passes=1000):
+    for _ in range(max_passes):
+        if dispatcher.run_pass(stream) >= len(stream):
+            return dispatcher.checkpoint
+    raise ValidationError(f"dispatcher did not converge in {max_passes} passes")
+
+
+class TupleSetHub(NotificationHub):
+    """The hub that remembered delivered (subscriber id, event id) pairs."""
+
+    def __init__(self):
+        self._subscriptions = {}
+        self._delivered = set()
+
+    def subscribe(self, subscriber_id, filter=None):
+        subscription = Subscription(subscriber_id, filter or SubscriptionFilter())
+        self._subscriptions[subscriber_id] = subscription
+        return subscription
+
+    def publish(self, record, at):
+        summary = summarize_record(record)
+        delivered = []
+        for subscription in self._subscriptions.values():
+            key = (subscription.subscriber_id, record.event_id)
+            if key in self._delivered:
+                continue
+            if not subscription.filter.matches(record):
+                continue
+            notification = Notification(event_id=record.event_id, device_id=record.device_id,
+                                        summary=summary, at=at)
+            subscription.delivery_log.append(notification)
+            self._delivered.add(key)
+            delivered.append(notification)
+        return delivered
+
+
+class ReferenceService(CloudService):
+    """The gateway, ingest, persistence and dispatch loop before one-pass ingest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hub = TupleSetHub()
+
+    def _persist_metadata(self, entry):
+        self.store.put(entry.payload)  # parses the event id again
+
+    def run_dispatch(self):
+        return run_until_current_pass_by_pass(self.dispatcher, self.stream)
+
+    def handle(self, request):
+        name = service_module._EXACT_ROUTES.get((request.method, request.path))
+        params = {}
+        if name is None and request.method == "GET":
+            match = service_module._BLOB_ROUTE.fullmatch(request.path)
+            if match is not None:
+                name, params = "get_blob", match.groupdict()
+        try:
+            if "x-sim-time" in request.headers:
+                self.advance_clock(parse_int(request.headers["x-sim-time"], "x-sim-time"))
+            if name is None:
+                raise NotFoundError(f"no route for {request.method} {request.path}")
+            data = self._handlers[name](request, **params)
+        except DoorsimError as exc:
+            return service_module._error(exc)
+        return ApiResponse(200, {"ok": True, "data": data})
+
+    def _handle_ingest(self, request):
+        device_id = self.registry.validate_session(request.headers.get("x-session-token"))
+        record = AnalyticsRecord.from_dict(field(self._body(request), "record", dict))
+        if record.device_id != device_id:
+            raise AuthError(
+                f"session for {device_id} cannot ingest records of {record.device_id}"
+            )
+        entry = self.stream.append(record, ingested_at=self.now_ms)
+        if self.auto_dispatch:
+            self.run_dispatch()
+        return {
+            "sequence": entry.sequence,
+            "duplicate": entry.duplicate,
+            "ingested_at": entry.ingested_at,
+        }
+
+
+SIM_TIMES = (st.sampled_from([None, "-5", "+5", "", " 7", "٣", "9" * 4301, "9" * 4300, "0"])
+             | st.integers(0, 10 ** 6).map(str))
+FILTERS = st.sampled_from([
+    None,
+    SubscriptionFilter(devices=frozenset({"d1"})),
+    SubscriptionFilter(scenarios=frozenset({ScenarioKind.UNSAFE_CONTENT})),
+])
+INGESTS = (
+    # (session device or None, record device, event sequence, x-sim-time, scenario)
+    st.tuples(st.just("ingest"), st.sampled_from(["d1", "d1", "d2", None]),
+              st.sampled_from(["d1", "d1", "d2"]), st.integers(0, 6), SIM_TIMES,
+              st.sampled_from([ScenarioKind.ANIMAL_DETECTION, ScenarioKind.UNSAFE_CONTENT]))
+)
+STEPS = st.one_of(
+    INGESTS, INGESTS, INGESTS,
+    st.tuples(st.just("subscribe"), st.sampled_from(["ops", "filtered"]), FILTERS),
+    st.tuples(st.just("dispatch")),
+    st.tuples(st.just("pass")), st.tuples(st.just("pass")),
+    st.tuples(st.just("auto"), st.booleans()),
+)
+NAMES_BY_KIND = {ScenarioKind.ANIMAL_DETECTION: ("dog",), ScenarioKind.UNSAFE_CONTENT: ("gun",)}
+
+
+def drive(cls, plan):
+    """Run ``plan`` on a fresh service of ``cls``; everything the two
+    services must agree on, as plain data."""
+    steps, auto_dispatch, poison_passes, failing, appending, chain = plan
+    service = cls(seed=3, auto_dispatch=auto_dispatch, poison_passes=poison_passes)
+    tokens = {}
+    for device_id in ("d1", "d2"):
+        secret = service.handle(ApiRequest("POST", "/devices/register",
+                                           body={"device_id": device_id})).body["data"]["secret"]
+        tokens[device_id] = service.handle(ApiRequest("POST", "/devices/auth", body={
+            "device_id": device_id, "secret": secret})).body["data"]["session_token"]
+    service.subscribe("ops")
+    service.subscribe("filtered", SubscriptionFilter(devices=frozenset({"d2"})))
+    attempts = {}
+    chained = [0]
+    resubscribed = set()  # sequences delivered before the last re-subscribe
+    redelivered = []
+
+    def faulty(entry):  # fails on the generated (stream sequence, attempt) pairs
+        attempt = attempts[entry.sequence] = attempts.get(entry.sequence, 0) + 1
+        if entry.sequence in resubscribed:
+            redelivered.append(entry.sequence)
+        if (entry.sequence, attempt) in failing:
+            raise RuntimeError(f"fault at {entry.sequence} attempt {attempt}")
+
+    def appender(entry):  # appends to the stream during delivery
+        if entry.sequence in appending:
+            device_id, seq = appending[entry.sequence]
+            service.stream.append(record(seq, device=device_id, at=entry.ingested_at),
+                                  entry.ingested_at)
+        if chained[0] < chain:  # one more entry per delivery: a pass never reaches the head
+            service.stream.append(record(chained[0], device="chain"), entry.ingested_at)
+            chained[0] += 1
+
+    service.dispatcher.register("faulty", faulty)
+    service.dispatcher.register("appender", appender)
+    outcomes = []
+    for step in steps:
+        if step[0] == "ingest":
+            _, session, device_id, seq, sim_time, kind = step
+            headers = {} if session is None else {"x-session-token": tokens[session]}
+            if sim_time is not None:
+                headers["x-sim-time"] = sim_time
+            body = {"record": record(seq, device=device_id, names=NAMES_BY_KIND[kind],
+                                     at=seq * 10, kind=kind).to_dict()}
+            response = service.handle(ApiRequest("POST", "/ingest", headers=headers, body=body))
+            outcomes.append((response.status, response.body))
+        elif step[0] == "subscribe":
+            service.subscribe(step[1], step[2])
+            resubscribed.update(attempts)
+        elif step[0] == "dispatch":
+            try:
+                outcomes.append(service.run_dispatch())
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        elif step[0] == "pass":  # a single pass, as any owner of a dispatcher may run
+            outcomes.append(service.dispatcher.run_pass(service.stream))
+        else:
+            service.auto_dispatch = step[1]
+    return {
+        "responses": outcomes,
+        "stream": [entry.to_dict() for entry in service.stream.read_from(0)],
+        "store": service.store.all_records(),
+        "deliveries": {name: service.hub.subscription(name).delivery_log
+                       for name in ("ops", "filtered")},
+        "dispatch_dead_letters": [(entry.to_dict(), message)
+                                  for entry, message in service.dispatcher.dead_letters],
+        "failure_counts": service.dispatcher._failure_counts,
+        "attempts": attempts,
+        "redelivered_after_resubscribe": redelivered,
+        "checkpoint": service.dispatcher.checkpoint,
+        "now_ms": service.now_ms,
+    }
+
+
+PLANS = st.tuples(
+    st.lists(STEPS, min_size=1, max_size=25),
+    st.booleans(),  # auto_dispatch
+    st.integers(1, 3),  # poison_passes
+    st.sets(st.tuples(st.integers(0, 6) | st.integers(0, 40), st.integers(1, 4)),
+            max_size=20),  # failing
+    st.dictionaries(st.integers(0, 30), st.tuples(st.sampled_from(["d1", "d2"]),
+                                                  st.integers(0, 6)), max_size=4),  # appending
+    st.sampled_from([0, 3, 1200]),  # chain: 1200 outlasts the 1,000-pass budget
+)
+
+
+def outcomes_of(result):
+    """What kinds of outcome a driven plan reached."""
+    seen = set()
+    for outcome in result["responses"]:
+        if type(outcome) is tuple:
+            status, body = outcome
+            seen.add(status if status == 200 else body["error"]["message"].split(":")[0])
+        else:
+            seen.add("dispatch" if type(outcome) is int else outcome)
+    if result["dispatch_dead_letters"]:
+        seen.add("dead letter")
+    if any(entry["duplicate"] for entry in result["stream"]):
+        seen.add("duplicate")
+    if result["redelivered_after_resubscribe"]:
+        seen.add("redelivered after a re-subscribe")
+    return seen
+
+
+class TestOnePassIngest:
+    def test_equals_the_pass_by_pass_reference(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(plan=PLANS)
+        # a pass fails after publishing, the subscriber re-subscribes, and the
+        # next pass redelivers: the hub must not notify it twice
+        @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION), ("pass",),
+                        ("subscribe", "ops", None), ("pass",)], False, 3, {(0, 1)}, {}, 0))
+        def compare(plan):
+            result = drive(CloudService, plan)
+            assert result == drive(ReferenceService, plan)
+            seen.update(outcomes_of(result))
+
+        compare()
+        # the property is only as good as its mix
+        assert {200, "x-sim-time must be an integer", "out-of-order ingest for d1",
+                "missing or invalid session token", "session for d1 cannot ingest records of d2",
+                "dispatcher did not converge in 1000 passes", "dispatch", "dead letter",
+                "duplicate", "redelivered after a re-subscribe"} <= seen, seen
+
+    def test_each_event_id_is_parsed_once_per_appended_record(self, monkeypatch):
+        calls = {"parse_event_id": 0, "_decimal": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, count)
+
+        counted(model, "_decimal")
+        counted(stream_module, "parse_event_id")
+        counted(stores_module, "parse_event_id")
+        service = CloudService(seed=0)
+        secret = service.handle(ApiRequest("POST", "/devices/register",
+                                           body={"device_id": "door-1"})).body["data"]["secret"]
+        token = service.handle(ApiRequest("POST", "/devices/auth", body={
+            "device_id": "door-1", "secret": secret})).body["data"]["session_token"]
+        service.subscribe("ops")
+        for seq in [0, 1, 2, 1, 3, 4, 4, 5]:  # two duplicates
+            response = service.handle(ApiRequest(
+                "POST", "/ingest", headers={"x-session-token": token, "x-sim-time": str(seq)},
+                body={"record": record(seq, at=seq).to_dict()}))
+            assert response.status == 200
+        assert len(service.stream) == 8 and len(service.store) == 6
+        assert calls == {"parse_event_id": 8, "_decimal": 8}
+        entry = service.stream.read_from(0)[-1]
+        assert entry.event_seq == 5
+        assert "event_seq" not in entry.to_dict() and "event_seq" not in repr(entry)

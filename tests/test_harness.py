@@ -237,13 +237,15 @@ def motion_scripts(draw):
 
 @st.composite
 def experiment_configs(draw):
-    """Valid configs, every field drawn; the network's seed is the config's."""
+    """Valid configs, every field drawn; the network's seed is the config's.
+    The threshold is in [0, 100] and no identity is enrolled as unknown:
+    reading a config refuses both, as the run would."""
     seed = draw(st.integers() | st.integers(-(2 ** 70), 2 ** 70))
     base = draw(COUNTS)
     return ExperimentConfig(
         dataset=draw(st.none() | NAMES),
         backend_id=draw(NAMES),
-        threshold=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        threshold=draw(st.floats(0.0, 100.0)),
         seed=seed,
         network=NetworkModel(base, draw(st.integers(0, base)), seed),
         retry=RetryPolicy(draw(st.integers(1, 10)), draw(COUNTS)),
@@ -251,7 +253,8 @@ def experiment_configs(draw):
         debounce_ms=draw(COUNTS),
         event_spacing_ms=draw(COUNTS),
         profiles_path=draw(st.none() | NAMES),
-        enroll=draw(st.dictionaries(NAMES, st.sampled_from(list(FaceCategory)), max_size=4)),
+        enroll=draw(st.dictionaries(NAMES, st.sampled_from(
+            [c for c in FaceCategory if c is not FaceCategory.UNKNOWN]), max_size=4)),
         # [] is read as "no scripts" (None), so a drawn script list is non-empty
         scripts=draw(st.none() | st.lists(motion_scripts(), min_size=1, max_size=3).map(tuple)),
     )

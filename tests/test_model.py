@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import doorsim
 from doorsim import model
-from doorsim.cloud.service import ApiRequest
+from doorsim.cloud.service import ApiRequest, ApiResponse
 from doorsim.edge import RetryPolicy
 from doorsim.errors import ProtocolError, ValidationError
+from doorsim.transport import CloudClient
 from doorsim.model import (
     DEFAULT_VOCABULARY,
     AnalyticsRecord,
@@ -649,11 +650,13 @@ FRAME_BODIES = bodies({
     "scenario": enums(ScenarioKind), "truth_labels": arrays(strings(LABEL_NAMES)),
     "truth_identity": OPTIONAL_STRINGS,
 })
+# arrays of detection objects: exact dicts, other mappings, wrong-typed items
+DETECTION_ARRAYS = arrays(kinds(bodies(DETECTION_FIELDS, wreck_top=False),
+                                bodies(DETECTION_FIELDS).filter(lambda b: type(b) is not dict),
+                                st.nothing()), size=3)
 RECORD_BODIES = bodies({
     "event_id": strings(), "device_id": strings(), "frame_id": strings(),
-    "detections": arrays(kinds(bodies(DETECTION_FIELDS, wreck_top=False),
-                               bodies(DETECTION_FIELDS).filter(lambda b: type(b) is not dict),
-                               st.nothing()), size=3),
+    "detections": DETECTION_ARRAYS,
     "backend_id": strings(), "captured_at": INTS, "detected_at": INTS, "threshold_used": FLOATS,
 })
 
@@ -730,3 +733,59 @@ class TestCodecsEqualTheFieldByFieldReference:
                                   (frame, reference_frame_to_dict)]:
             encoded = value_.to_dict()
             assert encoded == reference(value_) and list(encoded) == list(reference(value_))
+
+
+# -- the detect response against the old decoder --------------------------------
+#
+# CloudClient.detect takes an exact array of exact objects inline, and _data an
+# exact ``data`` object, reaching list_field()/field() only for the rest. This
+# is the response decoder as it was written before, kept as the reference.
+
+class Replies:
+    """A stand-in service that answers every request with one response body."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def handle(self, request):
+        return ApiResponse(200, self.body)
+
+
+DETECT_FRAME = FrameSample("f", "d", 0, frozenset(), ScenarioKind.ANIMAL_DETECTION)
+
+
+def detect_response(body):
+    return CloudClient(Replies(body)).detect("/detect/labels", DETECT_FRAME)
+
+
+def reference_detect_response(body):
+    if not body.get("ok", False):
+        error = body.get("error", {})
+        raise ProtocolError(
+            f"{error.get('code', 'error')}: {error.get('message', 'request failed')}"
+        )
+    data = field(body, "data", dict)
+    return [Detection.from_dict(d) for d in list_field(data, "labels", dict)]
+
+
+DETECT_RESPONSES = bodies({
+    "ok": kinds(st.just(True), st.nothing(), st.just(False)),
+    "data": kinds(bodies({"labels": DETECTION_ARRAYS}), st.nothing(), st.nothing()),
+})
+
+
+class TestDetectResponseEqualsTheOldDecoder:
+    def test_decode_gives_the_same_detections_or_the_same_error(self):
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(body=DETECT_RESPONSES)
+        def compare(body):
+            got = outcome(detect_response, body)
+            assert got == outcome(reference_detect_response, body)
+            seen.add(got[0] if got[0] == "value" else got[1].__name__)
+
+        compare()
+        # the property is only as good as its mix
+        assert {"value", "ProtocolError", "ValidationError"} <= seen
