@@ -18,7 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
 
-from .draws import key_prefix, unit_draw
+from .draws import SEP, key_prefix, unit_draw
 from .errors import ProtocolError, RoutingError, ValidationError
 from .model import (
     DEFAULT_VOCABULARY,
@@ -241,6 +241,11 @@ DEFAULT_ROUTES: Mapping[ScenarioKind, str] = {
     for path, (_, scenarios) in DETECT_ENDPOINTS.items()
     for scenario in scenarios
 }
+# The same routes by the scenario's value string, for RemoteBackend.detect:
+# a str lookup, with no Python-level Enum.__hash__ call per frame.
+_ROUTE_BY_VALUE: Mapping[str, str] = {
+    scenario.value: path for scenario, path in DEFAULT_ROUTES.items()
+}
 
 
 def load_profiles(path: str | Path) -> dict[str, BackendProfile]:
@@ -318,22 +323,24 @@ def simulate_detections(
             f"routed as {scenario.value}"
         )
     recall = profile.recall_for(scenario)
-    # (seed, backend_id, frame_id), joined once: the middle of every key below
+    # (seed, backend_id, frame_id), joined once: the middle of every key
+    # below. Each draw passes its whole key as one string.
     frame_key = key_prefix(seed, profile.backend_id, frame.frame_id)
     detections: list[Detection] = []
     for label in sorted(frame.truth, key=_NAME):
-        if unit_draw("emit", frame_key, label.name) >= recall:
+        name = label.name
+        if unit_draw(f"emit{SEP}{frame_key}{SEP}{name}") >= recall:
             continue
-        confidence = profile.confidence.draw(False, "conf", frame_key, label.name)
+        confidence = profile.confidence.draw(False, f"conf{SEP}{frame_key}{SEP}{name}")
         identity = None
         if scenario is ScenarioKind.FACE_RECOGNITION:
             identity = _resolve_identity(frame, profile, frame_key, collection)
         detections.append(Detection(label=label, confidence=confidence, identity=identity))
     if not frame.truth:
-        if unit_draw("fp", frame_key) < profile.false_positive_rate:
+        if unit_draw(f"fp{SEP}{frame_key}") < profile.false_positive_rate:
             vocabulary = DEFAULT_VOCABULARY[scenario]  # choice_draw, written out
-            name = vocabulary[int(unit_draw("fp-label", frame_key) * len(vocabulary))]
-            confidence = profile.confidence.draw(True, "fp-conf", frame_key)
+            name = vocabulary[int(unit_draw(f"fp-label{SEP}{frame_key}") * len(vocabulary))]
+            confidence = profile.confidence.draw(True, f"fp-conf{SEP}{frame_key}")
             identity = None
             if scenario is ScenarioKind.FACE_RECOGNITION:
                 identity = FaceIdentity("unknown", FaceCategory.UNKNOWN)
@@ -351,7 +358,7 @@ def _resolve_identity(
 ) -> FaceIdentity:
     token = frame.truth_identity or "unknown"
     miss_rate = profile.effective_face_miss_rate
-    missed = unit_draw("face-miss", frame_key) < miss_rate
+    missed = unit_draw(f"face-miss{SEP}{frame_key}") < miss_rate
     if missed or collection is None:
         return FaceIdentity(token, FaceCategory.UNKNOWN)
     return collection.search(token)
@@ -410,7 +417,7 @@ class RemoteBackend(DetectorBackend):
         self._profile = profile
 
     def detect(self, frame: FrameSample, scenario: ScenarioKind) -> list[Detection]:
-        return self._client.detect(DEFAULT_ROUTES[scenario], frame)
+        return self._client.detect(_ROUTE_BY_VALUE[scenario._value_], frame)
 
     def descriptor(self) -> BackendProfile:
         return self._profile

@@ -23,11 +23,15 @@ which it coerces or refuses with the same message as before; they read the
 fields in a fixed order, so the first malformed field is the one named.
 Their ``to_dict`` reads an enum member's ``_value_`` directly: on CPython
 3.10-3.13 (2-vCPU x86-64 host) the ``value`` property took 107-209 ns a
-read, the attribute 10-33 ns. A broken domain invariant is a
-ValidationError. A decoded label of the :data:`DEFAULT_VOCABULARY` is one
-shared instance per (name, scenario); any other name decodes to a new,
-validated Label. Every config document, profile registry and motion script
-is read through the same getters, with :func:`refuse_unknown_keys`.
+read, the attribute 10-33 ns. For the same reason ``Label`` hashes, and
+the per-frame lookup tables are keyed by, the value string, not the
+member, whose hash is the Python-level ``Enum.__hash__``; a str hash is
+C-level and, like the member's, fixed by ``PYTHONHASHSEED``. A broken
+domain invariant is a ValidationError. A decoded label of the
+:data:`DEFAULT_VOCABULARY` is one shared instance per (name, scenario); any
+other name decodes to a new, validated Label. Every config document,
+profile registry and motion script is read through the same getters, with
+:func:`refuse_unknown_keys`.
 """
 
 from __future__ import annotations
@@ -245,6 +249,11 @@ class Label:
     name: str
     kind: ScenarioKind
 
+    def __hash__(self) -> int:
+        # Over the kind's value string, whose hash is C-level and fixed by
+        # PYTHONHASHSEED; hashing the member calls the Python Enum.__hash__.
+        return hash((self.name, self.kind._value_))
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("label name must be non-empty")
@@ -252,10 +261,11 @@ class Label:
             raise ValidationError(f"label name must be a lowercase token: {self.name!r}")
 
 
-# One Label per (name, scenario) of the default vocabulary, built once.
-# Fixed at import: decoding never adds to it.
-_VOCABULARY_LABELS: Mapping[tuple[str, ScenarioKind], Label] = {
-    (name, kind): Label(name, kind)
+# One Label per (name, scenario value) of the default vocabulary, built
+# once; keyed by the value string, as Label hashes. Fixed at import:
+# decoding never adds to it.
+_VOCABULARY_LABELS: Mapping[tuple[str, str], Label] = {
+    (name, kind._value_): Label(name, kind)
     for kind, names in DEFAULT_VOCABULARY.items() for name in names
 }
 
@@ -322,7 +332,7 @@ class Detection:
         kind = _SCENARIO_BY_VALUE.get(kind) if type(kind) is str else None
         if kind is None:
             kind = field(data, "kind", ScenarioKind)
-        label = _VOCABULARY_LABELS.get((name, kind)) or Label(name, kind)
+        label = _VOCABULARY_LABELS.get((name, kind._value_)) or Label(name, kind)
         confidence = data.get("confidence")
         if type(confidence) is not float or not -_FLOAT_MAX <= confidence <= _FLOAT_MAX:
             confidence = field(data, "confidence", float)
@@ -394,7 +404,8 @@ class FrameSample:
                     break
         if type(names) is not list:  # absent, or not an array of exact strings
             names = list_field(data, "truth_labels", str, ())
-        truth = frozenset([_VOCABULARY_LABELS.get((name, scenario)) or Label(name, scenario)
+        kind = scenario._value_
+        truth = frozenset([_VOCABULARY_LABELS.get((name, kind)) or Label(name, scenario)
                            for name in names])
         truth_identity = data.get("truth_identity")
         if truth_identity is not None and type(truth_identity) is not str:
@@ -446,7 +457,8 @@ class AnalyticsRecord:
             "event_id": self.event_id,
             "device_id": self.device_id,
             "frame_id": self.frame_id,
-            "detections": [d.to_dict() for d in self.detections],
+            # most records have none: skip the comprehension's call then
+            "detections": [d.to_dict() for d in self.detections] if self.detections else [],
             "backend_id": self.backend_id,
             "captured_at": self.captured_at,
             "detected_at": self.detected_at,

@@ -1,8 +1,12 @@
+from hashlib import sha256
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from doorsim import transport
 from doorsim.backends import (
+    DEFAULT_ROUTES,
     BackendCategory,
     BackendProfile,
     ConfidenceModel,
@@ -14,6 +18,7 @@ from doorsim.draws import choice_draw, int_draw, key_prefix, unit_draw
 from doorsim.errors import ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
+    AnalyticsRecord,
     Detection,
     FaceCategory,
     FaceIdentity,
@@ -39,6 +44,17 @@ class TestUnitDraw:
 
     def test_separator_prevents_part_collisions(self):
         assert unit_draw("ab", "c") != unit_draw("a", "bc")
+
+    @given(st.lists(st.one_of(st.text(), st.integers()), min_size=1, max_size=5))
+    @example([7])
+    @example([""])
+    @example(["emit\x1f7\x1faws-saas\x1ff0\x1fdog"])
+    @example([2**64 - 1, "", -(2**70)])
+    def test_equals_the_formula(self, parts):
+        assert unit_draw(*parts) == reference_unit_draw(*parts)
+
+    def test_no_parts_draw_over_the_empty_text(self):
+        assert unit_draw() == reference_unit_draw() == unit_draw("")
 
     @given(st.lists(st.one_of(st.text(), st.integers()), min_size=1, max_size=4),
            st.lists(st.one_of(st.text(), st.integers()), max_size=3))
@@ -90,14 +106,25 @@ class TestNetworkModel:
             NetworkModel(base_delay_ms=5, jitter_ms=10)
 
 
-# The per-frame draw sites as they were written over the original key parts,
-# through int_draw, choice_draw and unit_draw. The sites now join their
-# constant parts once and call unit_draw directly; every draw must be equal.
+# The draw and the per-frame draw sites as they were written over the
+# original key parts, through int_draw and choice_draw, with the draw's own
+# formula spelled out here so that a rewritten unit_draw is checked against
+# it and not against itself. The sites now pass one pre-joined key string
+# per draw; every draw must be equal.
+
+def reference_unit_draw(*parts):
+    digest = sha256("\x1f".join(map(str, parts)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
+
+
+def reference_int_draw(lo, hi, *parts):
+    return lo + int(reference_unit_draw(*parts) * (hi - lo + 1))
+
 
 def reference_one_way_ms(network, *key):
     if network.jitter_ms == 0:
         return network.base_delay_ms
-    return network.base_delay_ms + int_draw(
+    return network.base_delay_ms + reference_int_draw(
         -network.jitter_ms, network.jitter_ms, "net", network.seed, *key
     )
 
@@ -105,30 +132,31 @@ def reference_one_way_ms(network, *key):
 def reference_confidence(model, spurious, *key):
     mean, spread = (model.fp_mean, model.fp_spread) if spurious else (
         model.true_mean, model.true_spread)
-    return min(100.0, max(0.0, mean - spread + 2.0 * spread * unit_draw(*key)))
+    return min(100.0, max(0.0, mean - spread + 2.0 * spread * reference_unit_draw(*key)))
 
 
 def reference_simulate_detections(frame, scenario, profile, seed, collection=None):
     backend_id = profile.backend_id
     detections = []
     for label in sorted(frame.truth, key=lambda l: l.name):
-        if unit_draw("emit", seed, backend_id, frame.frame_id, label.name) >= profile.recall_for(
-                scenario):
+        if reference_unit_draw("emit", seed, backend_id, frame.frame_id,
+                               label.name) >= profile.recall_for(scenario):
             continue
         confidence = reference_confidence(
             profile.confidence, False, "conf", seed, backend_id, frame.frame_id, label.name)
         identity = None
         if scenario is ScenarioKind.FACE_RECOGNITION:
             token = frame.truth_identity or "unknown"
-            missed = (unit_draw("face-miss", seed, backend_id, frame.frame_id)
+            missed = (reference_unit_draw("face-miss", seed, backend_id, frame.frame_id)
                       < profile.effective_face_miss_rate)
             identity = (FaceIdentity(token, FaceCategory.UNKNOWN)
                         if missed or collection is None else collection.search(token))
         detections.append(Detection(label=label, confidence=confidence, identity=identity))
     if not frame.truth:
-        if unit_draw("fp", seed, backend_id, frame.frame_id) < profile.false_positive_rate:
-            name = choice_draw(
-                DEFAULT_VOCABULARY[scenario], "fp-label", seed, backend_id, frame.frame_id)
+        if reference_unit_draw("fp", seed, backend_id, frame.frame_id) < profile.false_positive_rate:
+            vocabulary = DEFAULT_VOCABULARY[scenario]
+            name = vocabulary[reference_int_draw(
+                0, len(vocabulary) - 1, "fp-label", seed, backend_id, frame.frame_id)]
             confidence = reference_confidence(
                 profile.confidence, True, "fp-conf", seed, backend_id, frame.frame_id)
             identity = None
@@ -185,11 +213,6 @@ class TestDrawSitesEqualTheirFormulas:
     def test_one_way_ms(self, network, key):
         assert network.one_way_ms(*key) == reference_one_way_ms(network, *key)
 
-    @given(networks(), st.sampled_from(["c2s", "s2c"]), KEYS)
-    def test_keyed_ms_with_a_prebuilt_prefix(self, network, direction, key):
-        prefix = key_prefix("net", network.seed, direction)
-        assert network.keyed_ms(prefix, key) == reference_one_way_ms(network, direction, key)
-
     @given(networks(), st.text(max_size=8), st.integers(0, 100))
     def test_client_round_trip(self, network, frame_id, service_time):
         client = CloudClient(None, network=network)
@@ -225,3 +248,73 @@ class TestDrawSitesEqualTheirFormulas:
         expected = reference_simulate_detections(
             frame, frame.scenario, service.profiles["aws-saas"], seed, service.collections["default"])
         assert client.detect(path, frame) == expected
+
+
+# -- the client's inlined delays -------------------------------------------------
+#
+# CloudClient draws both one-way delays of a round trip inline. The arrival
+# time a request carries in x-sim-time and the ingest acknowledgement time
+# appear in no report, golden or benchmark digest, so they are checked here.
+
+class Recorder:
+    """The gateway, with the x-sim-time of each request written down."""
+
+    def __init__(self):
+        self.service = CloudService()
+        self.arrivals = []
+
+    def handle(self, request):
+        self.arrivals.append(int(request.headers["x-sim-time"]))
+        return self.service.handle(request)
+
+
+def registered_client(network):
+    recorder = Recorder()
+    client = CloudClient(recorder, network=network)
+    _, secret = client.register_device("door-1")
+    return recorder, client, client.authenticate("door-1", secret)
+
+
+class TestClientDelaysEqualTheirFormula:
+    @settings(max_examples=60, deadline=None)
+    @given(networks(), frames(), st.integers(0, 10**9), st.integers(0, 100))
+    def test_detect_arrives_and_returns_at_the_keyed_delays(self, network, frame, at,
+                                                           service_time):
+        recorder, client, _ = registered_client(network)
+        frame = frame.stamped("door-1", at)
+        client.detect(DEFAULT_ROUTES[frame.scenario], frame)
+        key = f"detect:{frame.frame_id}"
+        assert recorder.arrivals[-1] == at + reference_one_way_ms(network, "c2s", key)
+        # the last detect's own round trip, kept from the call
+        assert client.round_trip_ms(frame.frame_id, service_time) == (
+            reference_one_way_ms(network, "c2s", key) + service_time
+            + reference_one_way_ms(network, "s2c", key))
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks(), st.text(max_size=8), st.lists(st.integers(0, 10**9), min_size=1,
+                                                     max_size=4))
+    def test_each_ingest_attempt_draws_its_own_delays(self, network, frame_id, ats):
+        recorder, client, session = registered_client(network)
+        record = AnalyticsRecord("door-1:0", "door-1", frame_id, (), "aws-saas", 0, 0, 70.0)
+        for attempt, at in enumerate(ats):  # a retry repeats the record, not its key
+            ack = client.ingest(record, session, at_ms=at, attempt=attempt)
+            key = f"ingest:door-1:0:{attempt}"
+            arrive = at + reference_one_way_ms(network, "c2s", key)
+            assert recorder.arrivals[-1] == arrive
+            assert ack.acked_at == arrive + reference_one_way_ms(network, "s2c", key)
+            assert (ack.attempts, ack.duplicate) == (attempt + 1, attempt > 0)
+
+    def test_no_jitter_makes_no_draw(self, monkeypatch):
+        def refuse(*parts):
+            raise AssertionError(f"drew {parts!r}")
+
+        network = NetworkModel(base_delay_ms=40, jitter_ms=0, seed=3)
+        monkeypatch.setattr(transport, "unit_draw", refuse)
+        recorder, client, session = registered_client(network)
+        frame = FrameSample("f", "door-1", 100, frozenset(), ScenarioKind.ANIMAL_DETECTION)
+        client.detect("/detect/labels", frame)
+        record = AnalyticsRecord("door-1:0", "door-1", "f", (), "aws-saas", 100, 100, 70.0)
+        ack = client.ingest(record, session, at_ms=200, attempt=1)
+        assert recorder.arrivals[-2:] == [140, 240]
+        assert ack.acked_at == 280
+        assert client.round_trip_ms("f", 25) == client.round_trip_ms("g", 25) == 105

@@ -509,7 +509,7 @@ def reference_record_from_dict(data):
 
 
 def reference_label(name, kind):
-    label = model._VOCABULARY_LABELS.get((name, kind))
+    label = model._VOCABULARY_LABELS.get((name, kind.value))
     return Label(name, kind) if label is None else label
 
 
