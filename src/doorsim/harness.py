@@ -230,7 +230,10 @@ class ExperimentConfig:
     """Everything a reproducible end-to-end run depends on.
 
     Without explicit ``scripts``, each device gets an auto-generated motion
-    script that triggers every one of its frames, evenly spaced.
+    script that triggers every one of its frames, evenly spaced. A device
+    has at most one script: the run replays each script as its own stream,
+    so two scripts of one device would be debounced apart and would take
+    that device's event ids out of emission order.
     """
 
     dataset: str | None = None
@@ -248,15 +251,24 @@ class ExperimentConfig:
     )
     scripts: tuple[MotionScript, ...] | None = None
 
+    def __post_init__(self) -> None:
+        devices: set[str] = set()
+        for script in self.scripts or ():
+            if script.device_id in devices:
+                raise ValidationError(
+                    f"scripts: more than one motion script for device {script.device_id}")
+            devices.add(script.device_id)
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
         """The config of a JSON object whose keys are those of :meth:`to_dict`,
         read strictly: a malformed value or an unknown key is a ProtocolError
         naming it. A ``threshold`` outside [0, 100] or an ``enroll`` category
         of ``unknown``, which the run would refuse, is a ValidationError
-        naming it, raised once every field is read. The network's seed
-        is the top-level ``seed``. A ``scripts`` item is a motion script
-        object or the path of a motion script file."""
+        naming it, raised once every field is read, as is a second motion
+        script for one device. The network's seed is the top-level
+        ``seed``. A ``scripts`` item is a motion script object or the path
+        of a motion script file."""
         refuse_unknown_keys(data, cls().to_dict())
         seed = json_field(data, "seed", int, 0)
         enroll = map_field(data, "enroll", FaceCategory, None)

@@ -305,6 +305,9 @@ MALFORMED_DOCUMENTS = {
                              "bad experiment config: at must be an integer"),
     "script_entry_unknown_key": ("evaluate", {"scripts": [_script(when=5)]}, None,
                                  "bad experiment config: unknown key 'when' in an item of entries"),
+    "two_scripts_for_one_device": (
+        "evaluate", {"scripts": [_script(), _script(at=5)]}, None,
+        "bad experiment config: scripts: more than one motion script for device door-1"),
     "enroll_an_array": ("evaluate", {"enroll": [1]}, None,
                         "bad experiment config: enroll must be an object"),
     "enroll_unknown": ("evaluate", {"enroll": {"alice": "unknown"}}, None,

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -255,8 +256,10 @@ def experiment_configs(draw):
         profiles_path=draw(st.none() | NAMES),
         enroll=draw(st.dictionaries(NAMES, st.sampled_from(
             [c for c in FaceCategory if c is not FaceCategory.UNKNOWN]), max_size=4)),
-        # [] is read as "no scripts" (None), so a drawn script list is non-empty
-        scripts=draw(st.none() | st.lists(motion_scripts(), min_size=1, max_size=3).map(tuple)),
+        # [] is read as "no scripts" (None), so a drawn script list is
+        # non-empty; a device has at most one script
+        scripts=draw(st.none() | st.lists(motion_scripts(), min_size=1, max_size=3,
+                                          unique_by=lambda script: script.device_id).map(tuple)),
     )
 
 
@@ -363,6 +366,28 @@ class TestRunExperiment:
         report = run_experiment(config, dataset=dataset)
         assert report.counters["events"] == 1
         assert len(report.frames) == 1
+
+    def test_a_second_script_for_one_device_is_refused_before_the_run(self):
+        # replayed as two streams, the scripts would issue door-1's event ids
+        # out of emission order, and the cloud would refuse the run part-way
+        dataset = small_dataset(seed=13, positives=4, negatives=0)
+        f0, f1, f2, f3 = [f.frame_id for f in dataset]
+        scripts = (MotionScript("door-1", ((0, f0), (2000, f1))),
+                   MotionScript("door-2", ((0, f0),)),
+                   MotionScript("door-1", ((10000, f2), (12000, f3))))
+        message = "^scripts: more than one motion script for device door-1$"
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(backend_id="haar", scripts=scripts)
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_dict({"backend_id": "haar",
+                                        "scripts": [s.to_dict() for s in scripts]})
+        config = ExperimentConfig(backend_id="haar", threshold=70.0, seed=1,
+                                  scripts=(scripts[0], scripts[1]))
+        with pytest.raises(ValidationError, match=message):
+            replace(config, scripts=scripts)
+        report = run_experiment(replace(config, scripts=(
+            MotionScript("door-1", scripts[0].entries + scripts[2].entries),)), dataset=dataset)
+        assert report.counters["events"] == 4
 
     def test_scripts_survive_config_round_trip(self):
         config = ExperimentConfig.from_dict({

@@ -464,6 +464,70 @@ class TestVocabularyLabels:
                                    + ", ".join(kind.value for kind in ScenarioKind))
 
 
+VOCABULARY_NAMES = sorted({name for names in DEFAULT_VOCABULARY.values() for name in names})
+TRUTH_NAMES = st.sampled_from(VOCABULARY_NAMES) | st.sampled_from(["zebra", "Dog", " dog", ""])
+
+
+@st.composite
+def truth_rows(draw):
+    """Manifest rows whose truth_labels are vocabulary names, sorted or not,
+    with duplicates, names of another scenario, names of no scenario,
+    malformed names, or not an array of strings at all."""
+    scenario = draw(st.sampled_from(list(ScenarioKind)))
+    vocabulary = sorted(DEFAULT_VOCABULARY[scenario])
+    names = draw(
+        st.sets(st.sampled_from(vocabulary)).map(sorted)  # the shared sets' keys
+        | st.lists(st.sampled_from(vocabulary), max_size=5)  # unsorted, duplicates, []
+        | st.lists(TRUTH_NAMES, max_size=4)
+        | st.lists(TRUTH_NAMES, max_size=3).map(Items)
+        | st.lists(TRUTH_NAMES | st.integers() | st.none(), min_size=1, max_size=3)
+        | st.text(max_size=3) | st.integers() | st.none() | st.just({"dog": 1}))
+    return {**frame_row(scenario=scenario.value), "truth_labels": names}
+
+
+class TestSharedTruthSets:
+    def test_one_shared_set_per_sorted_vocabulary_subset(self):
+        truths = model._VOCABULARY_TRUTHS
+        assert len(truths) == sum(2 ** len(names) for names in DEFAULT_VOCABULARY.values()) == 34
+        for (kind, *names), truth in truths.items():
+            assert names == sorted(set(names))
+            assert all(model._VOCABULARY_LABELS[name, kind] in truth for name in names)
+            assert len(truth) == len(names)
+            assert model.truth_set(ScenarioKind(kind), names) is truth
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=truth_rows())
+    def test_decode_equals_the_per_label_reference(self, row):
+        size = len(model._VOCABULARY_TRUTHS)
+        got, expected = outcome(FrameSample.from_dict, row), outcome(reference_frame_from_dict, row)
+        assert got == expected
+        names = row["truth_labels"]
+        key = (row["scenario"], *names) if type(names) is list else None
+        if key in model._VOCABULARY_TRUTHS:
+            assert got[1].truth is model._VOCABULARY_TRUTHS[key]
+        assert len(model._VOCABULARY_TRUTHS) == size == 34
+
+    def test_the_rows_reach_shared_fresh_and_refused_truths(self):
+        # as test_the_bodies_reach_both_outcomes: the property above is only
+        # as good as its mix of rows
+        shared, seen = model._VOCABULARY_TRUTHS.values(), set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(row=truth_rows())
+        def collect(row):
+            result = outcome(FrameSample.from_dict, row)
+            if result[0] == "error":
+                seen.add(result[1].__name__)
+            elif any(result[1].truth is truth for truth in shared):
+                seen.add("shared")
+            else:
+                seen.add("equal to a shared set" if result[1].truth in shared else "fresh")
+
+        collect()
+        assert seen == {"shared", "equal to a shared set", "fresh",
+                        "ProtocolError", "ValidationError"}
+
+
 # -- the codecs against the field-by-field reference ---------------------------
 #
 # The per-frame decoders take exact-typed values inline and call field() for
