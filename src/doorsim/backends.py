@@ -14,7 +14,6 @@ import enum
 import json
 from abc import ABC, abstractmethod
 from dataclasses import asdict, field, replace
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -31,6 +30,7 @@ from .model import (
     field as json_field,
     map_field,
     refuse_unknown_keys,
+    truth_order,
     value,
     value_field,
 )
@@ -300,9 +300,6 @@ class FaceCollection:
         return len(self._entries)
 
 
-_NAME = attrgetter("name")
-
-
 def simulate_detections(
     frame: FrameSample,
     scenario: ScenarioKind,
@@ -327,7 +324,7 @@ def simulate_detections(
     # below. Each draw passes its whole key as one string.
     frame_key = key_prefix(seed, profile.backend_id, frame.frame_id)
     detections: list[Detection] = []
-    for label in sorted(frame.truth, key=_NAME):
+    for label in truth_order(frame.truth)[0]:
         name = label.name
         if unit_draw(f"emit{SEP}{frame_key}{SEP}{name}") >= recall:
             continue
@@ -335,7 +332,7 @@ def simulate_detections(
         identity = None
         if scenario is ScenarioKind.FACE_RECOGNITION:
             identity = _resolve_identity(frame, profile, frame_key, collection)
-        detections.append(Detection(label=label, confidence=confidence, identity=identity))
+        detections.append(Detection(label, confidence, identity))
     if not frame.truth:
         if unit_draw(f"fp{SEP}{frame_key}") < profile.false_positive_rate:
             vocabulary = DEFAULT_VOCABULARY[scenario]  # choice_draw, written out
@@ -344,9 +341,7 @@ def simulate_detections(
             identity = None
             if scenario is ScenarioKind.FACE_RECOGNITION:
                 identity = FaceIdentity("unknown", FaceCategory.UNKNOWN)
-            detections.append(
-                Detection(label=Label(name, scenario), confidence=confidence, identity=identity)
-            )
+            detections.append(Detection(Label(name, scenario), confidence, identity))
     return detections
 
 

@@ -42,7 +42,7 @@ class QueryRequest:
         range_ = None
         if start is not None or end is not None:
             range_ = (0 if start is None else start, now_ms if end is None else end)
-        return cls(kind=kind, device_id=field(data, "device_id", str), range=range_)
+        return cls(kind, field(data, "device_id", str), range_)
 
 
 @value

@@ -15,8 +15,9 @@ and runs one :meth:`Dispatcher.run_pass`; it goes on to further passes, in
 the same 1,000-pass budget as :meth:`CloudService.run_dispatch`, only when a
 handler failed or appended. ``x-sim-time`` takes the usual exact ASCII-digit
 string inline and any other value through :func:`doorsim.model.parse_int`.
-Under cProfile, a ``gateway-mix`` ingest of perfbench at seed 1 makes 63.8
-Python calls, down from 77.6 (see ``BENCH_14.json``).
+The envelope is checked only where the fast path fails: a method or path
+that is not a string, or headers or a query that are not a mapping, is a
+400 ``protocol`` envelope, and a token that is not a string a 401.
 """
 
 from __future__ import annotations
@@ -169,14 +170,15 @@ class CloudService:
 
     def handle(self, request: ApiRequest) -> ApiResponse:
         """Route one request; every error becomes an ``ok: false`` envelope."""
-        name = _EXACT_ROUTES.get((request.method, request.path))
-        params = None
-        if name is None and request.method == "GET":
-            match = _BLOB_ROUTE.fullmatch(request.path)
-            if match is not None:
-                name, params = "get_blob", match.groupdict()
         try:
-            headers = request.headers
+            name = _EXACT_ROUTES.get((request.method, request.path))
+        except TypeError:  # an unhashable method or path, refused below
+            name = None
+        params = None
+        headers = request.headers
+        try:
+            if name is None or type(headers) is not dict or type(request.query) is not dict:
+                name, params = _slow_route(request, name)
             if "x-sim-time" in headers:
                 at = headers["x-sim-time"]
                 # parse_int's usual case inline: an exact str of ASCII digits
@@ -302,6 +304,19 @@ class CloudService:
         job = self.jobs.create(field(body, "name", str), field(body, "example_count", int),
                                at=self.now_ms)
         return {"job": job.to_dict()}
+
+
+def _slow_route(request: ApiRequest, name: str | None) -> tuple[str | None, dict | None]:
+    """handle's routing where its fast path fails: a method or path that is not
+    a string, or headers or a query that are not a mapping, are refused before
+    the request changes any state; ``GET /blobs/<ref>`` is matched here."""
+    method, path = request.method, request.path
+    if not (isinstance(method, str) and isinstance(path, str)):
+        raise ProtocolError("method and path must be strings")
+    if not (isinstance(request.headers, Mapping) and isinstance(request.query, Mapping)):
+        raise ProtocolError("headers and query must be JSON objects")
+    match = _BLOB_ROUTE.fullmatch(path) if name is None and method == "GET" else None
+    return ("get_blob", match.groupdict()) if match else (name, None)
 
 
 def _error(exc: DoorsimError) -> ApiResponse:

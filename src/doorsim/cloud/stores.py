@@ -190,8 +190,7 @@ class CustomLabelJobs:
             raise ValidationError("example_count must be > 0")
         if name in self._jobs:
             raise ConflictError(f"custom-label job already exists: {name}")
-        job = CustomLabelJob(name=name, example_count=example_count,
-                             status="registered", created_at=at)
+        job = CustomLabelJob(name, example_count, "registered", at)
         self._jobs[name] = job
         return job
 

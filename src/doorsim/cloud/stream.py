@@ -79,14 +79,9 @@ class IngestStream:
                 )
             self._last_event_seq[device_id] = event_seq
             self._seen_event_ids.add(record.event_id)
-        entry = StreamRecord(
-            sequence=len(self._records),
-            partition=record.device_id,  # equal to device_id, and not a copy of it
-            payload=record,
-            ingested_at=ingested_at,
-            duplicate=duplicate,
-            event_seq=event_seq,
-        )
+        # the partition is record.device_id: equal to device_id, and not a copy of it
+        entry = StreamRecord(len(self._records), record.device_id, record, ingested_at,
+                             duplicate, event_seq)
         self._records.append(entry)
         return entry
 

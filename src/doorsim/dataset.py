@@ -263,14 +263,5 @@ def generate_dataset(config: GeneratorConfig) -> list[FrameSample]:
                 truth, identity = _truth_for_positive(config, scenario, frame_id)
             else:
                 truth, identity = truth_set(scenario, ()), None
-            frames.append(
-                FrameSample(
-                    frame_id=frame_id,
-                    device_id=device_id,
-                    captured_at=0,
-                    truth=truth,
-                    scenario=scenario,
-                    truth_identity=identity,
-                )
-            )
+            frames.append(FrameSample(frame_id, device_id, 0, truth, scenario, identity))
     return frames

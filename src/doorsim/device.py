@@ -93,12 +93,7 @@ class DeviceRegistry:
                 raise ConflictError(f"device already registered: {device_id}")
             secret = self._rng.getrandbits(256).to_bytes(32, "big").hex()
             fingerprint = fingerprint_secret(secret)
-            record = DeviceRecord(
-                device_id=device_id,
-                attributes=dict(attributes or {}),
-                credential_fingerprint=fingerprint,
-                registered_at=at,
-            )
+            record = DeviceRecord(device_id, dict(attributes or {}), fingerprint, at)
             self._records[device_id] = record
         return record, Credential(device_id, secret, fingerprint)
 
@@ -116,8 +111,8 @@ class DeviceRegistry:
 
     def validate_session(self, token: str | None) -> str:
         """Device id for a live session token; raises AuthError otherwise."""
-        with self._lock:
-            device_id = self._sessions.get(token or "")
+        with self._lock:  # a token that is not a string is no session's
+            device_id = self._sessions.get(token) if type(token) is str else None
         if device_id is None:
             raise AuthError("missing or invalid session token")
         return device_id
@@ -220,9 +215,5 @@ def run_motion_script(
                 f"not {script.device_id}"
             )
         last_emitted = at
-        event = MotionEvent(
-            device_id=script.device_id,
-            at=at,
-            event_id=factory.next_event_id(script.device_id),
-        )
+        event = MotionEvent(script.device_id, at, factory.next_event_id(script.device_id))
         yield event, fixture.stamped(script.device_id, at)

@@ -147,16 +147,11 @@ class EdgePipeline:
             raise
         except Exception as exc:  # backend bug or unavailability
             raise DetectionFailedError(f"detection failed for {frame.frame_id}: {exc}") from exc
-        detections = apply_confidence_threshold(raw, self.config.threshold)
+        config = self.config
+        detections = apply_confidence_threshold(raw, config.threshold)
         return AnalyticsRecord(
-            event_id=event.event_id,
-            device_id=frame.device_id,
-            frame_id=frame.frame_id,
-            detections=tuple(detections),
-            backend_id=self.config.backend_id,
-            captured_at=frame.captured_at,
-            detected_at=frame.captured_at + latency,
-            threshold_used=self.config.threshold,
+            event.event_id, frame.device_id, frame.frame_id, tuple(detections),
+            config.backend_id, frame.captured_at, frame.captured_at + latency, config.threshold,
         )
 
     def forward(self, record: AnalyticsRecord, session_token: str) -> IngestAck:

@@ -5,6 +5,9 @@ one pair for every label in the union of its truth and its predictions;
 a frame with neither contributes a single true negative. Accuracy,
 precision, and recall derive from the tallies; precision and recall are
 reported as absent (None) when their denominator is zero, never as 0 or 1.
+A frame's report row takes its sorted truth and predicted names from
+:func:`~doorsim.model.truth_order`; a record without detections builds no
+predicted set and sorts nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .model import (
     field as json_field,
     map_field,
     refuse_unknown_keys,
+    truth_order,
     value,
     value_field,
 )
@@ -438,6 +442,9 @@ def _make_backend(
     return SimulatedBackend(profile, seed, collection)
 
 
+_NO_LABELS: frozenset[Label] = frozenset()  # the predicted set of a record with no detections
+
+
 def run_experiment(
     config: ExperimentConfig,
     dataset: Dataset | None = None,
@@ -516,17 +523,14 @@ def run_experiment(
             counters["sampled"] += 1
             counters["ingested" if delivered else "dead_letters"] += 1
             latencies.append((record.captured_at, record.detected_at))
-            predicted = {d.label for d in record.detections}
+            detections = record.detections
+            # most records have none: no set to build and nothing to sort then
+            predicted = frozenset([d.label for d in detections]) if detections else _NO_LABELS
             scenario = frame.scenario._value_
-            frames.append(
-                FrameOutcome(
-                    frame_id=frame.frame_id,
-                    event_id=record.event_id,
-                    scenario=scenario,
-                    truth=tuple(sorted(l.name for l in frame.truth)),
-                    predicted=tuple(sorted(l.name for l in predicted)),
-                )
-            )
+            frames.append(FrameOutcome(
+                frame.frame_id, record.event_id, scenario, truth_order(frame.truth)[1],
+                truth_order(predicted)[1] if detections else (),
+            ))
             tally_frame(frame.truth, predicted, per_scenario[scenario])
     except Exception:
         if partial_trace_path is not None:

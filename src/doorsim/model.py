@@ -2,14 +2,15 @@
 
 All types here are immutable values, safe to copy between pipeline stages.
 Every value type of the package is declared with :func:`value`: a frozen,
-slotted dataclass (no per-instance ``__dict__``, because a run holds several
-of them for every frame) whose ``__init__`` stores each field through its
-slot's member descriptor. A run builds about 16 values per frame, and the
-``__init__`` that ``dataclasses`` generates for a frozen class stores each
-field through ``object.__setattr__`` instead: on CPython 3.11 (2-vCPU x86-64
-host) an 8-field ``AnalyticsRecord`` took 1.8 us to build that way and
-1.16 us through the descriptors. Timestamps are logical simulation
-milliseconds, never wall clock, so any run can be replayed exactly.
+slotted dataclass whose ``__init__`` stores each field through its slot's
+member descriptor, not through ``object.__setattr__`` as the dataclass one
+does for a frozen class (an 8-field ``AnalyticsRecord``: 1.16 us against
+1.8 us on CPython 3.11, 2-vCPU x86-64 host). A run builds about 16 values
+per frame, and the per-frame sites pass their fields positionally: a class
+called with keywords packs them into a dict that its ``__init__`` unpacks
+again, and that record took 1.2-2.2 us by keyword against 0.84-1.5 us
+positionally (timeit, CPython 3.10-3.13, 1.3-1.7x in each run). Timestamps
+are logical simulation milliseconds, never wall clock.
 
 Every type serializes to a flat JSON object with snake_case field names;
 ``canonical_json`` is the single encoder used for wire payloads, reports,
@@ -18,26 +19,23 @@ definition of a well-formed wire value. The decoders of the values that
 cross the wire once or twice per frame (``Detection``, ``FrameSample`` and
 ``AnalyticsRecord``) take a value of exactly its field's type (``str``, a
 finite ``float``, a non-bool ``int``, an exact ``list`` or ``dict``, an
-enum's value string) inline, and reach :func:`field` for every other value,
-which it coerces or refuses with the same message as before; they read the
-fields in a fixed order, so the first malformed field is the one named.
-Their ``to_dict`` reads an enum member's ``_value_`` directly: on CPython
-3.10-3.13 (2-vCPU x86-64 host) the ``value`` property took 107-209 ns a
-read, the attribute 10-33 ns. For the same reason ``Label`` hashes, and
-the per-frame lookup tables are keyed by, the value string, not the
-member, whose hash is the Python-level ``Enum.__hash__``; a str hash is
-C-level and, like the member's, fixed by ``PYTHONHASHSEED``. A broken
-domain invariant is a ValidationError. A decoded label of the
-:data:`DEFAULT_VOCABULARY` is one shared instance per (name, scenario); any
-other name decodes to a new, validated Label. Likewise a frame's truth
-whose names are a sorted subset of its scenario's vocabulary, each once, is
-one of 34 shared frozensets (:func:`truth_set`), for the decoder and the
-dataset generator alike; other names get a new set. With the device ids
-that ``load_manifest`` shares, a loaded manifest frame takes 188 B instead
-of 463 B (tracemalloc, perfbench's 13,882-frame remote-1dev manifest,
-CPython 3.11; 180-201 B on 3.10-3.13). Every config document,
-profile registry and motion script is read through the same getters, with
-:func:`refuse_unknown_keys`.
+enum's value string) inline and reach :func:`field` for any other value,
+reading the fields in a fixed order, so the first malformed one is named.
+Their ``to_dict`` reads an enum member's ``_value_``, not the slower
+``value`` property. ``Label`` hashes, and the per-frame lookup tables are
+keyed by, the value string, not the member, whose hash is the Python-level
+``Enum.__hash__``; both are fixed by ``PYTHONHASHSEED``. A broken domain
+invariant is a ValidationError.
+
+A decoded label of the :data:`DEFAULT_VOCABULARY` is one shared instance
+per (name, scenario), and a frame's truth whose names are a sorted subset
+of its scenario's vocabulary, each once, is one of 34 shared frozensets
+(:func:`truth_set`); other names get new values. Each shared set carries
+its labels sorted by name and their names (:func:`truth_order`), so no
+frame sorts its truth: a remote-1dev frame called ``sorted`` 4 times
+before. A loaded manifest frame takes 188 B instead of 463 B (tracemalloc,
+CPython 3.11). Every config document, profile registry and motion script
+is read through the same getters, with :func:`refuse_unknown_keys`.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import inspect
 import itertools
 import json
 import sys
-from typing import Any, Iterable, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping, Sequence
 
 from .errors import ProtocolError, ValidationError
 
@@ -66,6 +64,7 @@ __all__ = [
     "parse_event_id",
     "apply_confidence_threshold",
     "canonical_json",
+    "truth_order",
     "truth_set",
     "value",
     "DEFAULT_THRESHOLD",
@@ -290,6 +289,26 @@ _VOCABULARY_TRUTHS: Mapping[tuple[str, ...], frozenset[Label]] = {
 }
 
 
+# Each shared set's labels sorted by name, and their names: derived here
+# once, not sorted again for every frame. The five empty sets are equal, so
+# they share one entry. Fixed at import, like the sets: a lookup never adds.
+_TRUTH_ORDERS: Mapping[frozenset[Label], tuple[tuple[Label, ...], tuple[str, ...]]] = {
+    truth: (tuple([_VOCABULARY_LABELS[name, key[0]] for name in key[1:]]), key[1:])
+    for key, truth in _VOCABULARY_TRUTHS.items()
+}
+
+
+def truth_order(labels: AbstractSet[Label]) -> tuple[tuple[Label, ...], tuple[str, ...]]:
+    """``labels`` sorted by name, and their names in that order: the stored
+    tuples for a shared truth set, or a frozenset equal to one; any other
+    set is sorted."""
+    order = _TRUTH_ORDERS.get(labels) if type(labels) is frozenset else None
+    if order is None:
+        ordered = tuple(sorted(labels, key=lambda label: label.name))
+        order = ordered, tuple([label.name for label in ordered])
+    return order
+
+
 def truth_set(scenario: ScenarioKind, names: Sequence[str]) -> frozenset[Label]:
     """The labels ``names`` of ``scenario`` as a frozenset. Names that are a
     sorted subset of the scenario's vocabulary, each once, give the shared
@@ -409,7 +428,7 @@ class FrameSample:
             "device_id": self.device_id,
             "captured_at": self.captured_at,
             "scenario": self.scenario._value_,
-            "truth_labels": sorted([label.name for label in self.truth]),
+            "truth_labels": list(truth_order(self.truth)[1]),  # a new list each call
             "truth_identity": self.truth_identity,
         }
 

@@ -133,11 +133,7 @@ class CloudClient:
         if span:
             arrive += int(unit_draw(self._c2s + delay_key) * span)
         request = ApiRequest(
-            method=method,
-            path=path,
-            headers={**(headers or {}), "x-sim-time": str(arrive)},
-            body=body,
-            query=query or {},
+            method, path, {**(headers or {}), "x-sim-time": str(arrive)}, body, query or {}
         )
         response = self._service.handle(request)
         done = arrive + low
@@ -224,13 +220,8 @@ class CloudClient:
         data = self._data(response)
         if fault == "ack_lost":
             raise TransientTransportError(f"ack lost for {record.event_id}")
-        return IngestAck(
-            sequence=data["sequence"],
-            duplicate=data["duplicate"],
-            ingested_at=data["ingested_at"],
-            acked_at=done,
-            attempts=attempt + 1,
-        )
+        return IngestAck(data["sequence"], data["duplicate"], data["ingested_at"], done,
+                         attempt + 1)
 
     def enroll_face(self, identity: str, category: str,
                     collection_id: str = "default", at_ms: int = 0) -> Mapping[str, Any]:

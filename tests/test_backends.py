@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doorsim.backends import (
@@ -19,13 +19,16 @@ from doorsim.backends import (
 from doorsim.cloud import CloudService
 from doorsim.errors import RoutingError, ValidationError
 from doorsim.model import (
+    DEFAULT_VOCABULARY,
     FaceCategory,
     FrameSample,
     Label,
     ScenarioKind,
     canonical_json,
+    truth_set,
 )
 from doorsim.transport import CloudClient, NetworkModel
+from test_draws import reference_simulate_detections
 
 
 def profile_with(recall, fp_rate=0.0, backend_id="test-backend", **kwargs):
@@ -156,6 +159,41 @@ class TestSimulatedDetection:
             return canonical_json(out)
 
         assert stream() == stream()
+
+
+@st.composite
+def truth_frames(draw):
+    """Frames whose truth is a shared set, a fresh frozenset equal to one, or
+    a set with names outside the vocabulary or labels of another scenario."""
+    scenario = draw(st.sampled_from(list(ScenarioKind)))
+    vocabulary = DEFAULT_VOCABULARY[scenario]
+    names = sorted(draw(st.sets(st.sampled_from(vocabulary))))
+    form = draw(st.sampled_from(["shared", "equal", "other"]))
+    if form == "shared":
+        truth = truth_set(scenario, names)
+    elif form == "equal":
+        truth = frozenset(Label(name, scenario) for name in names)
+    else:  # a face detection of another scenario's label would be invalid
+        kinds = [scenario] if scenario is ScenarioKind.FACE_RECOGNITION else list(ScenarioKind)
+        extra = draw(st.sets(st.builds(Label, st.sampled_from(["zebra", "a", *vocabulary]),
+                                       st.sampled_from(kinds)), max_size=3))
+        truth = frozenset({Label(name, scenario) for name in names} | extra)
+    return FrameSample(draw(st.text(max_size=6)), "door-1", 0, truth, scenario,
+                       draw(st.none() | st.just("alice")))
+
+
+class TestEmissionOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(frame=truth_frames(), recall=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99))
+    def test_equals_a_reference_that_sorts(self, frame, recall, seed):
+        profile = profile_with(recall, fp_rate=0.5)
+        got = simulate_detections(frame, frame.scenario, profile, seed)
+        assert got == reference_simulate_detections(frame, frame.scenario, profile, seed)
+        if frame.truth:
+            emitted = [d.label.name for d in got]
+            assert emitted == sorted(emitted)
+            if recall == 1.0:
+                assert emitted == sorted(label.name for label in frame.truth)
 
 
 class TestFaceCollection:

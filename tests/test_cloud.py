@@ -299,6 +299,17 @@ class TestNotifications:
     def test_empty_detections_still_summarized(self):
         assert summarize_record(record(0, names=())) != ""
 
+    def test_records_without_detections_share_their_device_summary(self):
+        hub = NotificationHub()
+        hub.subscribe("user")
+        first, second = (hub.publish(record(seq, names=()), at=seq)[0] for seq in (0, 1))
+        other = hub.publish(record(0, device="door-2", names=()), at=2)[0]
+        assert first.summary == "Motion at door-1: nothing recognized"
+        assert second.summary is first.summary
+        assert other.summary == "Motion at door-2: nothing recognized"
+        # a record with detections gets its own sentence, as before
+        assert hub.publish(record(2), at=3)[0].summary == "Detected animal: dog"
+
 
 class TestMetadataStore:
     def test_put_is_idempotent(self):

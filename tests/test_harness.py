@@ -8,10 +8,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doorsim.backends import DEFAULT_PROFILES
+from doorsim.backends import DEFAULT_PROFILES, simulate_detections
 from doorsim.dataset import Dataset, GeneratorConfig, generate_dataset
 from doorsim.errors import ValidationError
 from doorsim.harness import (
@@ -28,7 +28,9 @@ from doorsim.harness import (
 )
 from doorsim.device import MotionScript
 from doorsim.edge import RetryPolicy, SamplingPolicy
-from doorsim.model import FaceCategory, Label, ScenarioKind, canonical_json
+from doorsim.model import (
+    DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind, canonical_json, truth_set,
+)
 from doorsim.transport import FailureInjector, NetworkModel
 
 ANIMAL = ScenarioKind.ANIMAL_DETECTION
@@ -269,7 +271,47 @@ def small_dataset(seed, scenarios=(ANIMAL,), positives=10, negatives=None):
     )))
 
 
+@st.composite
+def truth_datasets(draw):
+    """Small datasets whose truths are shared sets, fresh frozensets equal to
+    one, or sets with names outside the vocabulary or of another scenario."""
+    frames = []
+    for index in range(draw(st.integers(1, 12))):
+        scenario = draw(st.sampled_from(list(ScenarioKind)))
+        vocabulary = DEFAULT_VOCABULARY[scenario]
+        names = sorted(draw(st.sets(st.sampled_from(vocabulary))))
+        form = draw(st.sampled_from(["shared", "equal", "other"]))
+        if form == "shared":
+            truth = truth_set(scenario, names)
+        elif form == "equal":
+            truth = frozenset(Label(name, scenario) for name in names)
+        else:  # a face detection of another scenario's label would be invalid
+            kinds = [scenario] if scenario is ScenarioKind.FACE_RECOGNITION else list(ScenarioKind)
+            truth = frozenset({Label(name, scenario) for name in names} | draw(st.sets(
+                st.builds(Label, st.sampled_from(["zebra", "a", *vocabulary]),
+                          st.sampled_from(kinds)), max_size=3)))
+        frames.append(FrameSample(f"f{index:02d}", "door-1", 0, truth, scenario,
+                                  draw(st.none() | st.just("alice"))))
+    return Dataset(frames)
+
+
 class TestRunExperiment:
+    @settings(max_examples=60, deadline=None)
+    @given(dataset=truth_datasets(), seed=st.integers(0, 50), perfect=st.booleans())
+    def test_frame_outcomes_equal_a_reference_that_sorts(self, dataset, seed, perfect):
+        profiles = dict(DEFAULT_PROFILES)
+        if perfect:
+            profiles["haar"] = profiles["haar"].with_perfect_recall()
+        config = ExperimentConfig(backend_id="haar", threshold=70.0, seed=seed)
+        report = run_experiment(config, dataset=dataset, profiles=profiles)
+        assert report.frames
+        for outcome in report.frames:
+            frame = dataset.get(outcome.frame_id)
+            detections = simulate_detections(frame, frame.scenario, profiles["haar"], seed)
+            predicted = {d.label for d in detections if d.confidence >= 70.0}
+            assert outcome.truth == tuple(sorted(label.name for label in frame.truth))
+            assert outcome.predicted == tuple(sorted(label.name for label in predicted))
+
     def test_perfect_backend_has_accuracy_one(self):
         profiles = dict(DEFAULT_PROFILES)
         profiles["aws-saas"] = profiles["aws-saas"].with_perfect_recall()

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import json
 import pkgutil
+import textwrap
 from types import MappingProxyType
 
 import pytest
@@ -526,6 +528,96 @@ class TestSharedTruthSets:
         collect()
         assert seen == {"shared", "equal to a shared set", "fresh",
                         "ProtocolError", "ValidationError"}
+
+
+def by_name(labels):
+    """The reference order: sorted by name, as every per-frame site sorted."""
+    ordered = tuple(sorted(labels, key=lambda label: label.name))
+    return ordered, tuple(label.name for label in ordered)
+
+
+class TestTruthOrders:
+    def test_each_shared_set_carries_its_sorted_order(self):
+        # run under two PYTHONHASHSEEDs in CI: a frozenset's iteration order
+        # depends on the seed, and the stored tuples must not
+        assert len(model._VOCABULARY_TRUTHS) == 34
+        for truth in model._VOCABULARY_TRUTHS.values():
+            stored = model._TRUTH_ORDERS[truth]
+            assert model.truth_order(truth) is stored
+            assert stored == by_name(truth)
+            assert stored[1] == tuple(sorted(label.name for label in truth))
+            assert all(label in truth for label in stored[0])
+            # an equal frozenset of other, equal Labels gets the stored tuples too
+            copy = frozenset(Label(label.name, label.kind) for label in truth)
+            assert model.truth_order(copy) is stored
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.sets(st.builds(Label, st.sampled_from(["dog", "cat", "gun", "zebra", "a"]),
+                                    st.sampled_from(list(ScenarioKind))), max_size=5),
+           frozen=st.booleans())
+    def test_any_set_gets_the_sorted_order_and_the_table_does_not_grow(self, labels, frozen):
+        labels = frozenset(labels) if frozen else labels
+        order = model.truth_order(labels)
+        assert order == by_name(labels)
+        assert len(model._TRUTH_ORDERS) == 30  # the 34 sets; their five empty ones are equal
+        assert len(model._VOCABULARY_TRUTHS) == 34
+
+    def test_truth_labels_is_a_new_list_on_every_call(self):
+        truth = model.truth_set(ScenarioKind.MULTI_OBJECT, ["dog", "person"])
+        frame = FrameSample("f1", "door-1", 0, truth, ScenarioKind.MULTI_OBJECT)
+        other = FrameSample("f2", "door-2", 5, truth, ScenarioKind.MULTI_OBJECT)
+        first = frame.to_dict()["truth_labels"]
+        assert first == ["dog", "person"]
+        first.append("cat")
+        first[0] = "zebra"
+        second = frame.to_dict()["truth_labels"]
+        assert second == ["dog", "person"] and second is not first
+        assert other.to_dict()["truth_labels"] == ["dog", "person"]
+        assert model.truth_order(truth)[1] == ("dog", "person")
+
+
+# (module, qualified name, only the loop bodies) of each function that builds
+# values once per frame or per request; run_experiment's setup is per run.
+PER_FRAME_FUNCTIONS = [
+    ("doorsim.device", "run_motion_script", False),
+    ("doorsim.dataset", "generate_dataset", False),
+    ("doorsim.device", "DeviceRegistry.register", False),
+    ("doorsim.backends", "simulate_detections", False),
+    ("doorsim.edge", "EdgePipeline.analyze", False),
+    ("doorsim.transport", "CloudClient.call", False),
+    ("doorsim.transport", "CloudClient.ingest", False),
+    ("doorsim.cloud.stream", "IngestStream.append", False),
+    ("doorsim.cloud.notify", "NotificationHub.publish", False),
+    ("doorsim.cloud.queries", "QueryRequest.from_dict", False),
+    ("doorsim.cloud.stores", "CustomLabelJobs.create", False),
+    ("doorsim.harness", "run_experiment", True),
+]
+
+
+def is_value_class(obj):
+    return (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__dataclass_params__.frozen and "__slots__" in vars(obj))
+
+
+@pytest.mark.parametrize("module_name,qualname,loops_only", PER_FRAME_FUNCTIONS,
+                         ids=[entry[1] for entry in PER_FRAME_FUNCTIONS])
+def test_per_frame_values_are_built_positionally(module_name, qualname, loops_only):
+    # A class called with keywords packs them into a dict that __init__
+    # unpacks again; the per-frame sites pass their fields by position.
+    module = importlib.import_module(module_name)
+    owner, fn = None, module
+    for part in qualname.split("."):
+        owner, fn = fn, inspect.getattr_static(fn, part)
+    fn = getattr(fn, "__func__", fn)  # a classmethod's function
+    names = {**vars(module), "cls": owner}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    roots = [node for node in ast.walk(tree) if isinstance(node, ast.For)] if loops_only else [tree]
+    calls = [node for root in roots for node in ast.walk(root)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and is_value_class(names.get(node.func.id))]
+    assert calls, f"{qualname} builds no value"
+    keyword_calls = [f"{call.func.id} at line {call.lineno}" for call in calls if call.keywords]
+    assert keyword_calls == []
 
 
 # -- the codecs against the field-by-field reference ---------------------------

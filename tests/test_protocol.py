@@ -283,6 +283,43 @@ JSON_VALUES = st.recursive(
 )
 
 
+# A request envelope field of the wrong type: a method or path that is not a
+# string, headers or a query that are not an object.
+WRONG_ENVELOPES = st.one_of(
+    st.tuples(st.sampled_from(["method", "path"]),
+              JSON_VALUES.filter(lambda value: not isinstance(value, str))),
+    st.tuples(st.sampled_from(["headers", "query"]),
+              JSON_VALUES.filter(lambda value: not isinstance(value, dict))),
+)
+SESSION, ABSENT = object(), object()  # door-1's own token; no such header
+
+# (id, method, path, headers, query, body, status, code); "{token}" in a
+# header is door-1's session token.
+MALFORMED_ENVELOPES = [
+    ("token_list", "POST", "/ingest", {"x-session-token": [1]}, {}, None, 401, "auth_failed"),
+    ("token_object", "POST", "/ingest", {"x-session-token": {"a": 1}}, {}, None,
+     401, "auth_failed"),
+    ("token_int", "POST", "/ingest", {"x-session-token": 5}, {}, None, 401, "auth_failed"),
+    ("method_list", ["POST"], "/ingest", {"x-session-token": "{token}"}, {}, None,
+     400, "protocol"),
+    ("method_int", 5, "/ingest", {"x-session-token": "{token}"}, {}, None, 400, "protocol"),
+    ("method_none", None, "/devices/register", {}, {}, {"device_id": "door-9"}, 400, "protocol"),
+    ("path_list", "POST", ["/ingest"], {"x-session-token": "{token}"}, {}, None,
+     400, "protocol"),
+    ("get_path_list", "GET", ["/blobs/ab12"], {}, {}, None, 400, "protocol"),
+    ("get_path_int", "GET", 7, {}, {}, None, 400, "protocol"),
+    ("headers_none", "POST", "/ingest", None, {}, None, 400, "protocol"),
+    ("headers_list", "POST", "/ingest", ["x-sim-time"], {}, None, 400, "protocol"),
+    ("headers_none_register", "POST", "/devices/register", None, {}, {"device_id": "door-9"},
+     400, "protocol"),
+    ("query_none", "GET", "/activities", {"x-sim-time": "50"}, None, None, 400, "protocol"),
+    ("query_list", "GET", "/activities", {"x-sim-time": "50"}, ["device"], None,
+     400, "protocol"),
+    ("query_none_ingest", "POST", "/ingest", {"x-session-token": "{token}"}, None, None,
+     400, "protocol"),
+]
+
+
 def gateway_state(service):
     """What a rejected request must leave as it found it."""
     return (
@@ -327,7 +364,7 @@ class TestGatewayTotality:
         assert response.body["ok"] is False
         assert response.body["error"]["code"] == "protocol"
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
+    @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         route=st.sampled_from(sorted(DOCUMENTED_ENDPOINTS)),
@@ -335,21 +372,51 @@ class TestGatewayTotality:
             st.none(), JSON_VALUES, st.dictionaries(BODY_KEYS, JSON_VALUES, max_size=5),
         ),
         query=st.dictionaries(st.sampled_from(["device", "from", "to"]), st.text(max_size=4)),
-        with_session=st.booleans(),
+        token=st.sampled_from([SESSION, ABSENT]) | JSON_VALUES,
+        sim_time=st.sampled_from([ABSENT, "5", "120"]) | JSON_VALUES,
+        wrong=st.none() | WRONG_ENVELOPES,
     )
-    def test_any_request_gets_an_envelope(self, route, body, query, with_session):
-        service, token = service_with_session()
+    def test_any_request_gets_an_envelope(self, route, body, query, token, sim_time, wrong):
+        service, session = service_with_session()
         method, path = route
-        headers = {"x-session-token": token} if with_session else {}
-        response = service.handle(ApiRequest(
-            method, path.replace("{ref}", "ab12"), headers=headers, body=body, query=query,
-        ))
+        headers = {}
+        if token is not ABSENT:
+            headers["x-session-token"] = session if token is SESSION else token
+        if sim_time is not ABSENT:
+            headers["x-sim-time"] = sim_time
+        envelope = {"method": method, "path": path.replace("{ref}", "ab12"),
+                    "headers": headers, "query": query}
+        if wrong is not None:
+            envelope[wrong[0]] = wrong[1]
+        before = gateway_state(service)
+        response = service.handle(ApiRequest(body=body, **envelope))
         if response.status == 200:
             assert response.body["ok"] is True and set(response.body) == {"ok", "data"}
         else:
             assert 400 <= response.status < 500
             assert response.body["ok"] is False
             assert set(response.body["error"]) == {"code", "message"}
+        if wrong is not None:
+            assert (response.status, response.body["error"]["code"]) == (400, "protocol")
+            assert gateway_state(service) == before
+
+    @pytest.mark.parametrize(
+        "method,path,headers,query,body,status,code", [case[1:] for case in MALFORMED_ENVELOPES],
+        ids=[case[0] for case in MALFORMED_ENVELOPES],
+    )
+    def test_malformed_envelope_is_refused_and_changes_nothing(
+            self, service_and_token, method, path, headers, query, body, status, code):
+        service, token = service_and_token
+        if type(headers) is dict:
+            headers = {key: token if value == "{token}" else value
+                       for key, value in headers.items()}
+        before = gateway_state(service)
+        response = service.handle(ApiRequest(
+            method, path, headers=headers, body=body or ingest_body(), query=query,
+        ))
+        assert (response.status, response.body["ok"], response.body["error"]["code"]) == (
+            status, False, code)
+        assert gateway_state(service) == before
 
     @pytest.mark.parametrize(
         "method,path,body,query", [case[1:] for case in MALFORMED_REQUESTS],
