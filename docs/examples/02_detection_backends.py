@@ -30,10 +30,13 @@ frame = FrameSample(
     truth=frozenset({Label("dog", ScenarioKind.ANIMAL_DETECTION)}),
     scenario=ScenarioKind.ANIMAL_DETECTION,
 )
-detections = backend.detect(frame, frame.scenario)
-print(f"\nframe with a dog -> {[(d.label.name, round(d.confidence, 1)) for d in detections]}")
+# detect(frame) -> (detections, latency_ms); an on-device call takes the
+# profile's service time
+detections, latency_ms = backend.detect(frame)
+print(f"\nframe with a dog -> {[(d.label.name, round(d.confidence, 1)) for d in detections]}"
+      f" in {latency_ms} ms")
 print("same frame, same seed, second call ->",
-      detections == backend.detect(frame, frame.scenario))
+      (detections, latency_ms) == backend.detect(frame))
 
 # --- thresholding is where the 70-vs-90 study lives ----------------------------
 kept_90 = apply_confidence_threshold(detections, 90.0)
@@ -48,7 +51,7 @@ for i in range(1000):
         truth=frozenset({Label("dog", ScenarioKind.ANIMAL_DETECTION)}),
         scenario=ScenarioKind.ANIMAL_DETECTION,
     )
-    hits += len(backend.detect(probe, probe.scenario))
+    hits += len(backend.detect(probe)[0])
 recall = DEFAULT_PROFILES["mobilenet-ssd"].per_scenario_recall[ScenarioKind.ANIMAL_DETECTION]
 print(f"1000 dog frames -> {hits} detections (profile recall {recall})")
 

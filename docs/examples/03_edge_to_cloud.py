@@ -33,8 +33,7 @@ injector = FailureInjector(probability=0.3, seed=7)
 client = CloudClient(service, network=NetworkModel(), failure_injector=injector)
 
 pipeline = EdgePipeline(
-    EdgeConfig(backend_id="aws-saas", threshold=70.0,
-               retry=RetryPolicy(max_attempts=20, backoff_ms=100)),
+    EdgeConfig(threshold=70.0, retry=RetryPolicy(max_attempts=20, backoff_ms=100)),
     SimulatedBackend(DEFAULT_PROFILES["aws-saas"].with_perfect_recall(), seed=99),
     client,
 )
@@ -57,7 +56,9 @@ for seq, (name, scenario) in enumerate(SCENES):
     )
     outcome = pipeline.process(event, frame, session)
     total_attempts += outcome.ack.attempts
-    print(f"{event.event_id}: {name:>6} delivered after {outcome.ack.attempts} attempt(s), "
+    record = outcome.record  # detected_at - captured_at: the latency detect returned
+    print(f"{event.event_id}: {name:>6} detected in {record.detected_at - record.captured_at} ms,"
+          f" delivered after {outcome.ack.attempts} attempt(s), "
           f"stream sequence {outcome.ack.sequence}")
 
 print(f"\nstream length {len(service.stream)} (>= {len(SCENES)}: duplicates are appended),"

@@ -25,12 +25,12 @@ from .model import (
     FaceCategory,
     FaceIdentity,
     FrameSample,
-    Label,
     ScenarioKind,
     field as json_field,
     map_field,
     refuse_unknown_keys,
     truth_order,
+    truth_set,
     value,
     value_field,
 )
@@ -302,23 +302,18 @@ class FaceCollection:
 
 def simulate_detections(
     frame: FrameSample,
-    scenario: ScenarioKind,
     profile: BackendProfile,
     seed: int,
     collection: FaceCollection | None = None,
 ) -> list[Detection]:
-    """Profile-driven detection for one frame.
+    """Profile-driven detection for one frame, in its own scenario.
 
     Each truth label is emitted with probability ``recall``; empty-truth
-    frames sprout one spurious label with probability
-    ``false_positive_rate``. All draws are keyed by
-    (seed, backend_id, frame_id, label) and therefore replayable.
+    frames sprout one spurious label of the scenario's vocabulary, the
+    shared Label, with probability ``false_positive_rate``. All draws are
+    keyed by (seed, backend_id, frame_id, label) and therefore replayable.
     """
-    if frame.scenario is not scenario:
-        raise RoutingError(
-            f"frame {frame.frame_id} is {frame.scenario.value}, "
-            f"routed as {scenario.value}"
-        )
+    scenario = frame.scenario
     recall = profile.recall_for(scenario)
     # (seed, backend_id, frame_id), joined once: the middle of every key
     # below. Each draw passes its whole key as one string.
@@ -337,11 +332,12 @@ def simulate_detections(
         if unit_draw(f"fp{SEP}{frame_key}") < profile.false_positive_rate:
             vocabulary = DEFAULT_VOCABULARY[scenario]  # choice_draw, written out
             name = vocabulary[int(unit_draw(f"fp-label{SEP}{frame_key}") * len(vocabulary))]
+            (label,) = truth_set(scenario, (name,))  # the shared Label: none is built
             confidence = profile.confidence.draw(True, f"fp-conf{SEP}{frame_key}")
             identity = None
             if scenario is ScenarioKind.FACE_RECOGNITION:
                 identity = FaceIdentity("unknown", FaceCategory.UNKNOWN)
-            detections.append(Detection(Label(name, scenario), confidence, identity))
+            detections.append(Detection(label, confidence, identity))
     return detections
 
 
@@ -362,21 +358,18 @@ def _resolve_identity(
 class DetectorBackend(ABC):
     """Contract every detection backend satisfies.
 
-    ``detect`` is deterministic given (frame_id, backend_id, seed);
-    ``call_latency_ms`` is the logical duration of a detect call for the
-    frame, which the pipeline adds to the clock instead of sleeping.
+    ``detect(frame)`` returns ``(detections, latency_ms)``, deterministic
+    given (frame_id, backend_id, seed): the latency is the logical duration
+    of that call, which the pipeline adds to the clock instead of sleeping.
     """
 
     @abstractmethod
-    def detect(self, frame: FrameSample, scenario: ScenarioKind) -> list[Detection]:
+    def detect(self, frame: FrameSample) -> tuple[list[Detection], int]:
         raise NotImplementedError
 
     @abstractmethod
     def descriptor(self) -> BackendProfile:
         raise NotImplementedError
-
-    def call_latency_ms(self, frame: FrameSample) -> int:
-        return self.descriptor().service_time_ms
 
 
 class SimulatedBackend(DetectorBackend):
@@ -392,8 +385,9 @@ class SimulatedBackend(DetectorBackend):
         self._seed = seed
         self._collection = collection
 
-    def detect(self, frame: FrameSample, scenario: ScenarioKind) -> list[Detection]:
-        return simulate_detections(frame, scenario, self._profile, self._seed, self._collection)
+    def detect(self, frame: FrameSample) -> tuple[list[Detection], int]:
+        detections = simulate_detections(frame, self._profile, self._seed, self._collection)
+        return detections, self._profile.service_time_ms
 
     def descriptor(self) -> BackendProfile:
         return self._profile
@@ -404,18 +398,16 @@ class RemoteBackend(DetectorBackend):
 
     The client object does the wire round trip; this class only picks the
     scenario's endpoint from :data:`DEFAULT_ROUTES` and reports latency as
-    two one-way network delays plus the service time.
+    that round trip's two one-way network delays plus the service time.
     """
 
     def __init__(self, client, profile: BackendProfile):
         self._client = client
         self._profile = profile
 
-    def detect(self, frame: FrameSample, scenario: ScenarioKind) -> list[Detection]:
-        return self._client.detect(_ROUTE_BY_VALUE[scenario._value_], frame)
+    def detect(self, frame: FrameSample) -> tuple[list[Detection], int]:
+        detections, done = self._client.detect(_ROUTE_BY_VALUE[frame.scenario._value_], frame)
+        return detections, done - frame.captured_at + self._profile.service_time_ms
 
     def descriptor(self) -> BackendProfile:
         return self._profile
-
-    def call_latency_ms(self, frame: FrameSample) -> int:
-        return self._client.round_trip_ms(frame.frame_id, self._profile.service_time_ms)

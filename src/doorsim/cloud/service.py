@@ -5,7 +5,8 @@ and one of the 13 documented routes. Responses always have the shape
 ``{"ok": true, "data": ...}`` or ``{"ok": false, "error": {...}}``; callers
 authenticate with the ``x-session-token`` header and may carry their logical
 clock in ``x-sim-time`` (milliseconds) so the service can stamp ingests and
-answer time-relative queries deterministically. Bodies are read with
+answer time-relative queries deterministically; an ``ok: false`` answer
+leaves the service's clock where it was. Bodies are read with
 :func:`doorsim.model.field`, so a malformed field is a 400 ``protocol``
 envelope and the handlers see well-typed values only.
 
@@ -176,6 +177,7 @@ class CloudService:
             name = None
         params = None
         headers = request.headers
+        now_ms = self._now_ms
         try:
             if name is None or type(headers) is not dict or type(request.query) is not dict:
                 name, params = _slow_route(request, name)
@@ -195,6 +197,7 @@ class CloudService:
             else:
                 data = self._handlers[name](request, **params)
         except DoorsimError as exc:
+            self._now_ms = now_ms  # a refused request leaves the clock where it was
             return _error(exc)
         return ApiResponse(200, {"ok": True, "data": data})
 
@@ -280,8 +283,8 @@ class CloudService:
         collection = self.collections.get(collection_id)
         if collection is None:
             raise NotFoundError(f"unknown face collection: {collection_id}")
-        detections = simulate_detections(frame, frame.scenario, self.profiles[REMOTE_BACKEND_ID],
-                                         self.seed, collection=collection)
+        detections = simulate_detections(frame, self.profiles[REMOTE_BACKEND_ID], self.seed,
+                                         collection=collection)
         return {field_name: [d.to_dict() for d in detections]}
 
     # -- blobs ---------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Edge layer: sample frames, run detection, package records, forward.
 
-Frames from different devices may be in flight concurrently; one device's
-frames are processed strictly in order, which is what keeps per-device
-ingest ordering intact across retries. Backend latency and retry backoff
-advance the logical clock instead of sleeping, so latency measurements are
-deterministic: each record's ``captured_at -> detected_at`` is its latency
-sample. The edge config is built in code and has no file format.
+A pipeline runs each event it is handed to completion (detect, threshold,
+every forward attempt) before it looks at the next, so no two frames are
+ever in flight together and one device's frames keep their ingest order
+across retries. The latency a backend's detect call returns and retry
+backoff advance the logical clock instead of sleeping, so each record's
+``captured_at -> detected_at`` is a deterministic latency sample. The edge
+config is built in code and has no file format.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class RetryPolicy:
 
 @value
 class EdgeConfig:
-    """Edge deployment configuration, built in code (it has no file format)."""
+    """Edge deployment configuration, built in code (it has no file format);
+    the backend a pipeline is given names itself in the records."""
 
-    backend_id: str
     threshold: float = DEFAULT_THRESHOLD
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
@@ -112,10 +113,6 @@ class ProcessOutcome:
     record: AnalyticsRecord | None
     ack: IngestAck | None
 
-    @property
-    def sampled(self) -> bool:
-        return self.record is not None
-
 
 class EdgePipeline:
     """sample -> analyze -> threshold -> forward, with at-least-once retry.
@@ -127,13 +124,9 @@ class EdgePipeline:
     """
 
     def __init__(self, config: EdgeConfig, backend: DetectorBackend, client: CloudClient):
-        if backend.descriptor().backend_id != config.backend_id:
-            raise ValidationError(
-                f"configured backend {config.backend_id!r} does not match "
-                f"{backend.descriptor().backend_id!r}"
-            )
         self.config = config
         self.backend = backend
+        self._backend_id = backend.descriptor().backend_id
         self.client = client
         self.sampler = FrameSampler(config.sampling)
         self.dead_letters: list[AnalyticsRecord] = []
@@ -141,8 +134,7 @@ class EdgePipeline:
     def analyze(self, event: MotionEvent, frame: FrameSample) -> AnalyticsRecord:
         """Run detection on one frame and package the metadata envelope."""
         try:
-            raw = self.backend.detect(frame, frame.scenario)
-            latency = self.backend.call_latency_ms(frame)
+            raw, latency = self.backend.detect(frame)
         except DoorsimError:
             raise
         except Exception as exc:  # backend bug or unavailability
@@ -151,7 +143,7 @@ class EdgePipeline:
         detections = apply_confidence_threshold(raw, config.threshold)
         return AnalyticsRecord(
             event.event_id, frame.device_id, frame.frame_id, tuple(detections),
-            config.backend_id, frame.captured_at, frame.captured_at + latency, config.threshold,
+            self._backend_id, frame.captured_at, frame.captured_at + latency, config.threshold,
         )
 
     def forward(self, record: AnalyticsRecord, session_token: str) -> IngestAck:

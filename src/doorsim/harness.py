@@ -480,7 +480,6 @@ def run_experiment(
 
     backend = _make_backend(profile, config.seed, client, config.enroll)
     edge_config = EdgeConfig(
-        backend_id=config.backend_id,
         threshold=config.threshold,
         retry=config.retry,
         sampling=config.sampling,

@@ -8,14 +8,17 @@ never by wall clock. An optional failure injector simulates transient
 ingest faults, either dropping the request or losing the acknowledgement
 after the server applied it.
 
-A delay is one keyed draw: ``NetworkModel.one_way_ms(direction, key)``
-hashes ``"net␟<seed>␟<direction>␟<key>"`` (␟ is the draws' ``SEP``) and
-adds the model's :meth:`~NetworkModel.delay_terms`. :class:`CloudClient`
-builds each direction's constant text once and makes the two draws of a
-round trip inline, each over one key string, ``unit_draw(prefix +
-delay_key)``, with no method call. On CPython 3.11 (2-vCPU x86-64 host)
-one delay took 0.92-0.98 us that way, against 1.58-2.0 us through a
-method that joined the prefix and the key as two parts.
+A delay is one keyed draw. A message with key ``k`` sent in direction
+``d`` (``c2s`` or ``s2c``) takes
+``low + int(unit_draw("net␟<seed>␟<d>␟<k>") * span)`` ms, where ␟ is the
+draws' ``SEP`` and ``(low, span)`` are the model's
+:meth:`~NetworkModel.delay_terms`. :class:`CloudClient` builds each
+direction's constant text once and makes the two draws of a round trip
+inline, each over one key string, ``unit_draw(prefix + delay_key)``, with
+no method call. On CPython 3.11 (2-vCPU x86-64 host) one delay took
+0.92-0.98 us that way, against 1.58-2.0 us through a method that joined
+the prefix and the key as two parts. A detect call's latency is read from
+the response time that the call itself returns.
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ class NetworkModel:
         no draw is made."""
         jitter = self.jitter_ms
         return self.base_delay_ms - jitter, 2 * jitter + 1 if jitter else 0
-
-    def one_way_ms(self, *key: object) -> int:
-        """The delay keyed by ("net", seed, *key)."""
-        low, span = self.delay_terms()
-        return low + int(unit_draw("net", self.seed, *key) * span) if span else low
 
     def to_dict(self) -> dict[str, int]:
         return {"base_delay_ms": self.base_delay_ms, "jitter_ms": self.jitter_ms}
@@ -105,15 +103,11 @@ class CloudClient:
     ):
         self._service = service
         self.network = network = network or NetworkModel()
-        # Each direction's delay draw hashes its prefix + the message key:
-        # "net␟seed␟c2s␟" + key is the text of one_way_ms("c2s", key).
+        # Each direction's delay draw hashes its prefix + the message key.
         self._c2s = key_prefix("net", network.seed, "c2s", "")
         self._s2c = key_prefix("net", network.seed, "s2c", "")
         self._low, self._span = network.delay_terms()
         self.failure_injector = failure_injector
-        # (frame_id, c2s + s2c) of the last detect call, so that
-        # round_trip_ms for that frame does not draw the same jitter again.
-        self._last_detect: tuple[str, int] | None = None
 
     # -- raw protocol ------------------------------------------------------
 
@@ -172,12 +166,13 @@ class CloudClient:
         )
         return self._data(response)["session_token"]
 
-    def detect(self, path: str, frame: FrameSample, collection_id: str = "default") -> list[Detection]:
+    def detect(self, path: str, frame: FrameSample,
+               collection_id: str = "default") -> tuple[list[Detection], int]:
+        """One round trip sent at the frame's capture time: (detections, response time)."""
         response, done = self.call(
             "POST", path, {"frame": frame.to_dict(), "collection_id": collection_id},
             at_ms=frame.captured_at, delay_key=f"detect:{frame.frame_id}",
         )
-        self._last_detect = (frame.frame_id, done - frame.captured_at)
         data = self._data(response)
         # As AnalyticsRecord.from_dict: an exact array of exact objects
         # inline, list_field() for the rest.
@@ -190,20 +185,7 @@ class CloudClient:
                     break
         if type(items) is not list:
             items = list_field(data, name, dict)
-        return list(map(Detection.from_dict, items))
-
-    def round_trip_ms(self, frame_id: str, service_time_ms: int) -> int:
-        """Logical latency of a detect call for this frame."""
-        last = self._last_detect
-        if last is not None and last[0] == frame_id:
-            return last[1] + service_time_ms
-        rtt = 2 * self._low + service_time_ms
-        span = self._span
-        if span:
-            key = f"detect:{frame_id}"
-            rtt += (int(unit_draw(self._c2s + key) * span)
-                    + int(unit_draw(self._s2c + key) * span))
-        return rtt
+        return list(map(Detection.from_dict, items)), done
 
     def ingest(self, record: AnalyticsRecord, session_token: str,
                at_ms: int, attempt: int = 0) -> IngestAck:

@@ -161,8 +161,7 @@ def _pipeline_trial(trial: int) -> None:
     client = CloudClient(service, network=NetworkModel(jitter_ms=0), failure_injector=injector)
     profile = DEFAULT_PROFILES["haar"]
     pipeline = EdgePipeline(
-        EdgeConfig(backend_id="haar", threshold=70.0,
-                   retry=RetryPolicy(max_attempts=60, backoff_ms=10)),
+        EdgeConfig(threshold=70.0, retry=RetryPolicy(max_attempts=60, backoff_ms=10)),
         SimulatedBackend(profile, seed=trial),
         client,
     )

@@ -17,7 +17,7 @@ from doorsim.backends import (
     simulate_detections,
 )
 from doorsim.cloud import CloudService
-from doorsim.errors import RoutingError, ValidationError
+from doorsim.errors import ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
     FaceCategory,
@@ -78,38 +78,43 @@ def frame_with(names, scenario=ScenarioKind.ANIMAL_DETECTION, frame_id="f0", ide
 class TestSimulatedDetection:
     def test_certain_detection(self):
         out = simulate_detections(frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT),
-                                  ScenarioKind.UNSAFE_CONTENT, profile_with(1.0), seed=1)
+                                  profile_with(1.0), seed=1)
         assert [d.label.name for d in out] == ["gun"]
 
     def test_certain_miss(self):
         out = simulate_detections(frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT),
-                                  ScenarioKind.UNSAFE_CONTENT, profile_with(0.0), seed=1)
+                                  profile_with(0.0), seed=1)
         assert out == []
-
-    def test_scenario_mismatch_is_routing_error(self):
-        with pytest.raises(RoutingError):
-            simulate_detections(frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT),
-                                ScenarioKind.ANIMAL_DETECTION, profile_with(1.0), seed=1)
 
     def test_no_spurious_detections_when_fp_rate_zero(self):
         for i in range(200):
             out = simulate_detections(frame_with(set(), frame_id=f"f{i}"),
-                                      ScenarioKind.ANIMAL_DETECTION,
                                       profile_with(1.0, fp_rate=0.0), seed=3)
             assert out == []
 
     def test_spurious_detections_when_fp_rate_one(self):
-        out = simulate_detections(frame_with(set()), ScenarioKind.ANIMAL_DETECTION,
-                                  profile_with(1.0, fp_rate=1.0), seed=3)
+        out = simulate_detections(frame_with(set()), profile_with(1.0, fp_rate=1.0), seed=3)
         assert len(out) == 1
         assert out[0].label.name in ("dog", "cat")
         assert 70.0 <= out[0].confidence < 90.0
 
+    @pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda kind: kind.value)
+    def test_a_spurious_label_is_the_shared_vocabulary_label(self, scenario):
+        profile = profile_with(1.0, fp_rate=1.0)
+        names = set()
+        for i in range(40):
+            (detection,) = simulate_detections(frame_with(set(), scenario, frame_id=f"f{i}"),
+                                               profile, seed=3)
+            (shared,) = truth_set(scenario, [detection.label.name])
+            assert detection.label is shared
+            names.add(detection.label.name)
+        assert names == set(DEFAULT_VOCABULARY[scenario])
+
     def test_true_confidence_spans_default_band(self):
         profile = profile_with(1.0)
         confidences = [
-            simulate_detections(frame_with({"dog"}, frame_id=f"f{i}"),
-                                ScenarioKind.ANIMAL_DETECTION, profile, seed=11)[0].confidence
+            simulate_detections(frame_with({"dog"}, frame_id=f"f{i}"), profile,
+                                seed=11)[0].confidence
             for i in range(300)
         ]
         assert all(70.0 <= c < 100.0 for c in confidences)
@@ -123,7 +128,7 @@ class TestSimulatedDetection:
         expected = 0
         for i in range(1000):
             frame = frame_with({"dog"}, frame_id=f"f{i:04d}")
-            out = simulate_detections(frame, ScenarioKind.ANIMAL_DETECTION, profile, seed)
+            out = simulate_detections(frame, profile, seed)
             emitted += len(out)
 
             key = "\x1f".join(str(p) for p in ("emit", seed, "calib", frame.frame_id, "dog"))
@@ -141,8 +146,8 @@ class TestSimulatedDetection:
         for _ in range(2):
             total = 0
             for i in range(1000):
-                out = simulate_detections(frame_with({"dog"}, frame_id=f"f{i:04d}"),
-                                          ScenarioKind.ANIMAL_DETECTION, profile, seed=17)
+                out = simulate_detections(frame_with({"dog"}, frame_id=f"f{i:04d}"), profile,
+                                          seed=17)
                 total += len(out)
             counts.append(total)
         assert counts[0] == counts[1]
@@ -155,7 +160,7 @@ class TestSimulatedDetection:
             out = []
             backend = SimulatedBackend(profile, seed=5)
             for frame in frames:
-                out.extend(d.to_dict() for d in backend.detect(frame, frame.scenario))
+                out.extend(d.to_dict() for d in backend.detect(frame)[0])
             return canonical_json(out)
 
         assert stream() == stream()
@@ -187,8 +192,8 @@ class TestEmissionOrder:
     @given(frame=truth_frames(), recall=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 99))
     def test_equals_a_reference_that_sorts(self, frame, recall, seed):
         profile = profile_with(recall, fp_rate=0.5)
-        got = simulate_detections(frame, frame.scenario, profile, seed)
-        assert got == reference_simulate_detections(frame, frame.scenario, profile, seed)
+        got = simulate_detections(frame, profile, seed)
+        assert got == reference_simulate_detections(frame, profile, seed)
         if frame.truth:
             emitted = [d.label.name for d in got]
             assert emitted == sorted(emitted)
@@ -231,8 +236,7 @@ class TestFaceResolution:
         collection.enroll("alice", FaceCategory.FAMILY)
         profile = profile_with(1.0, face_miss_rate=0.0)
         frame = frame_with({"face"}, ScenarioKind.FACE_RECOGNITION, identity="alice")
-        (detection,) = simulate_detections(frame, ScenarioKind.FACE_RECOGNITION,
-                                           profile, seed=1, collection=collection)
+        (detection,) = simulate_detections(frame, profile, seed=1, collection=collection)
         assert detection.identity.token == "alice"
         assert detection.identity.category is FaceCategory.FAMILY
 
@@ -240,8 +244,7 @@ class TestFaceResolution:
         collection = FaceCollection()
         profile = profile_with(1.0, face_miss_rate=0.0)
         frame = frame_with({"face"}, ScenarioKind.FACE_RECOGNITION, identity="mallory")
-        (detection,) = simulate_detections(frame, ScenarioKind.FACE_RECOGNITION,
-                                           profile, seed=1, collection=collection)
+        (detection,) = simulate_detections(frame, profile, seed=1, collection=collection)
         assert detection.identity.category is FaceCategory.UNKNOWN
 
     def test_miss_rate_defaults_to_one_minus_face_recall(self):
@@ -254,8 +257,7 @@ class TestFaceResolution:
         collection.enroll("alice", FaceCategory.FAMILY)
         profile = profile_with(1.0, face_miss_rate=1.0)
         frame = frame_with({"face"}, ScenarioKind.FACE_RECOGNITION, identity="alice")
-        (detection,) = simulate_detections(frame, ScenarioKind.FACE_RECOGNITION,
-                                           profile, seed=1, collection=collection)
+        (detection,) = simulate_detections(frame, profile, seed=1, collection=collection)
         assert detection.identity.category is FaceCategory.UNKNOWN
 
 
@@ -327,7 +329,7 @@ class TestRemoteBackend:
         service.profiles = profiles
         backend = RemoteBackend(client, profiles["aws-saas"])
         frame = frame_with({"face"}, ScenarioKind.FACE_RECOGNITION, identity="alice")
-        (detection,) = backend.detect(frame, ScenarioKind.FACE_RECOGNITION)
+        (detection,), _ = backend.detect(frame)
         assert detection.identity.token == "alice"
         assert detection.identity.category is FaceCategory.FAMILY
 
@@ -338,7 +340,7 @@ class TestRemoteBackend:
         service.profiles = profiles
         backend = RemoteBackend(client, profiles["aws-saas"])
         frame = frame_with({"face"}, ScenarioKind.FACE_RECOGNITION, identity="mallory")
-        (detection,) = backend.detect(frame, ScenarioKind.FACE_RECOGNITION)
+        (detection,), _ = backend.detect(frame)
         assert detection.identity.category is FaceCategory.UNKNOWN
 
     def test_moderation_recall_calibration(self):
@@ -348,7 +350,7 @@ class TestRemoteBackend:
         emitted = 0
         for i in range(1000):
             frame = frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT, frame_id=f"g{i:04d}")
-            emitted += len(backend.detect(frame, ScenarioKind.UNSAFE_CONTENT))
+            emitted += len(backend.detect(frame)[0])
         assert abs(emitted - 880) <= 30
 
     def test_latency_is_two_delays_plus_service_time(self):
@@ -356,25 +358,7 @@ class TestRemoteBackend:
         client = CloudClient(service, network=NetworkModel(base_delay_ms=40, jitter_ms=0))
         backend = RemoteBackend(client, DEFAULT_PROFILES["aws-saas"])
         frame = frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT)
-        assert backend.call_latency_ms(frame) == 2 * 40 + 25
-
-    def test_latency_is_the_same_with_or_without_a_prior_detect(self):
-        frames = [
-            frame_with({"gun"}, ScenarioKind.UNSAFE_CONTENT, frame_id=f"g{i}") for i in range(20)
-        ]
-        _, fresh = self.make_client(seed=4)
-        fresh_backend = RemoteBackend(fresh, DEFAULT_PROFILES["aws-saas"])
-        cold = [fresh_backend.call_latency_ms(frame) for frame in frames]
-        _, client = self.make_client(seed=4)
-        backend = RemoteBackend(client, DEFAULT_PROFILES["aws-saas"])
-        warm = []
-        for frame in frames:
-            backend.detect(frame, frame.scenario)
-            warm.append(backend.call_latency_ms(frame))
-        assert warm == cold
-        assert len(set(cold)) > 1  # the jitter is really drawn
-        # another frame's latency after a detect is drawn, not taken from the last detect
-        assert backend.call_latency_ms(frames[0]) == cold[0]
+        assert backend.detect(frame)[1] == 2 * 40 + 25
 
 
 def test_backend_substitutability_same_record_shape():
@@ -386,7 +370,7 @@ def test_backend_substitutability_same_record_shape():
                            DEFAULT_PROFILES["aws-saas"].with_perfect_recall())
     service.profiles["aws-saas"] = DEFAULT_PROFILES["aws-saas"].with_perfect_recall()
     for backend in (local, remote):
-        (detection,) = backend.detect(frame, frame.scenario)
+        (detection,), _ = backend.detect(frame)
         assert set(detection.to_dict()) == {
             "label", "kind", "confidence", "identity", "category", "box",
         }
@@ -408,8 +392,7 @@ def test_pipeline_records_structurally_identical_across_backends():
             backend = RemoteBackend(client, profile)
         else:
             backend = SimulatedBackend(profile, seed=4)
-        pipeline = EdgePipeline(EdgeConfig(backend_id=backend_id, threshold=70.0),
-                                backend, client)
+        pipeline = EdgePipeline(EdgeConfig(threshold=70.0), backend, client)
         record_dicts.append(pipeline.analyze(event, frame).to_dict())
     assert set(record_dicts[0]) == set(record_dicts[1])
     assert [d["label"] for d in record_dicts[0]["detections"]] == \

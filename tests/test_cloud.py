@@ -618,7 +618,8 @@ class TestServiceWiring:
 # inline, the ingest runs Dispatcher.run_pass itself and goes on only when a
 # handler failed or appended, and the hub keeps one delivered-id set per
 # subscriber. ReferenceService is the service as it was written before,
-# kept here as the reference that it must equal.
+# kept here as the reference that it must equal; it shares one later rule,
+# that a request answered with ``ok: false`` leaves the clock where it was.
 
 def run_until_current_pass_by_pass(dispatcher, stream, max_passes=1000):
     for _ in range(max_passes):
@@ -676,6 +677,7 @@ class ReferenceService(CloudService):
             match = service_module._BLOB_ROUTE.fullmatch(request.path)
             if match is not None:
                 name, params = "get_blob", match.groupdict()
+        now_ms = self.now_ms
         try:
             if "x-sim-time" in request.headers:
                 self.advance_clock(parse_int(request.headers["x-sim-time"], "x-sim-time"))
@@ -683,6 +685,7 @@ class ReferenceService(CloudService):
                 raise NotFoundError(f"no route for {request.method} {request.path}")
             data = self._handlers[name](request, **params)
         except DoorsimError as exc:
+            self._now_ms = now_ms  # a refused request leaves the clock where it was
             return service_module._error(exc)
         return ApiResponse(200, {"ok": True, "data": data})
 

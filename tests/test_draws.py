@@ -1,3 +1,4 @@
+from dataclasses import replace
 from hashlib import sha256
 
 import pytest
@@ -6,15 +7,18 @@ from hypothesis import strategies as st
 
 from doorsim import transport
 from doorsim.backends import (
+    DEFAULT_PROFILES,
     DEFAULT_ROUTES,
     BackendCategory,
     BackendProfile,
     ConfidenceModel,
     FaceCollection,
+    RemoteBackend,
     simulate_detections,
 )
 from doorsim.cloud import CloudService
 from doorsim.draws import choice_draw, int_draw, key_prefix, unit_draw
+from doorsim.edge import EdgeConfig, EdgePipeline
 from doorsim.errors import ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
@@ -24,6 +28,7 @@ from doorsim.model import (
     FaceIdentity,
     FrameSample,
     Label,
+    MotionEvent,
     ScenarioKind,
 )
 from doorsim.transport import CloudClient, NetworkModel
@@ -86,20 +91,38 @@ class TestRangedDraws:
             choice_draw((), "x")
 
 
+def one_way_delays(network, frame_ids, at=1000):
+    """The (c2s, s2c) delays of one detect call per frame id on one client,
+    read off the x-sim-time each request carried and the time the call
+    returned."""
+    recorder = Recorder()
+    client = CloudClient(recorder, network=network)
+    delays = []
+    for frame_id in frame_ids:
+        frame = FrameSample(frame_id, "door-1", at, frozenset(), ScenarioKind.ANIMAL_DETECTION)
+        _, done = client.detect("/detect/labels", frame)
+        arrive = recorder.arrivals[-1]
+        delays.append((arrive - at, done - arrive))
+    return delays
+
+
 class TestNetworkModel:
     def test_zero_jitter_is_constant(self):
         network = NetworkModel(base_delay_ms=40, jitter_ms=0)
-        assert network.one_way_ms("any", "key") == 40
+        assert set(one_way_delays(network, [f"f{i}" for i in range(20)])) == {(40, 40)}
 
     def test_jitter_stays_within_bounds(self):
         network = NetworkModel(base_delay_ms=40, jitter_ms=10, seed=1)
-        delays = [network.one_way_ms("c2s", i) for i in range(500)]
+        delays = [d for pair in one_way_delays(network, [f"f{i}" for i in range(250)])
+                  for d in pair]
         assert all(30 <= d <= 50 for d in delays)
         assert min(delays) < 35 and max(delays) > 45
 
     def test_same_key_same_delay(self):
         network = NetworkModel(seed=2)
-        assert network.one_way_ms("c2s", "f0") == network.one_way_ms("c2s", "f0")
+        first, again, other = one_way_delays(network, ["f0", "f0", "f1"])
+        assert first == again
+        assert one_way_delays(network, ["f1", "f0"]) == [other, first]  # a fresh client
 
     def test_jitter_must_not_exceed_base(self):
         with pytest.raises(ValidationError):
@@ -135,8 +158,8 @@ def reference_confidence(model, spurious, *key):
     return min(100.0, max(0.0, mean - spread + 2.0 * spread * reference_unit_draw(*key)))
 
 
-def reference_simulate_detections(frame, scenario, profile, seed, collection=None):
-    backend_id = profile.backend_id
+def reference_simulate_detections(frame, profile, seed, collection=None):
+    scenario, backend_id = frame.scenario, profile.backend_id
     detections = []
     for label in sorted(frame.truth, key=lambda l: l.name):
         if reference_unit_draw("emit", seed, backend_id, frame.frame_id,
@@ -209,17 +232,21 @@ def profiles(draw):
 
 
 class TestDrawSitesEqualTheirFormulas:
-    @given(networks(), st.lists(KEYS, max_size=3))
-    def test_one_way_ms(self, network, key):
-        assert network.one_way_ms(*key) == reference_one_way_ms(network, *key)
-
-    @given(networks(), st.text(max_size=8), st.integers(0, 100))
-    def test_client_round_trip(self, network, frame_id, service_time):
-        client = CloudClient(None, network=network)
-        key = f"detect:{frame_id}"
+    @settings(max_examples=60, deadline=None)
+    @given(networks(), frames(), st.integers(0, 10**9), st.integers(0, 100))
+    def test_client_round_trip(self, network, frame, at, service_time):
+        # a remote detect's latency, and its record's, is the keyed round trip
+        frame = frame.stamped("door-1", at)
+        key = f"detect:{frame.frame_id}"
         expected = (reference_one_way_ms(network, "c2s", key) + service_time
                     + reference_one_way_ms(network, "s2c", key))
-        assert client.round_trip_ms(frame_id, service_time) == expected
+        client = CloudClient(CloudService(), network=network)
+        profile = replace(DEFAULT_PROFILES["aws-saas"], service_time_ms=service_time)
+        backend = RemoteBackend(client, profile)
+        assert backend.detect(frame)[1] == expected
+        record = EdgePipeline(EdgeConfig(), backend, client).analyze(
+            MotionEvent("door-1", at, "door-1:0"), frame)
+        assert record.detected_at - record.captured_at == expected
 
     @given(profiles(), st.booleans(), st.lists(KEYS, max_size=5))
     def test_confidence_draw(self, profile, spurious, key):
@@ -233,8 +260,8 @@ class TestDrawSitesEqualTheirFormulas:
         if with_collection:
             collection = FaceCollection()
             collection.enroll("alice", FaceCategory.FAMILY)
-        actual = simulate_detections(frame, frame.scenario, profile, seed, collection)
-        expected = reference_simulate_detections(frame, frame.scenario, profile, seed, collection)
+        actual = simulate_detections(frame, profile, seed, collection)
+        expected = reference_simulate_detections(frame, profile, seed, collection)
         assert actual == expected
 
     @given(frames(), SEEDS)
@@ -246,8 +273,8 @@ class TestDrawSitesEqualTheirFormulas:
                 ScenarioKind.NOTEWORTHY_VEHICLE: "/detect/text"}.get(frame.scenario,
                                                                    "/detect/labels")
         expected = reference_simulate_detections(
-            frame, frame.scenario, service.profiles["aws-saas"], seed, service.collections["default"])
-        assert client.detect(path, frame) == expected
+            frame, service.profiles["aws-saas"], seed, service.collections["default"])
+        assert client.detect(path, frame)[0] == expected
 
 
 # -- the client's inlined delays -------------------------------------------------
@@ -277,18 +304,15 @@ def registered_client(network):
 
 class TestClientDelaysEqualTheirFormula:
     @settings(max_examples=60, deadline=None)
-    @given(networks(), frames(), st.integers(0, 10**9), st.integers(0, 100))
-    def test_detect_arrives_and_returns_at_the_keyed_delays(self, network, frame, at,
-                                                           service_time):
+    @given(networks(), frames(), st.integers(0, 10**9))
+    def test_detect_arrives_and_returns_at_the_keyed_delays(self, network, frame, at):
         recorder, client, _ = registered_client(network)
         frame = frame.stamped("door-1", at)
-        client.detect(DEFAULT_ROUTES[frame.scenario], frame)
+        _, done = client.detect(DEFAULT_ROUTES[frame.scenario], frame)
         key = f"detect:{frame.frame_id}"
-        assert recorder.arrivals[-1] == at + reference_one_way_ms(network, "c2s", key)
-        # the last detect's own round trip, kept from the call
-        assert client.round_trip_ms(frame.frame_id, service_time) == (
-            reference_one_way_ms(network, "c2s", key) + service_time
-            + reference_one_way_ms(network, "s2c", key))
+        arrive = at + reference_one_way_ms(network, "c2s", key)
+        assert recorder.arrivals[-1] == arrive
+        assert done == arrive + reference_one_way_ms(network, "s2c", key)
 
     @settings(max_examples=60, deadline=None)
     @given(networks(), st.text(max_size=8), st.lists(st.integers(0, 10**9), min_size=1,
@@ -312,9 +336,10 @@ class TestClientDelaysEqualTheirFormula:
         monkeypatch.setattr(transport, "unit_draw", refuse)
         recorder, client, session = registered_client(network)
         frame = FrameSample("f", "door-1", 100, frozenset(), ScenarioKind.ANIMAL_DETECTION)
-        client.detect("/detect/labels", frame)
+        backend = RemoteBackend(client, DEFAULT_PROFILES["aws-saas"])
+        assert backend.detect(frame)[1] == 105
         record = AnalyticsRecord("door-1:0", "door-1", "f", (), "aws-saas", 100, 100, 70.0)
         ack = client.ingest(record, session, at_ms=200, attempt=1)
         assert recorder.arrivals[-2:] == [140, 240]
         assert ack.acked_at == 280
-        assert client.round_trip_ms("f", 25) == client.round_trip_ms("g", 25) == 105
+        assert backend.detect(frame.stamped("door-1", 500))[1] == 105

@@ -3,7 +3,7 @@ import pytest
 from doorsim.backends import BackendCategory, BackendProfile, SimulatedBackend
 from doorsim.cloud import CloudService
 from doorsim.edge import EdgeConfig, EdgePipeline, FrameSampler, RetryPolicy, SamplingPolicy
-from doorsim.errors import DeliveryFailedError, RoutingError, ValidationError
+from doorsim.errors import DeliveryFailedError, RoutingError
 from doorsim.model import FrameSample, Label, MotionEvent, ScenarioKind
 from doorsim.transport import CloudClient, FailureInjector, NetworkModel
 
@@ -41,11 +41,7 @@ def make_stack(backend_profile=None, threshold=90.0, retry=None, injector=None, 
     backend_profile = backend_profile or profile()
     service = CloudService(seed=seed)
     client = CloudClient(service, network=NetworkModel(seed=seed), failure_injector=injector)
-    config = EdgeConfig(
-        backend_id=backend_profile.backend_id,
-        threshold=threshold,
-        retry=retry or RetryPolicy(),
-    )
+    config = EdgeConfig(threshold=threshold, retry=retry or RetryPolicy())
     pipeline = EdgePipeline(config, SimulatedBackend(backend_profile, seed), client)
     _, secret = client.register_device("door-1")
     session = client.authenticate("door-1", secret)
@@ -116,13 +112,12 @@ class TestAnalyze:
         from doorsim.errors import DetectionFailedError
 
         class BrokenBackend(SimulatedBackend):
-            def detect(self, f, scenario):
+            def detect(self, f):
                 raise RuntimeError("inference engine unavailable")
 
         service = CloudService(seed=0)
         client = CloudClient(service, network=NetworkModel(seed=0))
-        pipeline = EdgePipeline(EdgeConfig(backend_id="unit-backend"),
-                                BrokenBackend(profile(), 0), client)
+        pipeline = EdgePipeline(EdgeConfig(), BrokenBackend(profile(), 0), client)
         with pytest.raises(DetectionFailedError, match="f0"):
             pipeline.analyze(event(), frame(frame_id="f0"))
 
@@ -203,9 +198,9 @@ class TestForward:
         class CountingBackend(SimulatedBackend):
             calls = 0
 
-            def detect(self, f, scenario):
+            def detect(self, f):
                 CountingBackend.calls += 1
-                return super().detect(f, scenario)
+                return super().detect(f)
 
         class FailOnce:
             done = False
@@ -218,7 +213,7 @@ class TestForward:
 
         service = CloudService(seed=0)
         client = CloudClient(service, network=NetworkModel(seed=0), failure_injector=FailOnce())
-        config = EdgeConfig(backend_id="unit-backend", retry=RetryPolicy(max_attempts=5))
+        config = EdgeConfig(retry=RetryPolicy(max_attempts=5))
         pipeline = EdgePipeline(config, CountingBackend(profile(), 0), client)
         _, secret = client.register_device("door-1")
         session = client.authenticate("door-1", secret)
@@ -238,8 +233,11 @@ class TestForward:
 
 
 class TestEdgeConfig:
-    def test_backend_must_match_config(self):
-        service = CloudService(seed=0)
-        client = CloudClient(service)
-        with pytest.raises(ValidationError):
-            EdgePipeline(EdgeConfig(backend_id="other"), SimulatedBackend(profile(), 0), client)
+    def test_records_name_the_given_backend(self):
+        # the config names no backend: one config serves any backend
+        config = EdgeConfig(threshold=70.0)
+        client = CloudClient(CloudService(seed=0))
+        for backend_id in ("unit-backend", "other"):
+            pipeline = EdgePipeline(config, SimulatedBackend(profile(backend_id=backend_id), 0),
+                                    client)
+            assert pipeline.analyze(event(), frame()).backend_id == backend_id

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doorsim.backends import DEFAULT_PROFILES, simulate_detections
+from doorsim.backends import DEFAULT_PROFILES, RemoteBackend, simulate_detections
+from doorsim.cloud import CloudService
 from doorsim.dataset import Dataset, GeneratorConfig, generate_dataset
 from doorsim.errors import ValidationError
 from doorsim.harness import (
@@ -31,7 +32,7 @@ from doorsim.edge import RetryPolicy, SamplingPolicy
 from doorsim.model import (
     DEFAULT_VOCABULARY, FaceCategory, FrameSample, Label, ScenarioKind, canonical_json, truth_set,
 )
-from doorsim.transport import FailureInjector, NetworkModel
+from doorsim.transport import CloudClient, FailureInjector, NetworkModel
 
 ANIMAL = ScenarioKind.ANIMAL_DETECTION
 
@@ -177,13 +178,13 @@ class TestLatencyStats:
 
     def test_remote_model_without_jitter_is_exact(self):
         # 2 x 40 one-way + 20 service = 100 per round trip
-        network = NetworkModel(base_delay_ms=40, jitter_ms=0)
-        service_time = 20
+        client = CloudClient(CloudService(), network=NetworkModel(base_delay_ms=40, jitter_ms=0))
+        backend = RemoteBackend(client, replace(DEFAULT_PROFILES["aws-saas"], service_time_ms=20))
         trace = []
         for i in range(10):
             start = i * 1000
-            rtt = network.one_way_ms("c2s", i) + service_time + network.one_way_ms("s2c", i)
-            trace.append((start, start + rtt))
+            frame = FrameSample(f"f{i}", "door-1", start, frozenset(), ANIMAL)
+            trace.append((start, start + backend.detect(frame)[1]))
         stats = latency_stats(trace)
         assert stats.mean_ms == 100.0
         assert stats.p50_ms == 100.0
@@ -307,7 +308,7 @@ class TestRunExperiment:
         assert report.frames
         for outcome in report.frames:
             frame = dataset.get(outcome.frame_id)
-            detections = simulate_detections(frame, frame.scenario, profiles["haar"], seed)
+            detections = simulate_detections(frame, profiles["haar"], seed)
             predicted = {d.label for d in detections if d.confidence >= 70.0}
             assert outcome.truth == tuple(sorted(label.name for label in frame.truth))
             assert outcome.predicted == tuple(sorted(label.name for label in predicted))
@@ -480,11 +481,11 @@ class TestRunExperiment:
         calls = {"n": 0}
         original = SimulatedBackend.detect
 
-        def failing_detect(self, frame, scenario):
+        def failing_detect(self, frame):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise RuntimeError("camera backend fell over")
-            return original(self, frame, scenario)
+            return original(self, frame)
 
         monkeypatch.setattr(SimulatedBackend, "detect", failing_detect)
         trace_path = tmp_path / "partial.json"

@@ -911,7 +911,8 @@ DETECT_FRAME = FrameSample("f", "d", 0, frozenset(), ScenarioKind.ANIMAL_DETECTI
 
 
 def detect_response(body):
-    return CloudClient(Replies(body)).detect("/detect/labels", DETECT_FRAME)
+    detections, _ = CloudClient(Replies(body)).detect("/detect/labels", DETECT_FRAME)
+    return detections
 
 
 def reference_detect_response(body):

@@ -165,7 +165,7 @@ class TestDetectEndpointTable:
             if scenario in scenarios:
                 assert response.status == 200
                 assert list(response.body["data"]) == [field_name]
-                detections = client.detect(path, frame)
+                detections, _ = client.detect(path, frame)
                 assert {d.label for d in detections} == frame.truth
             else:
                 assert response.status == 400
@@ -396,6 +396,7 @@ class TestGatewayTotality:
             assert 400 <= response.status < 500
             assert response.body["ok"] is False
             assert set(response.body["error"]) == {"code", "message"}
+            assert service.now_ms == before[-1]  # a refused request leaves the clock
         if wrong is not None:
             assert (response.status, response.body["error"]["code"]) == (400, "protocol")
             assert gateway_state(service) == before
@@ -408,8 +409,8 @@ class TestGatewayTotality:
             self, service_and_token, method, path, headers, query, body, status, code):
         service, token = service_and_token
         if type(headers) is dict:
-            headers = {key: token if value == "{token}" else value
-                       for key, value in headers.items()}
+            headers = {"x-sim-time": "900", **{key: token if value == "{token}" else value
+                                               for key, value in headers.items()}}
         before = gateway_state(service)
         response = service.handle(ApiRequest(
             method, path, headers=headers, body=body or ingest_body(), query=query,
@@ -427,9 +428,26 @@ class TestGatewayTotality:
         service, token = service_and_token
         before = gateway_state(service)
         service.handle(ApiRequest(
-            method, path, headers={"x-session-token": token}, body=body, query=query,
+            method, path, headers={"x-session-token": token, "x-sim-time": "900"},
+            body=body, query=query,
         ))
         assert gateway_state(service) == before
+
+    @pytest.mark.parametrize("method,path,headers,status", [
+        ("GET", "/nope", {"x-sim-time": "500"}, 404),
+        ("POST", "/ingest", {"x-sim-time": "900", "x-session-token": "bogus"}, 401),
+        ("POST", "/ingest", {"x-sim-time": "900", "x-session-token": "{token}"}, 400),
+    ], ids=["unrouted", "bad_token", "no_record"])
+    def test_refused_request_leaves_the_clock(self, service_and_token, method, path, headers,
+                                              status):
+        service, token = service_and_token
+        headers = {key: token if value == "{token}" else value for key, value in headers.items()}
+        response = service.handle(ApiRequest(method, path, headers=headers, body={}))
+        assert (response.status, service.now_ms) == (status, 0)
+        response = service.handle(ApiRequest(
+            "GET", "/activities", headers={"x-sim-time": "700"}, query={"device": "door-1"},
+        ))
+        assert (response.status, service.now_ms) == (200, 700)
 
     @pytest.mark.parametrize("value", ["\u0665\u0660", " 50", "5_0", "+50", "5" * 5000],
                              ids=["arabic_indic", "padded", "underscore", "plus", "too_long"])
