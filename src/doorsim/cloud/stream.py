@@ -10,9 +10,11 @@ event id once and keeps its sequence on the entry (``event_seq``), which the
 metadata store indexes by without parsing it again, and the gateway runs
 one :meth:`Dispatcher.run_pass`, going on to further passes only when a
 handler failed or appended. Under cProfile, a ``gateway-mix`` ingest of
-perfbench at seed 1 makes 63.8 Python calls, down from 77.6 when every
-event id was parsed twice and the dispatch went through ``run_until_current``
-(see ``BENCH_14.json``).
+perfbench at seed 1 makes 55.3 calls, Python and built-in, each code object
+counted apart: 77.6 when every event id was parsed twice and the dispatch
+went through ``run_until_current`` (see ``BENCH_14.json``), 63.8 after that,
+and 62.2 before the device registry dropped its lock and the ingest its
+one-line helpers (see ``BENCH_19.json``).
 """
 
 from __future__ import annotations

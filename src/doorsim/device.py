@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import threading
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -69,64 +68,69 @@ class Credential:
 class DeviceRegistry:
     """Registered devices, their fingerprints, and live session tokens.
 
-    Registration and authentication are atomic under a lock so concurrent
-    callers still observe unique device ids and unforgeable tokens. This
-    is the one per-object lock left in the core. The rest of
+    Safe to share between threads without a lock. Every step that reads or
+    changes shared state is one C-level call on a dict or on the
+    ``random.Random``: ``dict.get``, ``dict.setdefault``, one item
+    assignment, ``len`` and ``getrandbits``. Each is atomic under the GIL,
+    and on a free-threaded build dicts and ``Random`` lock themselves
+    around each such call. ``register`` checks for a taken id first, so a
+    run on one thread draws the RNG exactly once per registered device,
+    then claims the id with one ``setdefault``: of callers racing for one
+    id, exactly one finds its own record stored and the others get
+    :class:`ConflictError`. ``authenticate`` stores each fresh token with
+    one assignment, and a token is only ever looked up, so a session is
+    visible to every thread once its token is returned. The rest of
     :class:`~doorsim.cloud.CloudService` is single-threaded and relies on
-    the HTTP binding's lock, but the registry is also used on its own, and
-    its contract (tested from eight threads) is safe concurrent use.
+    the HTTP binding's lock; the registry is also used on its own, and its
+    contract, tested from eight threads, is safe concurrent use.
     """
 
     def __init__(self, rng: random.Random | None = None):
         self._rng = rng or random.Random()
         self._records: dict[str, DeviceRecord] = {}
         self._sessions: dict[str, str] = {}
-        self._lock = threading.Lock()
 
     def register(
         self, device_id: str, attributes: Mapping[str, str] | None = None, at: int = 0
     ) -> tuple[DeviceRecord, Credential]:
         if not device_id:
             raise ValidationError("device_id must be non-empty")
-        with self._lock:
-            if device_id in self._records:
-                raise ConflictError(f"device already registered: {device_id}")
-            secret = self._rng.getrandbits(256).to_bytes(32, "big").hex()
-            fingerprint = fingerprint_secret(secret)
-            record = DeviceRecord(device_id, dict(attributes or {}), fingerprint, at)
-            self._records[device_id] = record
+        if device_id in self._records:
+            raise ConflictError(f"device already registered: {device_id}")
+        secret = self._rng.getrandbits(256).to_bytes(32, "big").hex()
+        fingerprint = fingerprint_secret(secret)
+        record = DeviceRecord(device_id, dict(attributes or {}), fingerprint, at)
+        if self._records.setdefault(device_id, record) is not record:  # lost a race
+            raise ConflictError(f"device already registered: {device_id}")
         return record, Credential(device_id, secret, fingerprint)
 
     def authenticate(self, device_id: str, secret: str) -> str:
         """Return a session token iff the secret matches the stored fingerprint."""
-        with self._lock:
-            record = self._records.get(device_id)
-            if record is None:
-                raise NotFoundError(f"unknown device: {device_id}")
-            if fingerprint_secret(secret) != record.credential_fingerprint:
-                raise AuthError(f"credential mismatch for {device_id}")
-            token = self._rng.getrandbits(256).to_bytes(32, "big").hex()
-            self._sessions[token] = device_id
+        record = self._records.get(device_id)
+        if record is None:
+            raise NotFoundError(f"unknown device: {device_id}")
+        if fingerprint_secret(secret) != record.credential_fingerprint:
+            raise AuthError(f"credential mismatch for {device_id}")
+        token = self._rng.getrandbits(256).to_bytes(32, "big").hex()
+        self._sessions[token] = device_id
         return token
 
     def validate_session(self, token: str | None) -> str:
         """Device id for a live session token; raises AuthError otherwise."""
-        with self._lock:  # a token that is not a string is no session's
-            device_id = self._sessions.get(token) if type(token) is str else None
+        # a token that is not a string is no session's
+        device_id = self._sessions.get(token) if type(token) is str else None
         if device_id is None:
             raise AuthError("missing or invalid session token")
         return device_id
 
     def get(self, device_id: str) -> DeviceRecord:
-        with self._lock:
-            record = self._records.get(device_id)
+        record = self._records.get(device_id)
         if record is None:
             raise NotFoundError(f"unknown device: {device_id}")
         return record
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
 
 @value

@@ -535,7 +535,8 @@ class AnalyticsRecord:
                     break
         if type(items) is not list:  # absent, or not an array of exact objects
             items = list_field(data, "detections", dict)
-        detections = tuple(map(Detection.from_dict, items))
+        # most records have none: skip the map then
+        detections = tuple(map(Detection.from_dict, items)) if items else ()
         backend_id = data.get("backend_id")
         if type(backend_id) is not str:
             backend_id = field(data, "backend_id", str)

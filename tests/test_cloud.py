@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -611,6 +613,108 @@ class TestServiceWiring:
         assert response.status == 401
 
 
+def session(service, device_id):
+    """Register and authenticate ``device_id``; its session token."""
+    secret = service.handle(ApiRequest("POST", "/devices/register",
+                                       body={"device_id": device_id})).body["data"]["secret"]
+    return service.handle(ApiRequest("POST", "/devices/auth", body={
+        "device_id": device_id, "secret": secret})).body["data"]["session_token"]
+
+
+def ingest(service, token, body, at=None):
+    headers = {"x-session-token": token}
+    if at is not None:
+        headers["x-sim-time"] = str(at)
+    return service.handle(ApiRequest("POST", "/ingest", headers=headers, body=body))
+
+
+class TestIngestRequest:
+    def test_envelopes_off_the_exact_dict_path(self):
+        service = CloudService(seed=0)
+        token = session(service, "door-1")
+        rec = record(0).to_dict()
+        cases = [
+            (MappingProxyType({"record": rec}), 200, None),  # any mapping is a body
+            ({"record": MappingProxyType(record(1).to_dict())}, 200, None),
+            ([{"record": rec}], 400, ("protocol", "request body must be a JSON object")),
+            (None, 400, ("protocol", "request body must be a JSON object")),
+            ({}, 400, ("protocol", "record is required")),
+            ({"record": None}, 400, ("protocol", "record must be an object")),
+            ({"record": [rec]}, 400, ("protocol", "record must be an object")),
+            ({"record": "x"}, 400, ("protocol", "record must be an object")),
+        ]
+        for body, status, error in cases:
+            response = ingest(service, token, body)
+            assert response.status == status, body
+            if error is None:
+                assert response.body["ok"] is True
+            else:
+                assert response.body == {"ok": False, "error": dict(zip(("code", "message"), error))}
+        assert len(service.stream) == 2
+
+    def test_filtered_subscriptions_still_filter(self):
+        service = CloudService(seed=0)
+        tokens = {device_id: session(service, device_id) for device_id in ("door-1", "door-2")}
+        service.subscribe("all")
+        service.subscribe("door-2", SubscriptionFilter(devices=frozenset({"door-2"})))
+        service.subscribe("unsafe", SubscriptionFilter(
+            scenarios=frozenset({ScenarioKind.UNSAFE_CONTENT})))
+        service.subscribe("nothing", SubscriptionFilter(devices=frozenset()))
+        gun = record(1, names=("gun",), kind=ScenarioKind.UNSAFE_CONTENT)
+        for device_id, rec in (("door-1", record(0)), ("door-1", gun),
+                               ("door-2", record(0, device="door-2"))):
+            assert ingest(service, tokens[device_id], {"record": rec.to_dict()}).status == 200
+        delivered = {name: [n.event_id for n in service.hub.subscription(name).delivery_log]
+                     for name in ("all", "door-2", "unsafe", "nothing")}
+        assert delivered == {"all": ["door-1:0", "door-1:1", "door-2:0"], "door-2": ["door-2:0"],
+                             "unsafe": ["door-1:1"], "nothing": []}
+
+    def test_a_publish_failing_after_its_put_is_redelivered_once(self):
+        service = CloudService(seed=0)
+        token = session(service, "door-1")
+        service.subscribe("ops")
+        service.subscribe("door-1", SubscriptionFilter(devices=frozenset({"door-1"})))
+        real_publish, publishes = service.hub.publish, []
+
+        def fails_once(rec, at):
+            publishes.append(rec.event_id)
+            delivered = real_publish(rec, at)
+            if len(publishes) == 1:
+                raise RuntimeError("push service down")
+            return delivered
+
+        service.hub.publish = fails_once
+        response = ingest(service, token, {"record": record(0).to_dict()}, at=7)
+        assert response.status == 200 and response.body["data"]["sequence"] == 0
+        assert publishes == ["door-1:0", "door-1:0"]  # redelivered within the request
+        assert service.store.all_records() == [record(0)]
+        for name in ("ops", "door-1"):
+            assert [n.event_id for n in service.hub.subscription(name).delivery_log] == ["door-1:0"]
+        assert service.dispatcher.checkpoint == 1 and service.dispatcher.dead_letters == []
+
+    def test_an_appended_record_is_acked_when_the_dispatch_budget_runs_out(self):
+        service = CloudService(seed=0)
+        token = session(service, "door-1")
+        chained = []
+
+        def appender(entry):  # one more entry per delivery: no pass reaches the head
+            service.stream.append(record(len(chained), device="chain"), entry.ingested_at)
+            chained.append(entry.sequence)
+
+        service.dispatcher.register("appender", appender)
+        response = ingest(service, token, {"record": record(0).to_dict()}, at=900)
+        assert response.status == 200
+        assert response.body == {"ok": True, "data": {
+            "sequence": 0, "duplicate": False, "ingested_at": 900}}
+        assert response.body["data"]["ingested_at"] <= service.now_ms == 900
+        assert service.dispatcher.checkpoint < len(service.stream)  # the backlog waits
+        head = len(service.stream)
+        retry = ingest(service, token, {"record": record(0).to_dict()}, at=900)
+        assert retry.body == {"ok": True, "data": {
+            "sequence": head, "duplicate": True, "ingested_at": 900}}
+        assert service.store.latest("door-1") == record(0)  # stored once, by the first pass
+
+
 # -- one-pass ingest against the pass-by-pass reference ------------------------
 #
 # CloudService runs an accepted /ingest as one pass: the stream parses the
@@ -618,8 +722,10 @@ class TestServiceWiring:
 # inline, the ingest runs Dispatcher.run_pass itself and goes on only when a
 # handler failed or appended, and the hub keeps one delivered-id set per
 # subscriber. ReferenceService is the service as it was written before,
-# kept here as the reference that it must equal; it shares one later rule,
-# that a request answered with ``ok: false`` leaves the clock where it was.
+# with its two dispatch handlers, kept here as the reference that it must
+# equal; it shares two later rules: a request answered with ``ok: false``
+# leaves the clock where it was, and an appended record is answered 200 even
+# when the dispatch budget runs out.
 
 def run_until_current_pass_by_pass(dispatcher, stream, max_passes=1000):
     for _ in range(max_passes):
@@ -660,12 +766,18 @@ class TupleSetHub(NotificationHub):
 class ReferenceService(CloudService):
     """The gateway, ingest, persistence and dispatch loop before one-pass ingest."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, seed=0, auto_dispatch=True, poison_passes=3):
+        super().__init__(seed, auto_dispatch=auto_dispatch, poison_passes=poison_passes)
         self.hub = TupleSetHub()
+        self.dispatcher = Dispatcher(poison_passes=poison_passes)
+        self.dispatcher.register("persist_metadata", self._persist_metadata)
+        self.dispatcher.register("publish_notification", self._publish_notification)
 
     def _persist_metadata(self, entry):
         self.store.put(entry.payload)  # parses the event id again
+
+    def _publish_notification(self, entry):
+        self.hub.publish(entry.payload, at=entry.ingested_at)
 
     def run_dispatch(self):
         return run_until_current_pass_by_pass(self.dispatcher, self.stream)
@@ -698,7 +810,10 @@ class ReferenceService(CloudService):
             )
         entry = self.stream.append(record, ingested_at=self.now_ms)
         if self.auto_dispatch:
-            self.run_dispatch()
+            try:
+                self.run_dispatch()
+            except ValidationError:  # the record is in; the backlog waits
+                pass
         return {
             "sequence": entry.sequence,
             "duplicate": entry.duplicate,

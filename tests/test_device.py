@@ -1,8 +1,10 @@
 import random
+import sys
 import threading
 
 import pytest
 
+from doorsim import device as device_module
 from doorsim.dataset import Dataset
 from doorsim.device import (
     DeviceRegistry,
@@ -101,6 +103,100 @@ class TestRegistry:
             t.join()
         assert len(conflicts) == 7
         assert len(registry) == 1
+
+
+@pytest.fixture
+def switch_often():
+    """Switch threads every microsecond, to expose a lost update."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def race(target, count=8):
+    """Run ``target(i)`` on ``count`` threads released together; their results."""
+    barrier = threading.Barrier(count, timeout=60)
+    results = [None] * count
+
+    def run(i):
+        barrier.wait()
+        try:
+            results[i] = target(i)
+        except Exception as exc:  # noqa: BLE001 - returned to the main thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestRegistryRaces:
+    """The registry holds no lock: each shared step is one atomic dict or
+    Random call, and one setdefault settles a race for an id."""
+
+    def test_eight_threads_registering_one_id_leave_one_winner(self, switch_often):
+        for round_ in range(20):
+            registry = DeviceRegistry(rng=random.Random(round_))
+            results = race(lambda i: registry.register("door-shared", {"thread": str(i)}))
+            winners = [r for r in results if not isinstance(r, Exception)]
+            assert len(winners) == 1
+            assert sum(isinstance(r, ConflictError) for r in results) == 7
+            assert len(registry) == 1
+            record, credential = winners[0]
+            assert registry.get("door-shared") is record
+            assert registry.validate_session(
+                registry.authenticate("door-shared", credential.secret)) == "door-shared"
+
+    def test_eight_threads_authenticating_get_their_own_sessions(self, switch_often):
+        registry = DeviceRegistry(rng=random.Random(3))
+        secrets = [registry.register(f"door-{i}")[1].secret for i in range(8)]
+
+        def sessions(i):
+            tokens = []
+            for _ in range(50):
+                token = registry.authenticate(f"door-{i}", secrets[i])
+                assert registry.validate_session(token) == f"door-{i}"
+                tokens.append(token)
+            return tokens
+
+        results = race(sessions)
+        assert not [r for r in results if isinstance(r, Exception)]
+        tokens = [token for tokens in results for token in tokens]
+        assert len(set(tokens)) == 8 * 50
+        for i, own in enumerate(results):
+            assert {registry.validate_session(token) for token in own} == {f"door-{i}"}
+
+    def test_a_register_that_loses_its_id_between_check_and_claim_is_a_conflict(
+            self, monkeypatch):
+        registry = DeviceRegistry(rng=random.Random(5))
+        real, calls, rival = device_module.fingerprint_secret, [], []
+
+        def interleaved(secret):  # a rival claims the id after this caller's check
+            calls.append(secret)
+            if len(calls) == 1:
+                rival.append(registry.register("door-1"))
+            return real(secret)
+
+        monkeypatch.setattr(device_module, "fingerprint_secret", interleaved)
+        with pytest.raises(ConflictError, match="device already registered: door-1"):
+            registry.register("door-1")
+        record, credential = rival[0]
+        assert registry.get("door-1") is record and len(registry) == 1
+        assert registry.validate_session(registry.authenticate("door-1", credential.secret))
+
+    def test_a_taken_id_is_refused_before_any_draw(self):
+        rng = random.Random(9)
+        registry = DeviceRegistry(rng=rng)
+        registry.register("door-1")
+        state = rng.getstate()
+        with pytest.raises(ConflictError):
+            registry.register("door-1")
+        assert rng.getstate() == state
 
 
 class TestMotionScript:
