@@ -15,7 +15,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
-from ..model import canonical_json
+from ..model import _decimal, canonical_json
 from .service import ApiRequest, CloudService
 
 __all__ = ["serve", "CloudHTTPServer"]
@@ -36,13 +36,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         url = urlsplit(self.path)
         body = None
-        try:
-            length = int(self.headers.get("content-length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
+        header = self.headers.get("content-length") or "0"
+        if not _decimal(header):  # ASCII digits; int() would also take "+19", "1_9", "-0"
             self._protocol_error("content-length must be a non-negative integer")
             return
+        length = int(header)
         if length:
             raw = self.rfile.read(length)
             try:

@@ -1,14 +1,26 @@
 """Shared domain vocabulary: frames, events, detections, and records.
 
 All types here are immutable values, safe to copy between pipeline stages.
-Every value type of the package is declared with :func:`value`: a frozen,
-slotted dataclass whose ``__init__`` stores each field through its slot's
-member descriptor, not through ``object.__setattr__`` as the dataclass one
-does for a frozen class (an 8-field ``AnalyticsRecord``: 1.16 us against
-1.8 us on CPython 3.11, 2-vCPU x86-64 host). A run builds about 16 values
-per frame, and the per-frame sites pass their fields positionally: a class
-called with keywords packs them into a dict that its ``__init__`` unpacks
-again, and that record took 1.2-2.2 us by keyword against 0.84-1.5 us
+Every value type of the package is declared with :func:`value`: a final,
+frozen, slotted dataclass built by one generated ``__new__``. It stores the
+fields on a bare instance of a hidden twin class that has the value's
+``__slots__`` but not its frozen ``__setattr__``, so each store is a plain
+attribute store, which CPython 3.11+ specializes to a slot store
+(``STORE_ATTR_SLOT``, PEP 659); then it assigns the value's class to the
+instance, as the language allows between heap types of one layout. A run
+builds 15.25 values per remote-1dev frame, 12.17 per local-fleet frame and
+4.37 per gateway-mix ``/ingest``. Against the older ``__init__``, which made
+one member-descriptor call per field (the frozen ``__setattr__`` rules out
+the specialized store), building an 8-field ``AnalyticsRecord`` fell from
+761 to 503 ns on CPython 3.11, 988 to 593 on 3.12, 906 to 573 on 3.13 and
+1,003 to 867 on 3.10; a 3-field ``MotionEvent`` from 331 to 298 ns on
+3.11. The ``__class__`` store costs about 65 ns, so a two-field value got
+slower: ``ApiResponse`` 264 to 275 ns and ``ProcessOutcome`` 265 to 277 ns
+on 3.11, and by up to 9% on 3.10 (timeit, minimum of five
+interleaved rounds of the best of 5 x 100,000 positional calls, shared
+2-vCPU x86-64 host). The per-frame sites pass their fields positionally: a
+class called with keywords packs them into a dict that is unpacked again,
+and that record took 1.2-2.2 us by keyword against 0.84-1.5 us
 positionally (timeit, CPython 3.10-3.13, 1.3-1.7x in each run). Timestamps
 are logical simulation milliseconds, never wall clock.
 
@@ -199,16 +211,58 @@ class _Factory:
 _FACTORY = _Factory()
 
 
-def value(cls: type) -> type:
-    """Make ``cls`` an immutable value type: a frozen, slotted dataclass.
+def _final(cls, **kwargs: Any) -> None:
+    """Every value type's ``__init_subclass__``: a value type is final."""
+    raise TypeError(f"{cls.__qualname__}: a value type cannot be subclassed")
 
-    ``dataclasses`` generates everything but ``__init__``. This one takes
-    the same parameters as the dataclass one (names, order, defaults and
-    ``default_factory`` fields) but stores each field through its slot's
-    member descriptor instead of ``object.__setattr__``, then calls
-    ``__post_init__`` if the class has one. Fields with ``init=False``,
-    ``InitVar`` pseudo-fields and keyword-only fields raise TypeError.
+
+def _reduce(self: Any) -> tuple:
+    """Every value type's ``__reduce__``: rebuild through the constructor.
+    A value's ``__slots__`` are its field names, in order."""
+    return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+def value(cls: type) -> type:
+    """Make ``cls`` an immutable value type: a final, frozen, slotted dataclass.
+
+    ``dataclasses`` generates everything but construction: ``__eq__``,
+    ``__hash__``, ``__repr__``, the frozen set and delete, ``replace``,
+    ``fields`` and ``__match_args__``. A generated ``__new__`` takes the
+    parameters of the dataclass ``__init__`` (names, order, defaults and
+    ``default_factory`` fields) and does four things in order:
+
+    - makes a bare instance of a hidden twin class, built once per value
+      type with the same ``__slots__`` and no ``__setattr__`` (``twin()``
+      runs ``object.__new__`` and ``object.__init__``, and costs about
+      40 ns less than calling ``object.__new__(twin)``);
+    - stores each field with a plain attribute store;
+    - sets ``self.__class__ = cls``;
+    - calls ``__post_init__`` if the class has one.
+
+    ``__init__`` is ``object``'s. Against the older ``__init__``, which made
+    one slot member-descriptor call per field, a value of three or more
+    fields got 9-35% cheaper to build on CPython 3.11, 10-40% on 3.12, 8-37%
+    on 3.13, and between 1% dearer and 19% cheaper on 3.10. A two-field
+    value pays the ``__class__`` store (about 65 ns) to save two descriptor
+    calls: 4-5% dearer on 3.11, up to 5% on 3.12 and 3.13, up to 9% on
+    3.10. Per class on 3.11: ``AnalyticsRecord`` 761 to 503 ns,
+    ``StreamRecord`` 562 to 364, ``FrameSample`` 542 to 360, ``IngestAck``
+    483 to 343, ``Detection`` 590 to 485, ``Notification`` 410 to 311,
+    ``MotionEvent`` 331 to 298, ``ApiResponse`` 264 to 275 and
+    ``ProcessOutcome`` 265 to 277 (``BENCH_20.json``
+    ``value_construction_ns`` has every per-frame class on 3.10-3.13).
+
+    A shared ``__reduce__`` returns ``(type(self), field values)``, so
+    copy, deepcopy and pickle rebuild a value through ``__new__``; the
+    default reduction would call ``__new__`` without its arguments. The
+    class must derive from ``object`` alone, and it cannot be subclassed: a
+    subclass's layout is not the twin's. Fields with ``init=False``,
+    ``InitVar`` pseudo-fields, keyword-only fields and fields named ``cls``
+    or ``self`` (the names of ``__new__``'s first parameter and of its
+    instance) raise TypeError.
     """
+    if cls.__bases__ != (object,):
+        raise TypeError(f"{cls.__qualname__}: value() takes only a class derived from object")
     doc = cls.__doc__
     cls = dataclasses.dataclass(frozen=True, slots=True, init=False)(cls)
     fields = dataclasses.fields(cls)
@@ -217,10 +271,15 @@ def value(cls: type) -> type:
         if f._field_type is dataclasses._FIELD_INITVAR or not f.init or f.kw_only:
             raise TypeError(f"{cls.__qualname__}.{f.name}: value() takes only plain "
                             "positional fields (no InitVar, init=False or kw_only)")
-    closure: dict[str, Any] = {"_FACTORY": _FACTORY}
+        if f.name in ("cls", "self"):
+            raise TypeError(f"{cls.__qualname__}.{f.name}: a field cannot be named "
+                            f"{f.name!r}, a name of the generated __new__")
+    # The twin has the value's layout but not its frozen __setattr__, so each
+    # store below is CPython's specialized slot store, not a descriptor call.
+    twin = type(cls.__name__, (), {"__slots__": cls.__slots__, "__module__": cls.__module__})
+    closure: dict[str, Any] = {"_FACTORY": _FACTORY, "_twin": twin}
     params, body = [], []
     for f in fields:
-        closure[f"_set_{f.name}"] = vars(cls)[f.name].__set__  # the slot's member descriptor
         arg = f.name
         if f.default_factory is not dataclasses.MISSING:
             closure[f"_factory_{f.name}"] = f.default_factory
@@ -231,19 +290,24 @@ def value(cls: type) -> type:
             params.append(f"{f.name}=_dflt_{f.name}")
         else:
             params.append(f.name)
-        body.append(f"_set_{f.name}(self, {arg})")
+        body.append(f"self.{f.name} = {arg}")
+    body.append("self.__class__ = cls")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = "\n".join([f"def __create_fn__({', '.join(closure)}):",
-                        f" def __init__(self, {', '.join(params)}):",
-                        *[f"  {line}" for line in body or ["pass"]],
-                        " return __init__"])
+                        f" def __new__(cls, {', '.join(params)}):",
+                        "  self = _twin()",
+                        *[f"  {line}" for line in body],
+                        "  return self",
+                        " return __new__"])
     namespace: dict[str, Any] = {}
     exec(source, {"__name__": cls.__module__}, namespace)
-    init = namespace["__create_fn__"](**closure)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
-    cls.__init__ = init
+    new = namespace["__create_fn__"](**closure)
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    new.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
+    cls.__new__ = staticmethod(new)
+    cls.__reduce__ = _reduce
+    cls.__init_subclass__ = classmethod(_final)
     if doc is None:  # dataclasses' own docstring: the class's signature
         cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls

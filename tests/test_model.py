@@ -1,8 +1,10 @@
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
 import json
+import pickle
 import pkgutil
 import textwrap
 from types import MappingProxyType
@@ -13,10 +15,18 @@ from hypothesis import strategies as st
 
 import doorsim
 from doorsim import model
+from doorsim.backends import BackendCategory, BackendProfile, ConfidenceModel
+from doorsim.cloud.notify import Notification, SubscriptionFilter
+from doorsim.cloud.queries import QueryAnswer, QueryKind, QueryRequest
 from doorsim.cloud.service import ApiRequest, ApiResponse
-from doorsim.edge import RetryPolicy
+from doorsim.cloud.stores import CustomLabelJob
+from doorsim.cloud.stream import StreamRecord
+from doorsim.dataset import GeneratorConfig
+from doorsim.device import Credential, DeviceRecord, MotionScript
+from doorsim.edge import EdgeConfig, ProcessOutcome, RetryPolicy, SamplingPolicy
 from doorsim.errors import ProtocolError, ValidationError
-from doorsim.transport import CloudClient
+from doorsim.harness import ConfusionCounts, ExperimentConfig, FrameOutcome, LatencyStats, MetricsReport
+from doorsim.transport import CloudClient, IngestAck, NetworkModel
 from doorsim.model import (
     DEFAULT_VOCABULARY,
     AnalyticsRecord,
@@ -330,13 +340,40 @@ class TestSlottedValues:
 
 
 class TestValueConstruction:
-    def test_every_frozen_dataclass_stores_through_its_slot_descriptors(self):
-        # A dataclass-generated __init__ has no closure: it stores through
-        # object.__setattr__, about twice the cost per field.
+    def test_every_frozen_dataclass_is_built_as_its_slotted_twin(self):
+        # __new__ stores the fields on an instance of a twin class with the
+        # same __slots__ and no frozen __setattr__ (CPython's specialized
+        # slot store), then assigns the value's class to it.
         for cls in frozen_dataclasses():
-            setters = {cell.cell_contents for cell in cls.__init__.__closure__ or ()}
-            for f in dataclasses.fields(cls):
-                assert vars(cls)[f.name].__set__ in setters, f"{cls.__qualname__}.{f.name}"
+            assert "__init__" not in vars(cls) and cls.__init__ is object.__init__, cls.__qualname__
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            twins = [cell.cell_contents for cell in cls.__new__.__closure__ or ()
+                     if isinstance(cell.cell_contents, type) and cell.cell_contents is not cls
+                     and vars(cell.cell_contents).get("__slots__") == names]
+            assert len(twins) == 1, cls.__qualname__
+            twin = twins[0]
+            assert cls.__slots__ == names
+            assert twin.__bases__ == (object,) and "__setattr__" not in vars(twin)
+            assert twin.__setattr__ is object.__setattr__, cls.__qualname__
+            assert twin.__dictoffset__ == 0 and twin.__basicsize__ == cls.__basicsize__
+
+    def test_a_base_other_than_object_is_refused(self):
+        cls = type("Odd", (type("Base", (), {}),), {"__annotations__": {"x": int}})
+        with pytest.raises(TypeError, match="Odd: value"):
+            value(cls)
+
+    @pytest.mark.parametrize("name", ["cls", "self"])
+    def test_a_field_named_after_a_name_of_new_is_refused(self, name):
+        cls = type("Odd", (), {"__annotations__": {name: int}})
+        with pytest.raises(TypeError, match=f"Odd.{name}"):
+            value(cls)
+
+    def test_a_value_type_cannot_be_subclassed(self):
+        for cls in frozen_dataclasses():
+            with pytest.raises(TypeError, match="cannot be subclassed"):
+                type("Sub", (cls,), {})
+            with pytest.raises(TypeError, match="cannot be subclassed"):
+                type("Sub", (cls,), {"__slots__": ()})
 
     def test_every_signature_matches_the_dataclass_fields(self):
         for cls in frozen_dataclasses():
@@ -408,6 +445,71 @@ class TestValueConstruction:
         cls = type("Odd", (), {"__annotations__": {"x": annotation}, "x": default})
         with pytest.raises(TypeError, match="Odd.x"):
             value(cls)
+
+
+# One instance of every value type; TestCopyAndPickle asserts that the table
+# covers every class frozen_dataclasses() finds.
+def value_examples():
+    label = Label("dog", ScenarioKind.ANIMAL_DETECTION)
+    face = FaceIdentity("alice", FaceCategory.FAMILY)
+    detection = Detection(Label(model.FACE_LABEL, ScenarioKind.FACE_RECOGNITION), 91.5, face,
+                          (0.1, 0.2, 0.3, 0.4))
+    record = AnalyticsRecord("door-1:0", "door-1", "f-1", (detection,), "aws-saas", 10, 20, 70.0)
+    ack = IngestAck(0, False, 20, 25, 1)
+    script = MotionScript("door-1", ((0, "f-1"), (2000, "f-2")))
+    return [
+        label, face, detection, record, ack, script,
+        FrameSample("f-1", "door-1", 10, model.truth_set(ScenarioKind.ANIMAL_DETECTION, ["dog"]),
+                    ScenarioKind.ANIMAL_DETECTION, None),
+        MotionEvent("door-1", 10, "door-1:0"),
+        GeneratorConfig((ScenarioKind.ANIMAL_DETECTION,), 3, known_faces={"alice": FaceCategory.FAMILY}),
+        NetworkModel(40, 10, 7),
+        SamplingPolicy(),
+        RetryPolicy(2, 50),
+        EdgeConfig(70.0),
+        ProcessOutcome(record, ack),
+        MetricsReport(ConfusionCounts(1, 2, 3, 4), 0.5, 0.25, 0.75, 0.4, "animal_detection", "haar"),
+        LatencyStats("haar", 3, 1.5, 1.0, 2.0),
+        ExperimentConfig(dataset="data.ndjson", enroll={"alice": FaceCategory.FAMILY}, scripts=(script,)),
+        FrameOutcome("f-1", "door-1:0", "animal_detection", ("dog",), ("dog",)),
+        ApiRequest("POST", "/ingest", {"x-session-token": "t"}, {"record": record.to_dict()}, {"from": "0"}),
+        ApiResponse(200, {"ok": True}),
+        QueryRequest(QueryKind.RANGE_QUERY, "door-1", (0, 10)),
+        QueryAnswer("1 record", (record,), {"dog": 1}),
+        StreamRecord(0, "door-1", record, 20, False, 0),
+        Notification("door-1:0", "door-1", "face (alice)", 25),
+        SubscriptionFilter(frozenset({"door-1"}), frozenset({ScenarioKind.ANIMAL_DETECTION})),
+        CustomLabelJob("job", 3, "training", 10),
+        DeviceRecord("door-1", {"location": "front"}, "fp", 0),
+        Credential("door-1", "secret", "fp"),
+        ConfidenceModel(),
+        BackendProfile("haar", BackendCategory.ON_DEVICE_ML, 10.0, 5.0, 30,
+                       {ScenarioKind.ANIMAL_DETECTION: 0.9}, 0.1, ConfidenceModel(), None),
+    ]
+
+
+def pickled(protocol):
+    return lambda obj: pickle.loads(pickle.dumps(obj, protocol))
+
+
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               **{f"pickle{p}": pickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)}}
+
+
+class TestCopyAndPickle:
+    def test_the_examples_cover_every_value_type(self):
+        examples = [type(example) for example in value_examples()]
+        assert len(examples) == len(set(examples))
+        assert set(examples) == set(frozen_dataclasses())
+
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    def test_every_value_round_trips_to_an_equal_valid_value(self, how):
+        for example in value_examples():
+            rebuilt = ROUND_TRIPS[how](example)
+            assert type(rebuilt) is type(example)
+            assert rebuilt == example, type(example).__qualname__
+            if hasattr(rebuilt, "__post_init__"):
+                rebuilt.__post_init__()  # the rebuilt value keeps the class's invariants
 
 
 def frame_row(*names, scenario="animal_detection"):

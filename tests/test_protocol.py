@@ -686,10 +686,17 @@ class TestHttpBinding:
             raw = response.read()
         assert raw == canonical_json(in_process.body).encode()
 
-    @pytest.mark.parametrize("length,payload", [
-        ("abc", b"{}"), ("-5", b"{}"), ("2", b"\x80{"),
-    ], ids=["not_an_integer", "negative", "not_utf8"])
-    def test_bad_content_length_or_body_is_protocol_error(self, http_server, length, payload):
+    # A content-length is ASCII digits only, as every integer on the wire: a
+    # well-formed 19-byte body does not make "+19" or "1_9" acceptable.
+    @pytest.mark.parametrize("length,payload,message", [
+        ("abc", b"{}", "content-length"), ("-5", b"{}", "content-length"),
+        ("2", b"\x80{", "body is not JSON"),
+        ("+19", b'{"device_id":"d-1"}', "content-length"),
+        ("1_9", b'{"device_id":"d-1"}', "content-length"),
+        ("-0", b"", "content-length"),
+    ], ids=["not_an_integer", "negative", "not_utf8", "plus_sign", "underscore", "minus_zero"])
+    def test_bad_content_length_or_body_is_protocol_error(self, http_server, length, payload,
+                                                          message):
         conn = http.client.HTTPConnection(urlsplit(http_server).netloc, timeout=10)
         try:
             conn.putrequest("POST", "/devices/register")
@@ -703,6 +710,7 @@ class TestHttpBinding:
         assert status == 400
         assert body["ok"] is False
         assert body["error"]["code"] == "protocol"
+        assert message in body["error"]["message"]
 
     def test_nan_in_a_body_is_protocol_error(self, http_server):
         _, body = self._post(http_server, "/devices/register", {"device_id": "door-1"})
