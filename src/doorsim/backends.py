@@ -250,9 +250,13 @@ _ROUTE_BY_VALUE: Mapping[str, str] = {
 
 def load_profiles(path: str | Path) -> dict[str, BackendProfile]:
     """Load a profile registry: a JSON array of profile objects. A malformed
-    registry is a ValidationError naming the refused value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+    registry is a ValidationError naming the refused value, and a file that
+    is not UTF-8 JSON one naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValidationError(f"bad profile registry: {path}: {exc}") from exc
     profiles = {}
     try:
         if not isinstance(entries, list):

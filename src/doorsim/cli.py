@@ -37,14 +37,18 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_config(path: str | None, what: str, decode):
-    """``decode`` of the JSON object in file ``path``; a malformed one is ``bad <what>: …``."""
+    """``decode`` of the JSON object in file ``path``; a malformed one is
+    ``bad <what>: …``, and a file that is not UTF-8 JSON ``bad <what>: <path>: …``."""
     if not path:
         raise ValidationError("--config is required for this command")
     config_path = Path(path)
     if not config_path.exists():
         raise ValidationError(f"config file not found: {path}")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValidationError(f"bad {what}: {path}: {exc}") from exc
     try:
         if not isinstance(document, dict):
             raise ProtocolError("the document must be a JSON object")

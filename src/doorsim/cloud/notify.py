@@ -7,16 +7,23 @@ was already delivered. Publishing is the last step of an accepted
 ``/ingest``'s single dispatch pass, so a notification is sent within the
 request that ingested its record; a subscription whose filter names no
 devices and no scenarios gets it without a call to
-:meth:`SubscriptionFilter.matches`. The notifications of one device's records
-without detections share one summary string: on a local-fleet run of
-perfbench at seed 1 they held 10,070 equal strings (0.89 MB) before.
+:meth:`SubscriptionFilter.matches`.
+
+Per delivery, a subscription keeps two columns: the record it was sent (the
+one the metadata store holds too) and the ``int`` time it was published at.
+:attr:`Subscription.delivery_log` is a read-only view that builds each
+:class:`Notification`, and its summary with :func:`summarize_record`, when it
+is read, and :meth:`NotificationHub.publish` returns the ids of the
+subscribers it delivered to. So an ingest builds no ``Notification`` and no
+summary, and a run keeps no value per notification that the garbage
+collector walks at each collection of its generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model import AnalyticsRecord, FaceCategory, ScenarioKind, value
+from ..model import AnalyticsRecord, FaceCategory, RowView, ScenarioKind, value
 
 __all__ = ["Notification", "SubscriptionFilter", "Subscription", "NotificationHub", "summarize_record"]
 
@@ -66,9 +73,23 @@ class SubscriptionFilter:
 
 @dataclass
 class Subscription:
+    """One subscriber's filter and what it was sent: ``sent`` and ``sent_at``
+    are parallel columns of each delivered record and its publish time."""
+
     subscriber_id: str
     filter: SubscriptionFilter = field(default_factory=SubscriptionFilter)
-    delivery_log: list[Notification] = field(default_factory=list)
+    sent: list[AnalyticsRecord] = field(default_factory=list, repr=False)
+    sent_at: list[int] = field(default_factory=list, repr=False)
+
+    @property
+    def delivery_log(self) -> RowView:
+        """The notifications sent, oldest first: a read-only, live view that
+        builds each one, summary included, when it is read."""
+
+        def notification(record: AnalyticsRecord, at: int) -> Notification:
+            return Notification(record.event_id, record.device_id, summarize_record(record), at)
+
+        return RowView(notification, self.sent, self.sent_at)
 
 
 def summarize_record(record: AnalyticsRecord) -> str:
@@ -98,9 +119,6 @@ class NotificationHub:
         self._subscriptions: dict[str, Subscription] = {}
         # subscriber id -> event ids delivered to it; outlives a re-subscribe
         self._delivered: dict[str, set[str]] = {}
-        # device id -> its one "nothing recognized" summary, shared by the
-        # notifications of all its records without detections
-        self._nothing_recognized: dict[str, str] = {}
 
     def subscribe(
         self, subscriber_id: str, filter: SubscriptionFilter | None = None
@@ -110,14 +128,9 @@ class NotificationHub:
         self._delivered.setdefault(subscriber_id, set())
         return subscription
 
-    def publish(self, record: AnalyticsRecord, at: int) -> list[Notification]:
-        """Deliver to every matching subscription; zero subscribers is a no-op."""
-        if record.detections:
-            summary = summarize_record(record)
-        else:
-            summary = self._nothing_recognized.get(record.device_id)
-            if summary is None:
-                summary = self._nothing_recognized[record.device_id] = summarize_record(record)
+    def publish(self, record: AnalyticsRecord, at: int) -> list[str]:
+        """Deliver to every matching subscription; returns the ids of the
+        subscribers delivered to (none: a no-op)."""
         event_id = record.event_id
         delivered = []
         for subscriber_id, subscription in self._subscriptions.items():
@@ -129,10 +142,10 @@ class NotificationHub:
             if ((filter_.devices is not None or filter_.scenarios is not None)
                     and not filter_.matches(record)):
                 continue
-            notification = Notification(event_id, record.device_id, summary, at)
-            subscription.delivery_log.append(notification)
+            subscription.sent.append(record)
+            subscription.sent_at.append(at)
             event_ids.add(event_id)
-            delivered.append(notification)
+            delivered.append(subscriber_id)
         return delivered
 
     def subscription(self, subscriber_id: str) -> Subscription:

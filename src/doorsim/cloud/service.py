@@ -246,8 +246,8 @@ class CloudService:
         stream = self.stream
         entry = stream.append(record, self._now_ms)
         # run_dispatch, one pass at a time: most ingests need only the first,
-        # and the caught-up test reads the stream's list, as run_pass does
-        if self.auto_dispatch and self.dispatcher.run_pass(stream) < len(stream._records):
+        # and the caught-up test reads the payload column, as run_pass does
+        if self.auto_dispatch and self.dispatcher.run_pass(stream) < len(stream._payloads):
             try:
                 self.dispatcher.run_until_current(stream, passes_run=1)
             except ValidationError:

@@ -15,6 +15,17 @@ counted apart: 77.6 when every event id was parsed twice and the dispatch
 went through ``run_until_current`` (see ``BENCH_14.json``), 63.8 after that,
 and 62.2 before the device registry dropped its lock and the ingest its
 one-line helpers (see ``BENCH_19.json``).
+
+Per entry, the stream keeps columns, not a :class:`StreamRecord`: the
+payload (the record that the metadata store holds too), the ``ingested_at``
+int, and the sequence in a set when the entry is a duplicate. An entry's
+sequence is its index and its partition is its payload's ``device_id``.
+Only the latest entry is kept as the value that ``append`` returned, and the
+pass of the same request hands that one to the handlers; any other entry is
+built when it is read, with ``event_seq`` parsed again from its event id.
+Why: a kept ``StreamRecord`` is a slotted value, which CPython always tracks
+(``gc.is_tracked``), so the collector would walk one per frame at each
+collection of its generation; ``str`` and ``int`` are never tracked.
 """
 
 from __future__ import annotations
@@ -61,7 +72,11 @@ class IngestStream:
     """Append-only record stream with one global sequence."""
 
     def __init__(self) -> None:
-        self._records: list[StreamRecord] = []
+        # one column entry per stream entry; the sequence is the index
+        self._payloads: list[AnalyticsRecord] = []
+        self._ingested_at: list[int] = []
+        self._duplicates: set[int] = set()
+        self._latest: StreamRecord | None = None  # the entry append returned last
         self._seen_event_ids: set[str] = set()
         self._last_event_seq: dict[str, int] = {}
 
@@ -72,8 +87,11 @@ class IngestStream:
             raise ValidationError(
                 f"event id {record.event_id} does not match device {record.device_id}"
             )
+        payloads = self._payloads
         duplicate = record.event_id in self._seen_event_ids
-        if not duplicate:
+        if duplicate:
+            self._duplicates.add(len(payloads))
+        else:
             last = self._last_event_seq.get(device_id)
             if last is not None and event_seq < last:
                 raise ValidationError(
@@ -82,16 +100,29 @@ class IngestStream:
             self._last_event_seq[device_id] = event_seq
             self._seen_event_ids.add(record.event_id)
         # the partition is record.device_id: equal to device_id, and not a copy of it
-        entry = StreamRecord(len(self._records), record.device_id, record, ingested_at,
-                             duplicate, event_seq)
-        self._records.append(entry)
+        entry = self._latest = StreamRecord(len(payloads), record.device_id, record,
+                                            ingested_at, duplicate, event_seq)
+        payloads.append(record)
+        self._ingested_at.append(ingested_at)
         return entry
 
+    def _entry(self, sequence: int) -> StreamRecord:
+        """The entry at ``sequence`` (in range): the one ``append`` returned
+        if it is the latest, else built again from the columns."""
+        latest = self._latest
+        if latest is not None and latest.sequence == sequence:
+            return latest
+        payload = self._payloads[sequence]
+        return StreamRecord(sequence, payload.device_id, payload, self._ingested_at[sequence],
+                            sequence in self._duplicates, parse_event_id(payload.event_id)[1])
+
     def read_from(self, sequence: int) -> list[StreamRecord]:
-        return self._records[sequence:]
+        """The entries from ``sequence`` on, as the slice ``[sequence:]`` of
+        the whole stream would give them (a negative start counts from the end)."""
+        return [self._entry(i) for i in range(len(self._payloads))[sequence:]]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._payloads)
 
 
 Handler = Callable[[StreamRecord], None]
@@ -122,10 +153,10 @@ class Dispatcher:
     def run_pass(self, stream: IngestStream) -> int:
         """One dispatch pass over the entries present when it starts.
         Returns the new checkpoint position."""
-        records = stream._records  # walked in place: no copy of the tail
-        for sequence in range(self.checkpoint, len(records)):
-            entry = records[sequence]
-            if not entry.duplicate:
+        duplicates = stream._duplicates  # read in place: no copy of the tail
+        for sequence in range(self.checkpoint, len(stream._payloads)):
+            if sequence not in duplicates:
+                entry = stream._entry(sequence)
                 try:
                     for _, handler in self._handlers:
                         handler(entry)

@@ -127,31 +127,43 @@ class Dataset:
 def load_manifest(path: str | Path) -> Dataset:
     """Read a newline-delimited JSON manifest. JSON decodes a new string
     for each row's device id and truth identity; each distinct one is kept
-    once per load and shared by every frame that names it."""
+    once per load and shared by every frame that names it. A malformed
+    line, or one that is not UTF-8, is a DatasetError naming the file and
+    the line."""
     frames = []
     strings: dict[str, str] = {}
     share = strings.setdefault
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ProtocolError("a manifest line must be a JSON object")
-                # Only an exact string is swapped, for an equal one: any other
-                # value reaches from_dict as it is, and fails there as before.
-                device_id = row.get("device_id")
-                if type(device_id) is str:
-                    row["device_id"] = share(device_id, device_id)
-                identity = row.get("truth_identity")
-                if type(identity) is str:
-                    row["truth_identity"] = share(identity, identity)
-                frames.append(FrameSample.from_dict(row))
-            except (ValueError, ProtocolError, ValidationError) as exc:
-                # JSONDecodeError is a ValueError; a bad label is a ValidationError
-                raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise ProtocolError("a manifest line must be a JSON object")
+                    # Only an exact string is swapped, for an equal one: any other
+                    # value reaches from_dict as it is, and fails there as before.
+                    device_id = row.get("device_id")
+                    if type(device_id) is str:
+                        row["device_id"] = share(device_id, device_id)
+                    identity = row.get("truth_identity")
+                    if type(identity) is str:
+                        row["truth_identity"] = share(identity, identity)
+                    frames.append(FrameSample.from_dict(row))
+                except (ValueError, ProtocolError, ValidationError) as exc:
+                    # JSONDecodeError is a ValueError; a bad label is a ValidationError
+                    raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+    except UnicodeDecodeError:
+        # the file is decoded a chunk at a time: find the line, in bytes
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+        raise
     return Dataset(frames)
 
 

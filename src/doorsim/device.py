@@ -169,9 +169,13 @@ class MotionScript:
 
 
 def load_motion_script(path: str | Path) -> MotionScript:
-    """Read a motion script file; a malformed script is a ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
+    """Read a motion script file; a malformed script, or a file that is not
+    UTF-8 JSON, is a ValidationError (the latter naming the file)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValidationError(f"bad motion script: {path}: {exc}") from exc
     try:
         return MotionScript.from_dict(document)
     except (ProtocolError, ValidationError) as exc:

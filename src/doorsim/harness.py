@@ -8,6 +8,15 @@ reported as absent (None) when their denominator is zero, never as 0 or 1.
 A frame's report row takes its sorted truth and predicted names from
 :func:`~doorsim.model.truth_order`; a record without detections builds no
 predicted set and sorts nothing.
+
+A run keeps what it records per event as columns: lists of ``str``, ``int``
+and ``bool`` and the shared name tuples of ``truth_order``, for the report's
+rows, the partial trace and the latency pairs. ``ExperimentReport.frames`` is
+a read-only :class:`~doorsim.model.RowView` that builds each
+:class:`FrameOutcome` when it is read. Why: a ``FrameOutcome`` and two tuples
+kept per frame would be walked by CPython's collector at each collection of
+their generation, and made a full-size run of perfbench pay for a full
+collection that its half-size run did not.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .model import (
     EventIdFactory,
     FaceCategory,
     Label,
+    RowView,
     canonical_json,
     field as json_field,
     map_field,
@@ -197,11 +207,11 @@ class LatencyStats:
         return asdict(self)
 
 
-def latency_stats(trace: Sequence[tuple[int, int]], backend_id: str = "") -> LatencyStats:
+def latency_stats(trace: Iterable[tuple[int, int]], backend_id: str = "") -> LatencyStats:
     """Round-trip statistics from (request_at, response_at) pairs."""
-    if not trace:
+    samples = sorted([float(response - request) for request, response in trace])
+    if not samples:
         raise ValidationError("latency trace is empty")
-    samples = sorted(float(response - request) for request, response in trace)
     if samples[0] < 0:
         raise ValidationError("negative latency sample in trace")
     return LatencyStats(
@@ -349,7 +359,8 @@ CSV_COLUMNS = [
 
 @dataclass
 class ExperimentReport:
-    """Full output of one end-to-end run."""
+    """Full output of one end-to-end run. The ``frames`` of a report that
+    :func:`run_experiment` made are a read-only view of its row columns."""
 
     backend_id: str
     dataset_fingerprint: str
@@ -360,7 +371,7 @@ class ExperimentReport:
     memory_mb: float
     cpu_pct: float
     counters: dict[str, int]
-    frames: list[FrameOutcome] = field(default_factory=list)
+    frames: Sequence[FrameOutcome] = field(default_factory=list)
 
     def to_dict(self, include_trace: bool = False) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -416,13 +427,13 @@ def _resolve_profiles(config: ExperimentConfig) -> dict[str, BackendProfile]:
     return dict(DEFAULT_PROFILES)
 
 
-def _dump_partial_trace(path, config, counters, trace) -> None:
+def _dump_partial_trace(path, config, counters, event_ids, frame_ids, delivered) -> None:
     doc = {
         "config": config.to_dict(),
         "counters": counters,
         "frames": [
-            {"event_id": event_id, "frame_id": frame_id, "delivered": delivered}
-            for event_id, frame_id, delivered in trace
+            {"event_id": event_id, "frame_id": frame_id, "delivered": sent}
+            for event_id, frame_id, sent in zip(event_ids, frame_ids, delivered)
         ],
     }
     Path(path).write_text(canonical_json(doc) + "\n", encoding="utf-8")
@@ -505,10 +516,18 @@ def run_experiment(
     counters = {"events": 0, "sampled": 0, "ingested": 0, "dead_letters": 0}
     # Each event is tallied from the edge's own record as it is processed; a
     # dead-lettered record counts too, since the analysis happened even when
-    # delivery did not. Per event, only the partial trace's fields are kept.
-    trace: list[tuple[str, str, bool]] = []
-    frames: list[FrameOutcome] = []
-    latencies: list[tuple[int, int]] = []
+    # delivery did not. Per event, the run keeps the partial trace's fields,
+    # and per sampled frame its report row and latency pair, each as columns.
+    trace_event_ids: list[str] = []
+    trace_frame_ids: list[str] = []
+    trace_delivered: list[bool] = []
+    frame_ids: list[str] = []
+    row_event_ids: list[str] = []
+    scenarios: list[str] = []
+    truths: list[tuple[str, ...]] = []
+    predictions: list[tuple[str, ...]] = []
+    captured: list[int] = []
+    detected: list[int] = []
     per_scenario: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
     try:
         for event, frame in merged:
@@ -516,27 +535,32 @@ def run_experiment(
             outcome = pipeline.process(event, frame, sessions[event.device_id])
             record = outcome.record
             delivered = outcome.ack is not None
-            trace.append((event.event_id, frame.frame_id, delivered))
+            trace_event_ids.append(event.event_id)
+            trace_frame_ids.append(frame.frame_id)
+            trace_delivered.append(delivered)
             if record is None:
                 continue
             counters["sampled"] += 1
             counters["ingested" if delivered else "dead_letters"] += 1
-            latencies.append((record.captured_at, record.detected_at))
+            captured.append(record.captured_at)
+            detected.append(record.detected_at)
             detections = record.detections
             # most records have none: no set to build and nothing to sort then
             predicted = frozenset([d.label for d in detections]) if detections else _NO_LABELS
             scenario = frame.scenario._value_
-            frames.append(FrameOutcome(
-                frame.frame_id, record.event_id, scenario, truth_order(frame.truth)[1],
-                truth_order(predicted)[1] if detections else (),
-            ))
+            frame_ids.append(frame.frame_id)
+            row_event_ids.append(record.event_id)
+            scenarios.append(scenario)
+            truths.append(truth_order(frame.truth)[1])
+            predictions.append(truth_order(predicted)[1] if detections else ())
             tally_frame(frame.truth, predicted, per_scenario[scenario])
     except Exception:
         if partial_trace_path is not None:
-            _dump_partial_trace(partial_trace_path, config, counters, trace)
+            _dump_partial_trace(partial_trace_path, config, counters,
+                                trace_event_ids, trace_frame_ids, trace_delivered)
         raise
     service.run_dispatch()
-    counters["notifications"] = len(service.hub.subscription("operator").delivery_log)
+    counters["notifications"] = len(service.hub.subscription("operator").sent)
 
     scenario_metrics = {
         name: compute_metrics(counts, scenario=name, backend_id=config.backend_id)
@@ -544,7 +568,7 @@ def run_experiment(
     }
     overall_counts = sum(per_scenario.values(), ConfusionCounts())
     overall = compute_metrics(overall_counts, scenario=None, backend_id=config.backend_id)
-    latency = latency_stats(latencies, backend_id=config.backend_id)
+    latency = latency_stats(zip(captured, detected), backend_id=config.backend_id)
     return ExperimentReport(
         backend_id=config.backend_id,
         dataset_fingerprint=dataset.fingerprint(),
@@ -555,7 +579,7 @@ def run_experiment(
         memory_mb=profile.memory_mb,
         cpu_pct=profile.cpu_pct,
         counters=counters,
-        frames=frames,
+        frames=RowView(FrameOutcome, frame_ids, row_event_ids, scenarios, truths, predictions),
     )
 
 

@@ -48,6 +48,9 @@ frame sorts its truth: a remote-1dev frame called ``sorted`` 4 times
 before. A loaded manifest frame takes 188 B instead of 463 B (tracemalloc,
 CPython 3.11). Every config document, profile registry and motion script
 is read through the same getters, with :func:`refuse_unknown_keys`.
+
+A log kept per event as parallel columns is read back through
+:class:`RowView`, which builds each row's value, by position, when it is read.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ import inspect
 import itertools
 import json
 import sys
-from typing import AbstractSet, Any, Iterable, Mapping, Sequence
+from collections import abc
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ProtocolError, ValidationError
 
@@ -76,6 +80,7 @@ __all__ = [
     "parse_event_id",
     "apply_confidence_threshold",
     "canonical_json",
+    "RowView",
     "truth_order",
     "truth_set",
     "value",
@@ -675,3 +680,42 @@ def canonical_json(obj: Any) -> str:
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False)
+
+
+class RowView(abc.Sequence):
+    """A read-only, live sequence of rows kept as parallel columns.
+
+    Row ``i`` is ``build(columns[0][i], columns[1][i], ...)``, built by
+    position each time it is read. A log kept as lists of ``str`` and ``int``
+    and of already shared values holds no object per row that the garbage
+    collector walks; the view builds the value type only for its reader.
+    A view is equal to another view or to a list with equal rows.
+    """
+
+    __slots__ = ("_build", "_columns")
+
+    def __init__(self, build: Callable[..., Any], *columns: Sequence[Any]) -> None:
+        self._build = build
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: Any) -> Any:
+        if type(index) is slice:
+            return list(map(self._build, *[column[index] for column in self._columns]))
+        i = range(len(self))[index]  # a negative index counts from the end; IndexError past it
+        return self._build(*[column[i] for column in self._columns])
+
+    def __iter__(self):
+        return map(self._build, *self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RowView, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # equal to a list, which is unhashable
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"

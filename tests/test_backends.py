@@ -290,6 +290,18 @@ class TestProfiles:
                 per_scenario_recall={k: 0.5 for k in ScenarioKind},
             )
 
+    @pytest.mark.parametrize("content,message", [
+        (b"[{", "Expecting property name enclosed in double quotes"),
+        (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["truncated", "not_utf8"])
+    def test_unreadable_registry_file_is_a_validation_error_naming_it(self, tmp_path, content,
+                                                                       message):
+        path = tmp_path / "profiles.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as excinfo:
+            load_profiles(path)
+        assert str(excinfo.value).startswith(f"bad profile registry: {path}: {message}")
+
     def test_registry_file_round_trip(self, tmp_path):
         path = tmp_path / "profiles.json"
         path.write_text(

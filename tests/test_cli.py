@@ -107,6 +107,33 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("content,message", [
+        (b'{"dataset": ', "Expecting value: line 1 column 13 (char 12)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["truncated", "not_utf8"])
+    def test_unreadable_config_exits_1_naming_the_file(self, tmp_path, capsys, content, message):
+        config = tmp_path / "exp.json"
+        config.write_bytes(content)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(config), "--out", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: bad experiment config: {config}: {message}\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"device_id": "door-1", "entries": [', "Expecting value: line 1 column 37 (char 36)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["truncated", "not_utf8"])
+    def test_unreadable_script_file_exits_1_naming_it(self, tmp_path, dataset_path, capsys,
+                                                      content, message):
+        script = tmp_path / "script.json"
+        script.write_bytes(content)
+        config = experiment_config(tmp_path, dataset_path, scripts=[str(script)])
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(config), "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad experiment config: bad motion script: {script}: {message}\n")
+        assert not report.exists()
+
     def test_top_level_array_exits_1_with_message(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
         config.write_text(json.dumps([{"backend_id": "haar"}]))

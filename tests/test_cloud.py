@@ -301,16 +301,127 @@ class TestNotifications:
     def test_empty_detections_still_summarized(self):
         assert summarize_record(record(0, names=())) != ""
 
-    def test_records_without_detections_share_their_device_summary(self):
+    def test_each_logged_summary_is_that_of_its_record(self):
         hub = NotificationHub()
         hub.subscribe("user")
-        first, second = (hub.publish(record(seq, names=()), at=seq)[0] for seq in (0, 1))
-        other = hub.publish(record(0, device="door-2", names=()), at=2)[0]
-        assert first.summary == "Motion at door-1: nothing recognized"
-        assert second.summary is first.summary
-        assert other.summary == "Motion at door-2: nothing recognized"
-        # a record with detections gets its own sentence, as before
-        assert hub.publish(record(2), at=3)[0].summary == "Detected animal: dog"
+        sent = [record(0, names=()), record(1, names=()), record(0, device="door-2", names=()),
+                record(2), record(3, names=("face",), kind=ScenarioKind.FACE_RECOGNITION,
+                                  identity=FaceIdentity("alice", FaceCategory.FAMILY))]
+        for at, rec in enumerate(sent):
+            assert hub.publish(rec, at=at) == ["user"]
+        log = hub.subscription("user").delivery_log
+        assert [n.summary for n in log] == [summarize_record(rec) for rec in sent] == [
+            "Motion at door-1: nothing recognized", "Motion at door-1: nothing recognized",
+            "Motion at door-2: nothing recognized", "Detected animal: dog",
+            "Known face: alice (Family)"]
+        assert list(log) == [Notification(rec.event_id, rec.device_id, summarize_record(rec), at)
+                             for at, rec in enumerate(sent)]
+
+
+class TestColumnViews:
+    """The stream, the dead letters and the delivery logs read back as the
+    values that would have been stored eagerly, one per entry or delivery."""
+
+    SUBSCRIPTIONS = {
+        "ops": SubscriptionFilter(),
+        "d2": SubscriptionFilter(devices=frozenset({"d2"})),
+        "unsafe": SubscriptionFilter(scenarios=frozenset({ScenarioKind.UNSAFE_CONTENT})),
+    }
+
+    def test_views_equal_an_eager_mirror(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @given(
+            # ("append", device, sequence, unsafe): re-appending an id makes a
+            # duplicate, and a lower sequence is refused; ("pass",) runs one pass
+            steps=st.lists(st.one_of(
+                st.tuples(st.just("append"), st.sampled_from(["d1", "d2"]), st.integers(0, 5),
+                          st.booleans()),
+                st.tuples(st.just("pass"))), max_size=30),
+            failing=st.sets(st.tuples(st.integers(0, 30), st.integers(1, 4)), max_size=15),
+            poison_passes=st.integers(1, 3),
+        )
+        def compare(steps, failing, poison_passes):
+            seen.update(self.check_views(steps, failing, poison_passes))
+
+        compare()
+        # the property is only as good as its mix
+        assert {"duplicate", "refused", "backlog", "redelivered", "dead letter",
+                "not yet handled"} <= seen, seen
+
+    def check_views(self, steps, failing, poison_passes):
+        """Drive ``steps``, check the views, and return what the run reached."""
+        seen = set()
+        service = CloudService(seed=0, auto_dispatch=False, poison_passes=poison_passes)
+        for name, filter_ in self.SUBSCRIPTIONS.items():
+            service.subscribe(name, filter_)
+        stream, dispatcher = service.stream, service.dispatcher
+        entries = []  # every entry append returned, as the stream once kept them
+        handed = []  # (entry, its event_seq, the mirrored entry) per handler call
+        dead = []  # (entry, message) when a handler fails for the last time
+        logs = {name: [] for name in self.SUBSCRIPTIONS}
+        notified = set()
+        raised = {}
+
+        def mirror_notify(entry):  # runs after the service's persist-and-notify handler
+            rec = entry.payload
+            for name, filter_ in self.SUBSCRIPTIONS.items():
+                if (name, rec.event_id) not in notified and filter_.matches(rec):
+                    logs[name].append(Notification(rec.event_id, rec.device_id,
+                                                   summarize_record(rec), entry.ingested_at))
+                    notified.add((name, rec.event_id))
+
+        def faulty(entry):  # fails on the drawn (sequence, attempt) pairs
+            handed.append((entry, entry.event_seq, entries[entry.sequence]))
+            attempt = len([e for e, _, _ in handed if e.sequence == entry.sequence])
+            if (entry.sequence, attempt) in failing:
+                raised[entry.sequence] = raised.get(entry.sequence, 0) + 1
+                exc = RuntimeError(f"fault at {entry.sequence}")
+                if raised[entry.sequence] == poison_passes:
+                    dead.append((entries[entry.sequence], repr(exc)))
+                raise exc
+
+        dispatcher.register("mirror_notify", mirror_notify)
+        dispatcher.register("faulty", faulty)
+        for at, step in enumerate(steps):
+            if step[0] == "pass":
+                if len(stream) - dispatcher.checkpoint > 1:
+                    seen.add("backlog")
+                dispatcher.run_pass(stream)
+                continue
+            _, device_id, seq, unsafe = step
+            kind = ScenarioKind.UNSAFE_CONTENT if unsafe else ScenarioKind.ANIMAL_DETECTION
+            rec = record(seq, device=device_id, names=("gun",) if unsafe else (), kind=kind)
+            try:
+                entries.append(stream.append(rec, at))
+            except ValidationError:
+                seen.add("refused")  # out of order: nothing appended
+        n = len(entries)
+        assert len(stream) == n
+        for entry, event_seq, mirrored in handed:
+            assert (entry, event_seq) == (mirrored, mirrored.event_seq)
+        for start in range(-n - 1, n + 2):
+            assert ([(e, e.event_seq, e.partition) for e in stream.read_from(start)]
+                    == [(e, e.event_seq, e.partition) for e in entries[start:]])
+        assert dispatcher.dead_letters == dead
+        assert [e.event_seq for e, _ in dispatcher.dead_letters] == [e.event_seq for e, _ in dead]
+        for name, log in logs.items():
+            view = service.hub.subscription(name).delivery_log
+            assert len(view) == len(log) and view == log and list(view) == log
+            for i in range(-len(log) - 1, len(log) + 1):
+                if -len(log) <= i < len(log):
+                    assert view[i] == log[i]
+                else:
+                    with pytest.raises(IndexError):
+                        view[i]
+            assert view[1:] == log[1:] and view[::-1] == log[::-1]
+        seen.update(name for name, reached in (
+            ("duplicate", any(e.duplicate for e in entries)),
+            ("redelivered", len({e.sequence for e, _, _ in handed}) < len(handed)),
+            ("dead letter", dead),
+            ("not yet handled", dispatcher.checkpoint < n)) if reached)
+        return seen
 
 
 class TestMetadataStore:
@@ -747,7 +858,6 @@ class TupleSetHub(NotificationHub):
         return subscription
 
     def publish(self, record, at):
-        summary = summarize_record(record)
         delivered = []
         for subscription in self._subscriptions.values():
             key = (subscription.subscriber_id, record.event_id)
@@ -755,11 +865,10 @@ class TupleSetHub(NotificationHub):
                 continue
             if not subscription.filter.matches(record):
                 continue
-            notification = Notification(event_id=record.event_id, device_id=record.device_id,
-                                        summary=summary, at=at)
-            subscription.delivery_log.append(notification)
+            subscription.sent.append(record)
+            subscription.sent_at.append(at)
             self._delivered.add(key)
-            delivered.append(notification)
+            delivered.append(subscription.subscriber_id)
         return delivered
 
 
@@ -907,8 +1016,11 @@ def drive(cls, plan):
         "responses": outcomes,
         "stream": [entry.to_dict() for entry in service.stream.read_from(0)],
         "store": service.store.all_records(),
-        "deliveries": {name: service.hub.subscription(name).delivery_log
-                       for name in ("ops", "filtered")},
+        # the columns, and the notifications the view builds from them
+        "deliveries": {name: (subscription.sent, subscription.sent_at,
+                              list(subscription.delivery_log))
+                       for name in ("ops", "filtered")
+                       for subscription in [service.hub.subscription(name)]},
         "dispatch_dead_letters": [(entry.to_dict(), message)
                                   for entry, message in service.dispatcher.dead_letters],
         "failure_counts": service.dispatcher._failure_counts,

@@ -117,6 +117,15 @@ def test_bad_manifest_line_names_its_location(tmp_path, row, message):
     assert str(info.value) == f"{path}:3: bad manifest line: {message}"
 
 
+def test_a_manifest_line_that_is_not_utf8_names_its_location(tmp_path):
+    path = tmp_path / "bad.ndjson"
+    path.write_bytes((GOOD_ROW + "\n").encode() + b"\xff\xfe" + GOOD_ROW.encode()[2:] + b"\n")
+    with pytest.raises(DatasetError) as info:
+        load_manifest(path)
+    assert str(info.value) == (f"{path}:2: bad manifest line: 'utf-8' codec can't decode "
+                               "byte 0xff in position 0: invalid start byte")
+
+
 def _manifest_of(tmp_path, frames):
     path = tmp_path / "manifest.ndjson"
     save_manifest(frames, path)

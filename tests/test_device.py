@@ -298,6 +298,18 @@ class TestMotionScript:
             load_motion_script(path)
         assert message in str(excinfo.value)
 
+    @pytest.mark.parametrize("content,message", [
+        (b'{"device_id": "door-1", "entries": [', "Expecting value: line 1 column 37"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["truncated", "not_utf8"])
+    def test_unreadable_script_file_is_a_validation_error_naming_it(self, tmp_path, content,
+                                                                     message):
+        path = tmp_path / "script.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as excinfo:
+            load_motion_script(path)
+        assert str(excinfo.value).startswith(f"bad motion script: {path}: {message}")
+
     def test_script_json_round_trip(self, tmp_path):
         script = MotionScript("door-1", ((0, "f0"), (2000, "f1")), debounce_ms=750)
         path = tmp_path / "script.json"

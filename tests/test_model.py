@@ -678,21 +678,22 @@ class TestTruthOrders:
         assert model.truth_order(truth)[1] == ("dog", "person")
 
 
-# (module, qualified name, only the loop bodies) of each function that builds
-# values once per frame or per request; run_experiment's setup is per run.
+# (module, qualified name) of each function that builds values once per frame
+# or per request, or once per row that a view reads; run_experiment builds the
+# report's rows through a view (see test_harness.py).
 PER_FRAME_FUNCTIONS = [
-    ("doorsim.device", "run_motion_script", False),
-    ("doorsim.dataset", "generate_dataset", False),
-    ("doorsim.device", "DeviceRegistry.register", False),
-    ("doorsim.backends", "simulate_detections", False),
-    ("doorsim.edge", "EdgePipeline.analyze", False),
-    ("doorsim.transport", "CloudClient.call", False),
-    ("doorsim.transport", "CloudClient.ingest", False),
-    ("doorsim.cloud.stream", "IngestStream.append", False),
-    ("doorsim.cloud.notify", "NotificationHub.publish", False),
-    ("doorsim.cloud.queries", "QueryRequest.from_dict", False),
-    ("doorsim.cloud.stores", "CustomLabelJobs.create", False),
-    ("doorsim.harness", "run_experiment", True),
+    ("doorsim.device", "run_motion_script"),
+    ("doorsim.dataset", "generate_dataset"),
+    ("doorsim.device", "DeviceRegistry.register"),
+    ("doorsim.backends", "simulate_detections"),
+    ("doorsim.edge", "EdgePipeline.analyze"),
+    ("doorsim.transport", "CloudClient.call"),
+    ("doorsim.transport", "CloudClient.ingest"),
+    ("doorsim.cloud.stream", "IngestStream.append"),
+    ("doorsim.cloud.stream", "IngestStream._entry"),
+    ("doorsim.cloud.notify", "Subscription.delivery_log"),
+    ("doorsim.cloud.queries", "QueryRequest.from_dict"),
+    ("doorsim.cloud.stores", "CustomLabelJobs.create"),
 ]
 
 
@@ -701,9 +702,9 @@ def is_value_class(obj):
             and obj.__dataclass_params__.frozen and "__slots__" in vars(obj))
 
 
-@pytest.mark.parametrize("module_name,qualname,loops_only", PER_FRAME_FUNCTIONS,
+@pytest.mark.parametrize("module_name,qualname", PER_FRAME_FUNCTIONS,
                          ids=[entry[1] for entry in PER_FRAME_FUNCTIONS])
-def test_per_frame_values_are_built_positionally(module_name, qualname, loops_only):
+def test_per_frame_values_are_built_positionally(module_name, qualname):
     # A class called with keywords packs them into a dict that __init__
     # unpacks again; the per-frame sites pass their fields by position.
     module = importlib.import_module(module_name)
@@ -711,10 +712,10 @@ def test_per_frame_values_are_built_positionally(module_name, qualname, loops_on
     for part in qualname.split("."):
         owner, fn = fn, inspect.getattr_static(fn, part)
     fn = getattr(fn, "__func__", fn)  # a classmethod's function
+    fn = getattr(fn, "fget", fn)  # a property's getter
     names = {**vars(module), "cls": owner}
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-    roots = [node for node in ast.walk(tree) if isinstance(node, ast.For)] if loops_only else [tree]
-    calls = [node for root in roots for node in ast.walk(root)
+    calls = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and is_value_class(names.get(node.func.id))]
     assert calls, f"{qualname} builds no value"
