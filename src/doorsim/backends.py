@@ -105,7 +105,7 @@ class BackendProfile:
             raise ValidationError("false_positive_rate must be in [0, 1]")
         for scenario, recall in self.per_scenario_recall.items():
             if not 0.0 <= recall <= 1.0:
-                raise ValidationError(f"recall out of [0, 1] for {scenario}: {recall}")
+                raise ValidationError(f"recall out of [0, 1] for {scenario.value}: {recall}")
         if self.face_miss_rate is not None and not 0.0 <= self.face_miss_rate <= 1.0:
             raise ValidationError("face_miss_rate must be in [0, 1]")
 
@@ -241,21 +241,16 @@ DEFAULT_ROUTES: Mapping[ScenarioKind, str] = {
     for path, (_, scenarios) in DETECT_ENDPOINTS.items()
     for scenario in scenarios
 }
-# The same routes by the scenario's value string, for RemoteBackend.detect:
-# a str lookup, with no Python-level Enum.__hash__ call per frame.
-_ROUTE_BY_VALUE: Mapping[str, str] = {
-    scenario.value: path for scenario, path in DEFAULT_ROUTES.items()
-}
 
 
 def load_profiles(path: str | Path) -> dict[str, BackendProfile]:
     """Load a profile registry: a JSON array of profile objects. A malformed
     registry is a ValidationError naming the refused value, and a file that
-    is not UTF-8 JSON one naming the file."""
+    cannot be read as UTF-8 JSON one naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ValidationError(f"bad profile registry: {path}: {exc}") from exc
     profiles = {}
     try:
@@ -410,7 +405,7 @@ class RemoteBackend(DetectorBackend):
         self._profile = profile
 
     def detect(self, frame: FrameSample) -> tuple[list[Detection], int]:
-        detections, done = self._client.detect(_ROUTE_BY_VALUE[frame.scenario._value_], frame)
+        detections, done = self._client.detect(DEFAULT_ROUTES[frame.scenario], frame)
         return detections, done - frame.captured_at + self._profile.service_time_ms
 
     def descriptor(self) -> BackendProfile:

@@ -27,14 +27,12 @@ from ..model import AnalyticsRecord, FaceCategory, RowView, ScenarioKind, value
 
 __all__ = ["Notification", "SubscriptionFilter", "Subscription", "NotificationHub", "summarize_record"]
 
-# Keyed by the scenario's value string: a str lookup, with no Python-level
-# Enum.__hash__ call per detection.
 _KIND_PHRASE = {
-    ScenarioKind.FACE_RECOGNITION.value: "face",
-    ScenarioKind.UNSAFE_CONTENT.value: "unsafe content",
-    ScenarioKind.ANIMAL_DETECTION.value: "animal",
-    ScenarioKind.NOTEWORTHY_VEHICLE.value: "noteworthy vehicle",
-    ScenarioKind.MULTI_OBJECT.value: "object",
+    ScenarioKind.FACE_RECOGNITION: "face",
+    ScenarioKind.UNSAFE_CONTENT: "unsafe content",
+    ScenarioKind.ANIMAL_DETECTION: "animal",
+    ScenarioKind.NOTEWORTHY_VEHICLE: "noteworthy vehicle",
+    ScenarioKind.MULTI_OBJECT: "object",
 }
 
 
@@ -105,7 +103,7 @@ def summarize_record(record: AnalyticsRecord) -> str:
                     f"({detection.identity.category._value_.title()})"
                 )
         else:
-            phrase = _KIND_PHRASE[detection.label.kind._value_]
+            phrase = _KIND_PHRASE[detection.label.kind]
             parts.append(f"Detected {phrase}: {detection.label.name}")
     if not parts:
         return f"Motion at {record.device_id}: nothing recognized"

@@ -169,12 +169,12 @@ class MotionScript:
 
 
 def load_motion_script(path: str | Path) -> MotionScript:
-    """Read a motion script file; a malformed script, or a file that is not
-    UTF-8 JSON, is a ValidationError (the latter naming the file)."""
+    """Read a motion script file; a malformed script, or a file that cannot
+    be read as UTF-8 JSON, is a ValidationError (the latter naming the file)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ValidationError(f"bad motion script: {path}: {exc}") from exc
     try:
         return MotionScript.from_dict(document)

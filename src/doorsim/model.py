@@ -34,10 +34,11 @@ finite ``float``, a non-bool ``int``, an exact ``list`` or ``dict``, an
 enum's value string) inline and reach :func:`field` for any other value,
 reading the fields in a fixed order, so the first malformed one is named.
 Their ``to_dict`` reads an enum member's ``_value_``, not the slower
-``value`` property. ``Label`` hashes, and the per-frame lookup tables are
-keyed by, the value string, not the member, whose hash is the Python-level
-``Enum.__hash__``; both are fixed by ``PYTHONHASHSEED``. A broken domain
-invariant is a ValidationError.
+``value`` property. :class:`ScenarioKind` and :class:`FaceCategory` are
+``(str, Enum)``: a member is a ``str`` equal to its value and hashes as it
+does, in C, so a member-keyed table also answers the value string and a
+``Label`` hashes as ``(name, value)``, fixed by ``PYTHONHASHSEED``. A
+broken domain invariant is a ValidationError.
 
 A decoded label of the :data:`DEFAULT_VOCABULARY` is one shared instance
 per (name, scenario), and a frame's truth whose names are a sorted subset
@@ -98,7 +99,7 @@ ALTERNATE_THRESHOLD = 70.0
 FACE_LABEL = "face"
 
 
-class ScenarioKind(enum.Enum):
+class ScenarioKind(str, enum.Enum):
     """The five supported analytics scenarios."""
 
     FACE_RECOGNITION = "face_recognition"
@@ -108,7 +109,7 @@ class ScenarioKind(enum.Enum):
     MULTI_OBJECT = "multi_object"
 
 
-class FaceCategory(enum.Enum):
+class FaceCategory(str, enum.Enum):
     FAMILY = "family"
     FRIEND = "friend"
     VISITOR = "visitor"
@@ -325,11 +326,6 @@ class Label:
     name: str
     kind: ScenarioKind
 
-    def __hash__(self) -> int:
-        # Over the kind's value string, whose hash is C-level and fixed by
-        # PYTHONHASHSEED; hashing the member calls the Python Enum.__hash__.
-        return hash((self.name, self.kind._value_))
-
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("label name must be non-empty")
@@ -337,21 +333,20 @@ class Label:
             raise ValidationError(f"label name must be a lowercase token: {self.name!r}")
 
 
-# One Label per (name, scenario value) of the default vocabulary, built
-# once; keyed by the value string, as Label hashes. Fixed at import:
-# decoding never adds to it.
-_VOCABULARY_LABELS: Mapping[tuple[str, str], Label] = {
-    (name, kind._value_): Label(name, kind)
+# One Label per (name, scenario) of the default vocabulary, built once.
+# Fixed at import: decoding never adds to it.
+_VOCABULARY_LABELS: Mapping[tuple[str, ScenarioKind], Label] = {
+    (name, kind): Label(name, kind)
     for kind, names in DEFAULT_VOCABULARY.items() for name in names
 }
 
-# One frozenset of those Labels per (scenario value, *names) for every
+# One frozenset of those Labels per (scenario, *names) for every
 # sorted subset of the scenario's vocabulary, the empty one included: 34
 # sets, built once. A manifest repeats a handful of truth sets over
 # thousands of frames, so a frame shares one instead of holding its own.
 # Fixed at import, like _VOCABULARY_LABELS: decoding never adds to it.
 _VOCABULARY_TRUTHS: Mapping[tuple[str, ...], frozenset[Label]] = {
-    (kind._value_, *names): frozenset([_VOCABULARY_LABELS[name, kind._value_] for name in names])
+    (kind, *names): frozenset([_VOCABULARY_LABELS[name, kind] for name in names])
     for kind, vocabulary in DEFAULT_VOCABULARY.items()
     for size in range(len(vocabulary) + 1)
     for names in itertools.combinations(sorted(vocabulary), size)
@@ -383,10 +378,9 @@ def truth_set(scenario: ScenarioKind, names: Sequence[str]) -> frozenset[Label]:
     sorted subset of the scenario's vocabulary, each once, give the shared
     set; any other names give a new set of shared or new, validated Labels,
     so a malformed name raises ValidationError as ``Label`` does."""
-    kind = scenario._value_
-    truth = _VOCABULARY_TRUTHS.get((kind, *names))
+    truth = _VOCABULARY_TRUTHS.get((scenario, *names))
     if truth is None:
-        truth = frozenset([_VOCABULARY_LABELS.get((name, kind)) or Label(name, scenario)
+        truth = frozenset([_VOCABULARY_LABELS.get((name, scenario)) or Label(name, scenario)
                            for name in names])
     return truth
 
@@ -453,7 +447,7 @@ class Detection:
         kind = _SCENARIO_BY_VALUE.get(kind) if type(kind) is str else None
         if kind is None:
             kind = field(data, "kind", ScenarioKind)
-        label = _VOCABULARY_LABELS.get((name, kind._value_)) or Label(name, kind)
+        label = _VOCABULARY_LABELS.get((name, kind)) or Label(name, kind)
         confidence = data.get("confidence")
         if type(confidence) is not float or not -_FLOAT_MAX <= confidence <= _FLOAT_MAX:
             confidence = field(data, "confidence", float)

@@ -281,8 +281,11 @@ class TestProfiles:
         assert recall[ScenarioKind.MULTI_OBJECT] == 0.88
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
+        # the scenario by its value: format(member) would read
+        # ScenarioKind.FACE_RECOGNITION on 3.11+ but face_recognition on 3.10
+        with pytest.raises(ValidationError) as excinfo:
             profile_with(1.5)
+        assert str(excinfo.value) == "recall out of [0, 1] for face_recognition: 1.5"
         with pytest.raises(ValidationError):
             BackendProfile(
                 backend_id="x", category=BackendCategory.ON_EDGE, memory_mb=0.0,

@@ -303,6 +303,8 @@ def _script(**entry):
     return {"device_id": "door-1", "entries": [{"at": 0, "frame_id": "f0", **entry}]}
 
 
+MISSING_FILE = "no-such-directory/missing.json"  # relative: the message names it as written
+
 # (command, config document, profile registry or None, the whole of stderr).
 # The evaluate and compare documents also get the fixture dataset's path.
 MALFORMED_DOCUMENTS = {
@@ -332,6 +334,10 @@ MALFORMED_DOCUMENTS = {
                              "bad experiment config: at must be an integer"),
     "script_entry_unknown_key": ("evaluate", {"scripts": [_script(when=5)]}, None,
                                  "bad experiment config: unknown key 'when' in an item of entries"),
+    "script_file_missing": (
+        "evaluate", {"scripts": [MISSING_FILE]}, None,
+        f"bad experiment config: bad motion script: {MISSING_FILE}: "
+        f"[Errno 2] No such file or directory: '{MISSING_FILE}'"),
     "two_scripts_for_one_device": (
         "evaluate", {"scripts": [_script(), _script(at=5)]}, None,
         "bad experiment config: scripts: more than one motion script for device door-1"),
@@ -350,6 +356,13 @@ MALFORMED_DOCUMENTS = {
     "confidence_unknown_key": (
         "evaluate", {}, [_profile(confidence_model={"mean": 80.0})],
         "bad profile registry: unknown key 'mean' in confidence_model"),
+    "profiles_file_missing": (
+        "evaluate", {"profiles": MISSING_FILE}, None,
+        f"bad profile registry: {MISSING_FILE}: "
+        f"[Errno 2] No such file or directory: '{MISSING_FILE}'"),
+    "recall_out_of_range": (
+        "evaluate", {}, [_profile(per_scenario_recall={"face_recognition": 1.5})],
+        "bad profile registry: recall out of [0, 1] for face_recognition: 1.5"),
     "positives_a_fraction": ("gen-dataset", {"positives": 2.9}, None,
                              "bad generator config: positives must be an integer"),
     "positives_true": ("gen-dataset", {"positives": True}, None,

@@ -619,6 +619,17 @@ def test_report_rows_are_built_by_position_when_read(monkeypatch):
     assert len(list(report.frames)) == len(built) == len(dataset)
 
 
+def test_report_rows_and_scenario_keys_are_plain_str():
+    # a scenario member equals its value string, so only the type shows a
+    # row or a metrics key that kept the member
+    dataset = small_dataset(seed=3, scenarios=tuple(ScenarioKind), positives=4)
+    report = run_experiment(ExperimentConfig(backend_id="aws-saas", seed=1), dataset=dataset)
+    rows = report.to_dict(include_trace=True)["frames"]
+    assert {row["scenario"] for row in rows} == {kind.value for kind in ScenarioKind}
+    assert {type(row["scenario"]) for row in rows} | {type(row.scenario) for row in report.frames} == {str}
+    assert {type(key) for key in report.scenario_metrics} == {str}
+
+
 class RecordingPipeline(EdgePipeline):
     """The edge, recording each processed (frame, outcome) in order."""
 

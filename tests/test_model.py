@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import itertools
 import json
 import pickle
 import pkgutil
@@ -695,6 +696,55 @@ PER_FRAME_FUNCTIONS = [
     ("doorsim.cloud.queries", "QueryRequest.from_dict"),
     ("doorsim.cloud.stores", "CustomLabelJobs.create"),
 ]
+
+
+class TestStrEnums:
+    """ScenarioKind and FaceCategory members are strs equal to their wire
+    values, so one member-keyed table also answers the value string; every
+    to_dict still emits the plain value, never the member."""
+
+    @pytest.mark.parametrize("member", [*ScenarioKind, *FaceCategory], ids=str)
+    def test_a_member_is_its_wire_string(self, member):
+        assert isinstance(member, str) and member == member.value
+        assert type(member).__hash__ is str.__hash__  # in C, not Enum.__hash__
+        assert hash(member) == hash(member.value)
+        assert json.dumps(member) == json.dumps(member.value)
+        assert sorted(type(member)) == sorted(type(member), key=lambda m: m.value)
+
+    @pytest.mark.parametrize("kind", list(ScenarioKind), ids=str)
+    def test_label_hash_is_the_hash_of_its_name_and_value(self, kind):
+        # run under two PYTHONHASHSEEDs in CI: truth-set orders, and so the
+        # report digests, rest on this hash
+        for name in (*DEFAULT_VOCABULARY[kind], "zebra"):
+            assert hash(Label(name, kind)) == hash((name, kind.value))
+
+    def test_a_member_keyed_table_answers_the_value_string(self):
+        from doorsim.backends import DEFAULT_ROUTES
+        from doorsim.cloud.notify import _KIND_PHRASE
+
+        for kind, names in DEFAULT_VOCABULARY.items():
+            assert DEFAULT_ROUTES[kind.value] is DEFAULT_ROUTES[kind]
+            assert _KIND_PHRASE[kind.value] is _KIND_PHRASE[kind]
+            for name in names:
+                label = model._VOCABULARY_LABELS[name, kind]
+                assert model._VOCABULARY_LABELS[name, kind.value] is label
+            for size in range(len(names) + 1):
+                for subset in itertools.combinations(sorted(names), size):
+                    truth = model._VOCABULARY_TRUTHS[(kind, *subset)]
+                    assert model._VOCABULARY_TRUTHS[(kind.value, *subset)] is truth
+
+    def test_every_to_dict_emits_plain_str(self):
+        identity = FaceIdentity("tok-1", FaceCategory.FAMILY)
+        face = Detection(Label("face", ScenarioKind.FACE_RECOGNITION), 90.0, identity)
+        frame = FrameSample("f1", "door-1", 0, frozenset(), ScenarioKind.MULTI_OBJECT)
+        recall = BackendProfile("b", BackendCategory.ON_EDGE, 1.0, 1.0, 1,
+                                {kind: 0.5 for kind in ScenarioKind}).to_dict()
+        enroll = ExperimentConfig(enroll={"alice": FaceCategory.FRIEND}).to_dict()["enroll"]
+        emitted = [face.to_dict()["kind"], face.to_dict()["category"],
+                   frame.to_dict()["scenario"], *recall["per_scenario_recall"], enroll["alice"]]
+        assert emitted == ["face_recognition", "family", "multi_object",
+                           *(kind.value for kind in ScenarioKind), "friend"]
+        assert [type(v) for v in emitted] == [str] * len(emitted)
 
 
 def is_value_class(obj):
