@@ -21,6 +21,9 @@ class QueryKind(enum.Enum):
     RANGE_QUERY = "range_query"
 
 
+_KIND_BY_VALUE: Mapping[str, QueryKind] = QueryKind._value2member_map_
+
+
 @value
 class QueryRequest:
     kind: QueryKind
@@ -36,13 +39,30 @@ class QueryRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping, now_ms: int = 0) -> "QueryRequest":
-        """Parse a wire query; an open range end means 0 or ``now_ms``."""
-        kind = field(data, "kind", QueryKind)
-        start, end = field(data, "from", int, None), field(data, "to", int, None)
+        """Parse a wire query; an open range end means 0 or ``now_ms``.
+
+        A value of exactly its field's type is taken inline (``kind`` by an
+        exact ``str`` from the enum's own value table); any other goes
+        through ``field``, in the same field order, so a malformed query is
+        refused with the same message."""
+        kind = data.get("kind")
+        if type(kind) is not QueryKind:
+            kind = _KIND_BY_VALUE.get(kind) if type(kind) is str else None
+            if kind is None:
+                kind = field(data, "kind", QueryKind)
+        start = data.get("from")
+        if start is not None and type(start) is not int:
+            start = field(data, "from", int, None)
+        end = data.get("to")
+        if end is not None and type(end) is not int:
+            end = field(data, "to", int, None)
         range_ = None
         if start is not None or end is not None:
             range_ = (0 if start is None else start, now_ms if end is None else end)
-        return cls(kind, field(data, "device_id", str), range_)
+        device_id = data.get("device_id")
+        if type(device_id) is not str:
+            device_id = field(data, "device_id", str)
+        return cls(kind, device_id, range_)
 
 
 @value
@@ -54,7 +74,7 @@ class QueryAnswer:
     def to_dict(self) -> dict:
         return {
             "summary": self.summary,
-            "records": [r.to_dict() for r in self.records],
+            "records": list(map(AnalyticsRecord.to_dict, self.records)),
             "counts": None if self.counts is None else dict(self.counts),
         }
 

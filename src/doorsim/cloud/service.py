@@ -25,6 +25,16 @@ usual exact ASCII-digit string inline and any other value through
 The envelope is checked only where the fast path fails: a method or path
 that is not a string, or headers or a query that are not a mapping, is a
 400 ``protocol`` envelope, and a token that is not a string a 401.
+
+A read costs about what its records cost to encode. ``/activities`` takes
+a ``device`` that is an exact ``str`` and ``from``/``to`` strings that pass
+:func:`doorsim.model._decimal` inline, and ``/query`` reads an exact
+``dict`` body and hands it to :meth:`QueryRequest.from_dict`, which takes
+exact types the same way; any other value goes through ``field`` or
+``parse_int``, so it is refused with the same message as before. The store
+answers a device that has put its events in order with one slice (see
+:class:`MetadataStore`), and the records are encoded with one
+``AnalyticsRecord.to_dict`` call each, looked up when the read runs.
 """
 
 from __future__ import annotations
@@ -52,7 +62,16 @@ from ..errors import (
     RoutingError,
     ValidationError,
 )
-from ..model import AnalyticsRecord, FaceCategory, FrameSample, field, parse_int, value
+from ..model import (
+    REQUIRED,
+    AnalyticsRecord,
+    FaceCategory,
+    FrameSample,
+    _decimal,
+    field,
+    parse_int,
+    value,
+)
 from .notify import NotificationHub, SubscriptionFilter
 from .queries import QueryRequest, answer_query
 from .stores import BlobStore, CustomLabelJobs, MetadataStore
@@ -262,15 +281,33 @@ class CloudService:
 
     def _handle_activities(self, request: ApiRequest) -> dict:
         params = request.query
-        device = field(params, "device", str)
-        from_ms = parse_int(params["from"], "from") if "from" in params else 0
-        to_ms = parse_int(params["to"], "to") if "to" in params else self.now_ms
+        device = params.get("device")
+        if type(device) is not str:
+            device = field(params, "device", str)
+        # parse_int's usual case inline, an exact str that passes _decimal;
+        # an absent "from" is 0 and an absent "to" the service's clock
+        from_ms = params.get("from", "0")
+        if type(from_ms) is str and _decimal(from_ms):
+            from_ms = int(from_ms)
+        else:
+            from_ms = parse_int(from_ms, "from")
+        to_ms = params.get("to", REQUIRED)
+        if to_ms is REQUIRED:
+            to_ms = self._now_ms
+        elif type(to_ms) is str and _decimal(to_ms):
+            to_ms = int(to_ms)
+        else:
+            to_ms = parse_int(to_ms, "to")
         records = self.store.get_activities(device, from_ms, to_ms)
-        return {"records": [r.to_dict() for r in records]}
+        return {"records": list(map(AnalyticsRecord.to_dict, records))}
 
     def _handle_query(self, request: ApiRequest) -> dict:
-        query = QueryRequest.from_dict(self._body(request), now_ms=self.now_ms)
-        return answer_query(query, self.store, now_ms=self.now_ms).to_dict()
+        body = request.body
+        if type(body) is not dict:
+            body = self._body(request)
+        now_ms = self._now_ms
+        query = QueryRequest.from_dict(body, now_ms)
+        return answer_query(query, self.store, now_ms).to_dict()
 
     # -- faces -----------------------------------------------------------------
 

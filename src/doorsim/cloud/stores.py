@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
-from operator import lt
 
 from ..errors import ConflictError, NotFoundError, ValidationError
 from ..model import AnalyticsRecord, parse_event_id, value
@@ -22,34 +21,39 @@ class _DeviceRecords:
     ``puts`` maps each stored event id to its put position on the device,
     which orders distinct ids that spell one sequence (``d:1`` and ``d:01``).
 
+    ``ordered`` holds while ``seqs`` rise strictly along the index, as they
+    do when a device puts its events in order: a range read is then one
+    slice of ``records``. An insert, or an append whose sequence is not above
+    the last one, clears it for good, and every later read of the device
+    sorts its own slice.
+
     ``latest`` is the record with the greatest ``(captured_at, seq)`` key,
     the first one put among equals; ``latest_order`` is its put position in
     the whole store, which breaks ties between devices.
     """
 
-    __slots__ = ("puts", "times", "seqs", "records", "latest", "latest_key", "latest_order")
+    __slots__ = ("puts", "times", "seqs", "records", "ordered", "latest", "latest_key",
+                 "latest_order")
 
     def __init__(self) -> None:
         self.puts: dict[str, int] = {}
         self.times: list[int] = []
         self.seqs: list[int] = []
         self.records: list[AnalyticsRecord] = []
+        self.ordered = True
         self.latest: AnalyticsRecord | None = None
         self.latest_key: tuple[float, int] = (-math.inf, -1)
         self.latest_order = 0
 
     def by_sequence(self, lo: int, hi: int) -> list[AnalyticsRecord]:
-        """Records ``lo:hi`` of the index ordered by (seq, put order).
-
-        A slice whose sequences already rise strictly is returned as is;
-        otherwise only its own records are sorted.
-        """
-        seqs = self.seqs[lo:hi]
+        """Records ``lo:hi`` of the index ordered by (seq, put order), in a
+        new list: one slice while ``ordered`` holds, a sort of the slice
+        otherwise."""
         records = self.records[lo:hi]
-        if all(map(lt, seqs, seqs[1:])):
+        if self.ordered:
             return records
         puts = [self.puts[record.event_id] for record in records]
-        return [record for _, _, record in sorted(zip(seqs, puts, records))]
+        return [record for _, _, record in sorted(zip(self.seqs[lo:hi], puts, records))]
 
 
 class MetadataStore:
@@ -60,13 +64,15 @@ class MetadataStore:
     by its event sequence, distinct ids of one sequence in put order.
 
     Each device keeps its records in capture-time order, so no read scans
-    other devices or all of one device: ``get_activities`` is O(log n + k)
-    for n records of the device and k hits, ``put`` is O(1) amortised when
+    other devices or all of one device: ``get_activities`` is two bisects
+    and one slice of the k hits for a device whose sequences have risen
+    with its capture times at every put, and O(log n + k log k) for n
+    records of any other device; ``put`` is O(1) amortised when
     ``(captured_at, seq)`` arrives in order and O(log n) plus one list
     insert otherwise, ``latest(device)`` and ``len`` are O(1) and
     ``latest(None)`` is O(devices). ``all_records`` is O(records) plus a
-    sort of the device ids, and sorts a device only where its capture
-    times do not rise with its sequences.
+    sort of the device ids and of every device that lost its order. A range
+    read returns a new list, so a caller may change it freely.
     """
 
     def __init__(self) -> None:
@@ -89,10 +95,13 @@ class MetadataStore:
         times, seqs = device.times, device.seqs
         key = (at, seq)
         if key >= device.latest_key:  # the greatest key is the last in the index
+            if seq <= device.latest_key[1]:  # not above the last sequence
+                device.ordered = False
             times.append(at)
             seqs.append(seq)
             device.records.append(record)
         else:
+            device.ordered = False
             lo = bisect_left(times, at)
             i = bisect_right(seqs, seq, lo, bisect_right(times, at, lo))
             times.insert(i, at)

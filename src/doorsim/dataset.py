@@ -129,7 +129,7 @@ def load_manifest(path: str | Path) -> Dataset:
     for each row's device id and truth identity; each distinct one is kept
     once per load and shared by every frame that names it. A malformed
     line, or one that is not UTF-8, is a DatasetError naming the file and
-    the line."""
+    the line; a file that cannot be read is one naming the file."""
     frames = []
     strings: dict[str, str] = {}
     share = strings.setdefault
@@ -164,6 +164,8 @@ def load_manifest(path: str | Path) -> Dataset:
                 except UnicodeDecodeError as exc:
                     raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
         raise
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DatasetError(f"{path}: {exc}") from exc
     return Dataset(frames)
 
 

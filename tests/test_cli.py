@@ -1,5 +1,6 @@
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,18 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(config), "--out", str(report)]) == 1
         assert capsys.readouterr().err == (
             f"error: bad experiment config: bad motion script: {script}: {message}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    def test_unreadable_dataset_exits_2_naming_it(self, tmp_path, capsys, make):
+        data = tmp_path / "nope.ndjson"
+        make(data)
+        config = experiment_config(tmp_path, data)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--config", str(config), "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: [Errno ") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not report.exists()
 
     def test_top_level_array_exits_1_with_message(self, tmp_path, capsys):

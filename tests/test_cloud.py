@@ -554,12 +554,20 @@ STORE_RANGES = st.lists(
 
 
 class TestMetadataStoreAgainstOracle:
-    """Every read of the store equals a scan of a plain list of the puts."""
+    """Every read of the store equals a scan of a plain list of the puts,
+    both for a device that puts in order (a read is one slice of its index)
+    and for one that does not (a read sorts its slice)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(device_count=st.integers(1, 3), puts=STORE_PUTS, ranges=STORE_RANGES)
-    def test_reads_match_plain_list(self, device_count, puts, ranges):
+    @given(device_count=st.integers(1, 3), puts=STORE_PUTS, ranges=STORE_RANGES,
+           in_order=st.booleans())
+    def test_reads_match_plain_list(self, device_count, puts, ranges, in_order):
+        if in_order:
+            # sequences rise with capture times, as a device puts its events;
+            # a duplicate id or a respelled sequence may still come along
+            puts = [(device_index, seq, pad, at) for (device_index, seq, pad, _), at
+                    in zip(sorted(puts, key=lambda put: put[1]), sorted(put[3] for put in puts))]
         store = MetadataStore()
         stored = []  # first record put under each event id, in put order
         for index, (device_index, seq, pad, at) in enumerate(puts):
@@ -586,8 +594,21 @@ class TestMetadataStoreAgainstOracle:
                 (r for r in stored if r.device_id == device and lo <= r.captured_at <= hi),
                 key=seq_of,
             )
+            got = store.get_activities(device, lo, hi)
+            assert got == expected
+            got.reverse()
+            got.append(None)  # the caller's list: the next read is unchanged
             assert store.get_activities(device, lo, hi) == expected
-        assert store.all_records() == sorted(stored, key=lambda r: (r.device_id, seq_of(r)))
+        everything = sorted(stored, key=lambda r: (r.device_id, seq_of(r)))
+        got = store.all_records()
+        assert got == everything
+        got.clear()
+        assert store.all_records() == everything
+        if in_order:
+            for device in STORE_DEVICES:
+                seqs = [seq_of(r) for r in stored if r.device_id == device]
+                if len(set(seqs)) == len(seqs):  # no sequence spelled twice
+                    assert device not in store._devices or store._devices[device].ordered
         for device in STORE_DEVICES + ("door-9",):
             assert store.latest(device) is first_latest(r for r in stored if r.device_id == device)
         assert store.latest() is first_latest(stored)

@@ -126,6 +126,21 @@ def test_a_manifest_line_that_is_not_utf8_names_its_location(tmp_path):
                                "byte 0xff in position 0: invalid start byte")
 
 
+def test_a_missing_manifest_names_its_path(tmp_path):
+    path = tmp_path / "nope.ndjson"
+    with pytest.raises(DatasetError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}: [Errno 2] No such file or directory: '{path}'"
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
+def test_a_manifest_that_is_a_directory_names_its_path(tmp_path):
+    with pytest.raises(DatasetError) as info:
+        load_manifest(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path}: [Errno ")
+    assert isinstance(info.value.__cause__, OSError)
+
+
 def _manifest_of(tmp_path, frames):
     path = tmp_path / "manifest.ndjson"
     save_manifest(frames, path)

@@ -19,7 +19,7 @@ from doorsim import model
 from doorsim.backends import BackendCategory, BackendProfile, ConfidenceModel
 from doorsim.cloud.notify import Notification, SubscriptionFilter
 from doorsim.cloud.queries import QueryAnswer, QueryKind, QueryRequest
-from doorsim.cloud.service import ApiRequest, ApiResponse
+from doorsim.cloud.service import ApiRequest, ApiResponse, CloudService
 from doorsim.cloud.stores import CustomLabelJob
 from doorsim.cloud.stream import StreamRecord
 from doorsim.dataset import GeneratorConfig
@@ -694,6 +694,7 @@ PER_FRAME_FUNCTIONS = [
     ("doorsim.cloud.stream", "IngestStream._entry"),
     ("doorsim.cloud.notify", "Subscription.delivery_log"),
     ("doorsim.cloud.queries", "QueryRequest.from_dict"),
+    ("doorsim.cloud.queries", "answer_query"),
     ("doorsim.cloud.stores", "CustomLabelJobs.create"),
 ]
 
@@ -1099,3 +1100,84 @@ class TestDetectResponseEqualsTheOldDecoder:
         compare()
         # the property is only as good as its mix
         assert {"value", "ProtocolError", "ValidationError"} <= seen
+
+
+# -- the read decoders against the old ones ------------------------------------
+#
+# QueryRequest.from_dict and the /activities handler take exact-typed values
+# inline and reach field()/parse_int() only for the rest. These are the read
+# decoders as they were written before, kept as the reference.
+
+def reference_query_from_dict(data, now_ms):
+    kind = field(data, "kind", QueryKind)
+    start, end = field(data, "from", int, None), field(data, "to", int, None)
+    range_ = None
+    if start is not None or end is not None:
+        range_ = (0 if start is None else start, now_ms if end is None else end)
+    return QueryRequest(kind, field(data, "device_id", str), range_)
+
+
+def reference_activities_params(params, now_ms):
+    device = field(params, "device", str)
+    from_ms = parse_int(params["from"], "from") if "from" in params else 0
+    to_ms = parse_int(params["to"], "to") if "to" in params else now_ms
+    return device, from_ms, to_ms
+
+
+class ReadRecorder:
+    """A stand-in store that keeps the arguments of the read it is asked for."""
+
+    def get_activities(self, device_id, from_ms, to_ms):
+        self.args = (device_id, from_ms, to_ms)
+        return []
+
+
+def activities_params(params, now_ms):
+    service = CloudService()
+    service.advance_clock(now_ms)
+    service.store = recorder = ReadRecorder()
+    service._handle_activities(ApiRequest("GET", "/activities", query=params))
+    return recorder.args
+
+
+# what int() and parse_int take, and what they do not: a sign, non-ASCII
+# digits, padding, underscores, and digit runs around int()'s 4,300 limit
+DIGIT_STRINGS = (st.from_regex(r"-?[0-9]{1,6}", fullmatch=True) | st.just("-5")
+                 | st.integers(4298, 4302).map(lambda n: "7" * n)
+                 | st.integers(4298, 4302).map(lambda n: "-" + "7" * n))
+NOT_DIGIT_STRINGS = st.sampled_from(["\u0661", "\u0669\u0669", "\u00b2", " 99 ", "1_0", "+5",
+                                     "", "-", "--5", "5-"])
+QUERY_INTS = kinds(st.integers(-5, 50) | st.integers() | st.just(-5), st.nothing(),
+                   st.integers().map(Whole) | DIGIT_STRINGS | st.booleans())
+QUERY_KINDS = kinds(st.sampled_from([kind.value for kind in QueryKind])
+                    | st.sampled_from(list(QueryKind)),
+                    st.sampled_from([kind.value for kind in QueryKind]).map(Text),
+                    st.sampled_from([kind.name for kind in QueryKind]) | st.just([]))
+QUERY_BODIES = bodies({"kind": QUERY_KINDS, "from": QUERY_INTS, "to": QUERY_INTS,
+                       "device_id": strings()})
+PARAM_INTS = kinds(DIGIT_STRINGS, st.nothing(),
+                   NOT_DIGIT_STRINGS | DIGIT_STRINGS.map(Text) | st.just(-5))
+ACTIVITIES_PARAMS = bodies({"device": strings(), "from": PARAM_INTS, "to": PARAM_INTS})
+
+
+class TestReadDecodersEqualTheOldDecoders:
+    @pytest.mark.parametrize("strategy,decode,reference", [
+        (QUERY_BODIES, QueryRequest.from_dict, reference_query_from_dict),
+        (ACTIVITIES_PARAMS, activities_params, reference_activities_params),
+    ], ids=["query", "activities"])
+    def test_decode_gives_the_same_value_or_the_same_error(self, strategy, decode, reference):
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(data=strategy, now_ms=st.integers(0, 100))
+        def compare(data, now_ms):
+            got = outcome(lambda d: decode(d, now_ms), data)
+            assert got == outcome(lambda d: reference(d, now_ms), data)
+            seen.add(got[0] if got[0] == "value" else got[1].__name__)
+
+        compare()
+        # the property is only as good as its mix
+        assert {"value", "ProtocolError"} <= seen
+        if decode is QueryRequest.from_dict:
+            assert "ValidationError" in seen  # a range query without a range, or inverted
