@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from abc import ABC, abstractmethod
-from dataclasses import asdict, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -26,6 +26,7 @@ from .model import (
     FaceIdentity,
     FrameSample,
     ScenarioKind,
+    encoder,
     field as json_field,
     map_field,
     refuse_unknown_keys,
@@ -80,8 +81,7 @@ class ConfidenceModel:
         value = mean - spread + 2.0 * spread * unit_draw(*key)
         return min(100.0, max(0.0, value))
 
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
+    to_dict = encoder()
 
 
 @value

@@ -38,7 +38,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _read_config(path: str | None, what: str, decode):
     """``decode`` of the JSON object in file ``path``; a malformed one is
-    ``bad <what>: …``, and a file that is not UTF-8 JSON ``bad <what>: <path>: …``."""
+    ``bad <what>: …``, and an unreadable file ``bad <what>: <path>: …``."""
     if not path:
         raise ValidationError("--config is required for this command")
     config_path = Path(path)
@@ -47,7 +47,7 @@ def _read_config(path: str | None, what: str, decode):
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ValidationError(f"bad {what}: {path}: {exc}") from exc
     try:
         if not isinstance(document, dict):

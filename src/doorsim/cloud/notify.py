@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model import AnalyticsRecord, FaceCategory, RowView, ScenarioKind, value
+from ..model import AnalyticsRecord, FaceCategory, RowView, ScenarioKind, encoder, value
 
 __all__ = ["Notification", "SubscriptionFilter", "Subscription", "NotificationHub", "summarize_record"]
 
@@ -43,13 +43,7 @@ class Notification:
     summary: str
     at: int
 
-    def to_dict(self) -> dict:
-        return {
-            "event_id": self.event_id,
-            "device_id": self.device_id,
-            "summary": self.summary,
-            "at": self.at,
-        }
+    to_dict = encoder()
 
 
 @value

@@ -6,7 +6,7 @@ import enum
 from typing import Mapping
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, field, value
+from ..model import AnalyticsRecord, decoder, read, value
 from .notify import summarize_record
 from .stores import MetadataStore
 
@@ -19,9 +19,6 @@ class QueryKind(enum.Enum):
     LATEST_ACTIVITY = "latest_activity"
     DAILY_SNAPSHOT = "daily_snapshot"
     RANGE_QUERY = "range_query"
-
-
-_KIND_BY_VALUE: Mapping[str, QueryKind] = QueryKind._value2member_map_
 
 
 @value
@@ -37,32 +34,14 @@ class QueryRequest:
             if self.range[0] > self.range[1]:
                 raise ValidationError("range from must be <= to")
 
-    @classmethod
-    def from_dict(cls, data: Mapping, now_ms: int = 0) -> "QueryRequest":
-        """Parse a wire query; an open range end means 0 or ``now_ms``.
-
-        A value of exactly its field's type is taken inline (``kind`` by an
-        exact ``str`` from the enum's own value table); any other goes
-        through ``field``, in the same field order, so a malformed query is
-        refused with the same message."""
-        kind = data.get("kind")
-        if type(kind) is not QueryKind:
-            kind = _KIND_BY_VALUE.get(kind) if type(kind) is str else None
-            if kind is None:
-                kind = field(data, "kind", QueryKind)
-        start = data.get("from")
-        if start is not None and type(start) is not int:
-            start = field(data, "from", int, None)
-        end = data.get("to")
-        if end is not None and type(end) is not int:
-            end = field(data, "to", int, None)
-        range_ = None
-        if start is not None or end is not None:
-            range_ = (0 if start is None else start, now_ms if end is None else end)
-        device_id = data.get("device_id")
-        if type(device_id) is not str:
-            device_id = field(data, "device_id", str)
-        return cls(kind, device_id, range_)
+    from_dict = decoder(
+        read("kind", QueryKind),
+        read("from", int, None, name="start"),
+        read("to", int, None, name="end", then="range = None if start is None and end is None "
+             "else (0 if start is None else start, now_ms if end is None else end)"),
+        read("device_id", str),
+        params="now_ms: int = 0",
+    )
 
 
 @value
@@ -77,12 +56,6 @@ class QueryAnswer:
             "records": list(map(AnalyticsRecord.to_dict, self.records)),
             "counts": None if self.counts is None else dict(self.counts),
         }
-
-
-def _record_scenario(record: AnalyticsRecord) -> str:
-    if not record.detections:
-        return "none"
-    return record.detections[0].label.kind._value_  # not the slower enum .value property
 
 
 def answer_query(query: QueryRequest, store: MetadataStore, now_ms: int) -> QueryAnswer:
@@ -102,7 +75,8 @@ def answer_query(query: QueryRequest, store: MetadataStore, now_ms: int) -> Quer
         records = store.get_activities(query.device_id, since, now_ms)
         counts: dict[str, int] = {}
         for record in records:
-            key = _record_scenario(record)
+            # a record's scenario is its first detection's; not the slower enum .value property
+            key = record.detections[0].label.kind._value_ if record.detections else "none"
             counts[key] = counts.get(key, 0) + 1
         if not records:
             return QueryAnswer(f"No activity at {query.device_id} today.", (), counts)

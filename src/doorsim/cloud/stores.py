@@ -7,7 +7,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from ..errors import ConflictError, NotFoundError, ValidationError
-from ..model import AnalyticsRecord, parse_event_id, value
+from ..model import AnalyticsRecord, encoder, parse_event_id, value
 
 __all__ = ["MetadataStore", "BlobStore", "CustomLabelJobs", "CustomLabelJob"]
 
@@ -177,13 +177,7 @@ class CustomLabelJob:
     status: str
     created_at: int
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "example_count": self.example_count,
-            "status": self.status,
-            "created_at": self.created_at,
-        }
+    to_dict = encoder()
 
 
 class CustomLabelJobs:

@@ -9,12 +9,7 @@ An accepted ``/ingest`` is one pass: :meth:`IngestStream.append` parses the
 event id once and keeps its sequence on the entry (``event_seq``), which the
 metadata store indexes by without parsing it again, and the gateway runs
 one :meth:`Dispatcher.run_pass`, going on to further passes only when a
-handler failed or appended. Under cProfile, a ``gateway-mix`` ingest of
-perfbench at seed 1 makes 55.3 calls, Python and built-in, each code object
-counted apart: 77.6 when every event id was parsed twice and the dispatch
-went through ``run_until_current`` (see ``BENCH_14.json``), 63.8 after that,
-and 62.2 before the device registry dropped its lock and the ingest its
-one-line helpers (see ``BENCH_19.json``).
+handler failed or appended.
 
 Per entry, the stream keeps columns, not a :class:`StreamRecord`: the
 payload (the record that the metadata store holds too), the ``ingested_at``
@@ -34,7 +29,7 @@ import dataclasses
 from typing import Callable
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, parse_event_id, value
+from ..model import AnalyticsRecord, encoder, parse_event_id, value
 
 __all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES"]
 
@@ -58,14 +53,7 @@ class StreamRecord:
     duplicate: bool = False
     event_seq: int | None = dataclasses.field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "partition": self.partition,
-            "payload": self.payload.to_dict(),
-            "ingested_at": self.ingested_at,
-            "duplicate": self.duplicate,
-        }
+    to_dict = encoder()
 
 
 class IngestStream:

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 from .dataset import Dataset
 from .errors import (AuthError, ConflictError, DatasetError, NotFoundError, ProtocolError,
                      ValidationError)
-from .model import (EventIdFactory, FrameSample, MotionEvent, field, list_field,
+from .model import (EventIdFactory, FrameSample, MotionEvent, encoder, field, list_field,
                     refuse_unknown_keys, value)
 
 __all__ = [
@@ -47,13 +47,7 @@ class DeviceRecord:
     credential_fingerprint: str
     registered_at: int
 
-    def to_dict(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "attributes": dict(self.attributes),
-            "credential_fingerprint": self.credential_fingerprint,
-            "registered_at": self.registered_at,
-        }
+    to_dict = encoder()
 
 
 @value
@@ -86,7 +80,7 @@ class DeviceRegistry:
     """
 
     def __init__(self, rng: random.Random | None = None):
-        self._rng = rng or random.Random()
+        self._rng = rng or random.Random(0)  # seeded: the same secrets and tokens every run
         self._records: dict[str, DeviceRecord] = {}
         self._sessions: dict[str, str] = {}
 

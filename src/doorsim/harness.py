@@ -56,6 +56,7 @@ from .model import (
     Label,
     RowView,
     canonical_json,
+    encoder,
     field as json_field,
     map_field,
     refuse_unknown_keys,
@@ -203,8 +204,7 @@ class LatencyStats:
     p50_ms: float
     p95_ms: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+    to_dict = encoder()
 
 
 def latency_stats(trace: Iterable[tuple[int, int]], backend_id: str = "") -> LatencyStats:
@@ -341,14 +341,7 @@ class FrameOutcome:
     truth: tuple[str, ...]
     predicted: tuple[str, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "frame_id": self.frame_id,
-            "event_id": self.event_id,
-            "scenario": self.scenario,
-            "truth": list(self.truth),
-            "predicted": list(self.predicted),
-        }
+    to_dict = encoder()
 
 
 CSV_COLUMNS = [

@@ -1,54 +1,30 @@
 """Shared domain vocabulary: frames, events, detections, and records.
 
-All types here are immutable values, safe to copy between pipeline stages.
-Every value type of the package is declared with :func:`value`: a final,
-frozen, slotted dataclass built by one generated ``__new__``. It stores the
-fields on a bare instance of a hidden twin class that has the value's
-``__slots__`` but not its frozen ``__setattr__``, so each store is a plain
-attribute store, which CPython 3.11+ specializes to a slot store
-(``STORE_ATTR_SLOT``, PEP 659); then it assigns the value's class to the
-instance, as the language allows between heap types of one layout. A run
-builds 15.25 values per remote-1dev frame, 12.17 per local-fleet frame and
-4.37 per gateway-mix ``/ingest``. Against the older ``__init__``, which made
-one member-descriptor call per field (the frozen ``__setattr__`` rules out
-the specialized store), building an 8-field ``AnalyticsRecord`` fell from
-761 to 503 ns on CPython 3.11, 988 to 593 on 3.12, 906 to 573 on 3.13 and
-1,003 to 867 on 3.10; a 3-field ``MotionEvent`` from 331 to 298 ns on
-3.11. The ``__class__`` store costs about 65 ns, so a two-field value got
-slower: ``ApiResponse`` 264 to 275 ns and ``ProcessOutcome`` 265 to 277 ns
-on 3.11, and by up to 9% on 3.10 (timeit, minimum of five
-interleaved rounds of the best of 5 x 100,000 positional calls, shared
-2-vCPU x86-64 host). The per-frame sites pass their fields positionally: a
-class called with keywords packs them into a dict that is unpacked again,
-and that record took 1.2-2.2 us by keyword against 0.84-1.5 us
-positionally (timeit, CPython 3.10-3.13, 1.3-1.7x in each run). Timestamps
-are logical simulation milliseconds, never wall clock.
+All types here are immutable values, safe to copy between pipeline stages,
+each declared with :func:`value`, which also generates the wire codecs that
+a class body declares. The per-frame sites build values positionally: a
+class called with keywords packs them into a dict that is unpacked again.
+Timestamps are logical simulation milliseconds, never wall clock.
 
 Every type serializes to a flat JSON object with snake_case field names;
 ``canonical_json`` is the single encoder used for wire payloads, reports,
 and golden files. :func:`field` and :func:`list_field` stay the one
-definition of a well-formed wire value. The decoders of the values that
-cross the wire once or twice per frame (``Detection``, ``FrameSample`` and
-``AnalyticsRecord``) take a value of exactly its field's type (``str``, a
-finite ``float``, a non-bool ``int``, an exact ``list`` or ``dict``, an
-enum's value string) inline and reach :func:`field` for any other value,
-reading the fields in a fixed order, so the first malformed one is named.
-Their ``to_dict`` reads an enum member's ``_value_``, not the slower
-``value`` property. :class:`ScenarioKind` and :class:`FaceCategory` are
-``(str, Enum)``: a member is a ``str`` equal to its value and hashes as it
-does, in C, so a member-keyed table also answers the value string and a
-``Label`` hashes as ``(name, value)``, fixed by ``PYTHONHASHSEED``. A
-broken domain invariant is a ValidationError.
+definition of a well-formed wire value: a generated decoder takes a value
+of exactly its field's type inline and hands any other to them, so the
+first malformed field in read order is the one named.
+:class:`ScenarioKind` and :class:`FaceCategory` are ``(str, Enum)``: a
+member is a ``str`` equal to its value and hashes as it does, in C, so a
+member-keyed table also answers the value string and a ``Label`` hashes as
+``(name, value)``, fixed by ``PYTHONHASHSEED``. A broken domain invariant
+is a ValidationError.
 
 A decoded label of the :data:`DEFAULT_VOCABULARY` is one shared instance
 per (name, scenario), and a frame's truth whose names are a sorted subset
 of its scenario's vocabulary, each once, is one of 34 shared frozensets
 (:func:`truth_set`); other names get new values. Each shared set carries
 its labels sorted by name and their names (:func:`truth_order`), so no
-frame sorts its truth: a remote-1dev frame called ``sorted`` 4 times
-before. A loaded manifest frame takes 188 B instead of 463 B (tracemalloc,
-CPython 3.11). Every config document, profile registry and motion script
-is read through the same getters, with :func:`refuse_unknown_keys`.
+frame sorts its truth. Every config document, profile registry and motion
+script is read through the same getters, with :func:`refuse_unknown_keys`.
 
 A log kept per event as parallel columns is read back through
 :class:`RowView`, which builds each row's value, by position, when it is read.
@@ -61,7 +37,9 @@ import enum
 import inspect
 import itertools
 import json
+import linecache
 import sys
+import typing
 from collections import abc
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
@@ -228,35 +206,101 @@ def _reduce(self: Any) -> tuple:
     return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
+class _Codec(tuple):
+    """A codec declared in a value class body: (name, reads, extra parameters)."""
+
+
+def decoder(*reads: tuple, params: str = "") -> Any:
+    """``from_dict = decoder(*reads, params=...)`` in a value class body; see :func:`value`."""
+    return _Codec(("from_dict", reads, params and f", {params}"))
+
+
+def encoder() -> Any:
+    """``to_dict = encoder()`` in a value class body; see :func:`value`."""
+    return _Codec(("to_dict", (), ""))
+
+
+def read(key: str, kind: Any, default: Any = REQUIRED, then: str = "", *,
+         name: str = "", when: str = "") -> tuple:
+    """A :func:`decoder`'s read of key ``key`` into local ``name`` (default
+    ``key``): a value of exactly ``kind`` (``str``, ``int``, ``float``, an
+    enum, ``tuple[K, ...]``; a value type ``K`` is read by its ``from_dict``)
+    as it is, any other through :func:`field` or :func:`list_field`, which
+    coerce it or refuse it by name. ``then`` is a statement run right after
+    the read, and both run only ``when`` that condition holds."""
+    return name or key, key, kind, default, then, when
+
+
+def _read_source(name: str, key: str, kind: Any, default: Any, then: str, when: str,
+                 closure: dict[str, Any]) -> list[str]:
+    closure[f"_{name}_default"] = default
+    dflt = "" if default is REQUIRED else ", None" if default is None else f", _{name}_default"
+    item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+    if hasattr(item, "from_dict"):  # an array of objects; most are empty: skip the map then
+        closure[item.__name__] = item
+        then = f"{name} = tuple(map({item.__name__}.from_dict, {name})) if {name} else ()\n{then}"
+        item = dict
+    getter, check = "field", []
+    if kind in (str, int, float):
+        bad = f"type({name}) is not {kind.__name__}" + (
+            f" or not -_FLOAT_MAX <= {name} <= _FLOAT_MAX" if kind is float else "")
+        bad = f"{name} is not None and ({bad})" if default is None else bad
+    elif isinstance(kind, enum.EnumMeta):  # an exact str, looked up in the enum's own table
+        closure[kind.__name__], closure[f"_{name}_members"] = kind, kind._value2member_map_
+        check = [f"{name} = _{name}_members.get({name}) if type({name}) is str else None"]
+        bad = f"{name} is None"
+    elif item in (str, dict):  # an exact list of exact items
+        getter, bad = "list_field", f"type({name}) is not list"
+        check = [f"if type({name}) is list:", f" for item in {name}:",
+                 f"  if type(item) is not {item.__name__}:", f"   {name} = None", "   break"]
+    elif item is float and default is None:  # absent or null: None, without the call
+        getter, bad = "list_field", f"{name} is not None"
+    else:
+        raise TypeError(f"{key}: no generated read of {kind!r}")
+    lines = [f"{name} = data.get({key!r}{'' if default is None else dflt})", *check, f"if {bad}:",
+             f" {name} = {getter}(data, {key!r}, {(item or kind).__name__}{dflt})",
+             *then.splitlines()]
+    return [f"if {when}:", *[f" {line}" for line in lines]] if when else lines
+
+
+def _encoded(value: str, kind: Any) -> str:
+    """A value type's ``to_dict()``, a list of a tuple, a dict of a mapping, a scalar."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if hasattr(kind, "to_dict"):
+        return f"{value}.to_dict()"
+    if origin is tuple and hasattr(args[0], "to_dict"):  # most are empty: skip the call then
+        return f"[item.to_dict() for item in {value}] if {value} else []"
+    if origin in (tuple, abc.Mapping):
+        return f"{'list' if origin is tuple else 'dict'}({value})"
+    if kind in (str, int, float, bool):
+        return value
+    raise TypeError(f"{value}: no generated encoding of {kind!r}")
+
+
 def value(cls: type) -> type:
     """Make ``cls`` an immutable value type: a final, frozen, slotted dataclass.
 
-    ``dataclasses`` generates everything but construction: ``__eq__``,
-    ``__hash__``, ``__repr__``, the frozen set and delete, ``replace``,
-    ``fields`` and ``__match_args__``. A generated ``__new__`` takes the
-    parameters of the dataclass ``__init__`` (names, order, defaults and
-    ``default_factory`` fields) and does four things in order:
+    ``dataclasses`` generates everything but construction and the codecs:
+    ``__eq__``, ``__hash__``, ``__repr__``, the frozen set and delete,
+    ``replace``, ``fields`` and ``__match_args__``. ``value`` writes one
+    source per class and ``exec``s it once. It holds a ``__new__`` that
+    takes the parameters of the dataclass ``__init__`` (names, order,
+    defaults and ``default_factory`` fields) and does four things in order:
 
     - makes a bare instance of a hidden twin class, built once per value
       type with the same ``__slots__`` and no ``__setattr__`` (``twin()``
-      runs ``object.__new__`` and ``object.__init__``, and costs about
-      40 ns less than calling ``object.__new__(twin)``);
+      runs ``object.__new__`` and ``object.__init__``);
     - stores each field with a plain attribute store;
     - sets ``self.__class__ = cls``;
     - calls ``__post_init__`` if the class has one.
 
-    ``__init__`` is ``object``'s. Against the older ``__init__``, which made
-    one slot member-descriptor call per field, a value of three or more
-    fields got 9-35% cheaper to build on CPython 3.11, 10-40% on 3.12, 8-37%
-    on 3.13, and between 1% dearer and 19% cheaper on 3.10. A two-field
-    value pays the ``__class__`` store (about 65 ns) to save two descriptor
-    calls: 4-5% dearer on 3.11, up to 5% on 3.12 and 3.13, up to 9% on
-    3.10. Per class on 3.11: ``AnalyticsRecord`` 761 to 503 ns,
-    ``StreamRecord`` 562 to 364, ``FrameSample`` 542 to 360, ``IngestAck``
-    483 to 343, ``Detection`` 590 to 485, ``Notification`` 410 to 311,
-    ``MotionEvent`` 331 to 298, ``ApiResponse`` 264 to 275 and
-    ``ProcessOutcome`` 265 to 277 (``BENCH_20.json``
-    ``value_construction_ns`` has every per-frame class on 3.10-3.13).
+    ``__init__`` is ``object``'s. The source, kept in ``linecache`` for
+    ``inspect.getsource`` and tracebacks, also holds the codecs that the
+    class body declares, which read field annotations as strings (``from
+    __future__ import annotations``): ``to_dict = encoder()`` maps each
+    field (but one with ``compare=False``: derived data) to its JSON value,
+    and ``from_dict = decoder(*reads)`` makes each :func:`read` in order
+    (with none, each field's) and returns ``cls(<fields>)``.
 
     A shared ``__reduce__`` returns ``(type(self), field values)``, so
     copy, deepcopy and pickle rebuild a value through ``__new__``; the
@@ -284,7 +328,7 @@ def value(cls: type) -> type:
     # store below is CPython's specialized slot store, not a descriptor call.
     twin = type(cls.__name__, (), {"__slots__": cls.__slots__, "__module__": cls.__module__})
     closure: dict[str, Any] = {"_FACTORY": _FACTORY, "_twin": twin}
-    params, body = [], []
+    params, new = [], [" self = _twin()"]
     for f in fields:
         arg = f.name
         if f.default_factory is not dataclasses.MISSING:
@@ -296,22 +340,36 @@ def value(cls: type) -> type:
             params.append(f"{f.name}=_dflt_{f.name}")
         else:
             params.append(f.name)
-        body.append(f"self.{f.name} = {arg}")
-    body.append("self.__class__ = cls")
+        new.append(f" self.{f.name} = {arg}")
+    new.append(" self.__class__ = cls")
     if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
+        new.append(" self.__post_init__()")
+    functions = {"__new__": ["@staticmethod", f"def __new__(cls, {', '.join(params)}):", *new,
+                             " return self"]}
+    scope = getattr(sys.modules.get(cls.__module__), "__dict__", {})  # where the source runs
+    for name, reads, extra in [v for v in vars(cls).values() if type(v) is _Codec]:
+        if name == "to_dict":
+            functions[name] = ["def to_dict(self):", " return {", *[
+                f"  {f.name!r}: {_encoded('self.' + f.name, eval(f.type, scope))},"
+                for f in fields if f.compare], " }"]
+            continue
+        closure.update(field=field, list_field=list_field, _FLOAT_MAX=_FLOAT_MAX)
+        reads = reads or [read(f.name, eval(f.type, scope), REQUIRED if f.default is
+                               dataclasses.MISSING else f.default) for f in fields]
+        functions[name] = ["@classmethod", f"def from_dict(cls, data{extra}):",
+                           *[f" {line}" for r in reads for line in _read_source(*r, closure)],
+                           f" return cls({', '.join(f.name for f in fields)})"]
     source = "\n".join([f"def __create_fn__({', '.join(closure)}):",
-                        f" def __new__(cls, {', '.join(params)}):",
-                        "  self = _twin()",
-                        *[f"  {line}" for line in body],
-                        "  return self",
-                        " return __new__"])
+                        *[f" {line}" for lines in functions.values() for line in lines],
+                        f" return {', '.join(functions)},"])
+    filename = f"<value {cls.__module__}.{cls.__qualname__}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict[str, Any] = {}
-    exec(source, {"__name__": cls.__module__}, namespace)
-    new = namespace["__create_fn__"](**closure)
-    new.__qualname__ = f"{cls.__qualname__}.__new__"
-    new.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
-    cls.__new__ = staticmethod(new)
+    exec(compile(source, filename, "exec"), scope, namespace)
+    for name, fn in zip(functions, namespace["__create_fn__"](**closure)):
+        getattr(fn, "__func__", fn).__qualname__ = fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__new__.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
     cls.__reduce__ = _reduce
     cls.__init_subclass__ = classmethod(_final)
     if doc is None:  # dataclasses' own docstring: the class's signature
@@ -385,11 +443,6 @@ def truth_set(scenario: ScenarioKind, names: Sequence[str]) -> frozenset[Label]:
     return truth
 
 
-# The enums' own value -> member tables, for the decoders' inline lookups.
-_SCENARIO_BY_VALUE: Mapping[str, ScenarioKind] = ScenarioKind._value2member_map_
-_CATEGORY_BY_VALUE: Mapping[str, FaceCategory] = FaceCategory._value2member_map_
-
-
 @value
 class FaceIdentity:
     """An opaque identity token plus the category it resolved to."""
@@ -432,36 +485,16 @@ class Detection:
             "box": None if self.box is None else list(self.box),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Detection":
-        # A value of exactly its field's type is taken as it is; any other
-        # value goes through field(), which coerces or refuses it. Fields are
-        # read in a fixed order, so the first malformed one is the one named.
-        token = data.get("identity")
-        if token is not None and type(token) is not str:
-            token = field(data, "identity", str, None)
-        name = data.get("label")
-        if type(name) is not str:
-            name = field(data, "label", str)
-        kind = data.get("kind")
-        kind = _SCENARIO_BY_VALUE.get(kind) if type(kind) is str else None
-        if kind is None:
-            kind = field(data, "kind", ScenarioKind)
-        label = _VOCABULARY_LABELS.get((name, kind)) or Label(name, kind)
-        confidence = data.get("confidence")
-        if type(confidence) is not float or not -_FLOAT_MAX <= confidence <= _FLOAT_MAX:
-            confidence = field(data, "confidence", float)
-        identity = None
-        if token is not None:
-            category = data.get("category")
-            category = _CATEGORY_BY_VALUE.get(category) if type(category) is str else None
-            if category is None:
-                category = field(data, "category", FaceCategory)
-            identity = FaceIdentity(token, category)
-        box = data.get("box")
-        if box is not None:
-            box = list_field(data, "box", float, None)
-        return cls(label, confidence, identity, box)
+    from_dict = decoder(
+        read("identity", str, None),
+        read("label", str),
+        read("kind", ScenarioKind,
+             then="label = _VOCABULARY_LABELS.get((label, kind)) or Label(label, kind)"),
+        read("confidence", float),
+        read("category", FaceCategory, when="identity is not None",
+             then="identity = FaceIdentity(identity, category)"),
+        read("box", tuple[float, ...], None),
+    )
 
 
 @value
@@ -495,35 +528,14 @@ class FrameSample:
             "truth_identity": self.truth_identity,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FrameSample":
-        # As Detection.from_dict: exact types inline, field() for the rest.
-        scenario = data.get("scenario")
-        scenario = _SCENARIO_BY_VALUE.get(scenario) if type(scenario) is str else None
-        if scenario is None:
-            scenario = field(data, "scenario", ScenarioKind)
-        frame_id = data.get("frame_id")
-        if type(frame_id) is not str:
-            frame_id = field(data, "frame_id", str)
-        device_id = data.get("device_id")
-        if type(device_id) is not str:
-            device_id = field(data, "device_id", str)
-        captured_at = data.get("captured_at", 0)
-        if type(captured_at) is not int:
-            captured_at = field(data, "captured_at", int, 0)
-        names = data.get("truth_labels")
-        if type(names) is list:
-            for name in names:
-                if type(name) is not str:
-                    names = None
-                    break
-        if type(names) is not list:  # absent, or not an array of exact strings
-            names = list_field(data, "truth_labels", str, ())
-        truth = truth_set(scenario, names)
-        truth_identity = data.get("truth_identity")
-        if truth_identity is not None and type(truth_identity) is not str:
-            truth_identity = field(data, "truth_identity", str, None)
-        return cls(frame_id, device_id, captured_at, truth, scenario, truth_identity)
+    from_dict = decoder(
+        read("scenario", ScenarioKind),
+        read("frame_id", str),
+        read("device_id", str),
+        read("captured_at", int, 0),
+        read("truth_labels", tuple[str, ...], (), then="truth = truth_set(scenario, truth_labels)"),
+        read("truth_identity", str, None),
+    )
 
 
 @value
@@ -534,13 +546,8 @@ class MotionEvent:
     at: int
     event_id: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"device_id": self.device_id, "at": self.at, "event_id": self.event_id}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MotionEvent":
-        return cls(device_id=field(data, "device_id", str), at=field(data, "at", int),
-                   event_id=field(data, "event_id", str))
+    to_dict = encoder()
+    from_dict = decoder()
 
 
 @value
@@ -565,55 +572,8 @@ class AnalyticsRecord:
                     f"detection below threshold {self.threshold_used}: {detection}"
                 )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "event_id": self.event_id,
-            "device_id": self.device_id,
-            "frame_id": self.frame_id,
-            # most records have none: skip the comprehension's call then
-            "detections": [d.to_dict() for d in self.detections] if self.detections else [],
-            "backend_id": self.backend_id,
-            "captured_at": self.captured_at,
-            "detected_at": self.detected_at,
-            "threshold_used": self.threshold_used,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AnalyticsRecord":
-        # As Detection.from_dict: exact types inline, field() for the rest.
-        event_id = data.get("event_id")
-        if type(event_id) is not str:
-            event_id = field(data, "event_id", str)
-        device_id = data.get("device_id")
-        if type(device_id) is not str:
-            device_id = field(data, "device_id", str)
-        frame_id = data.get("frame_id")
-        if type(frame_id) is not str:
-            frame_id = field(data, "frame_id", str)
-        items = data.get("detections")
-        if type(items) is list:
-            for item in items:
-                if type(item) is not dict:
-                    items = None
-                    break
-        if type(items) is not list:  # absent, or not an array of exact objects
-            items = list_field(data, "detections", dict)
-        # most records have none: skip the map then
-        detections = tuple(map(Detection.from_dict, items)) if items else ()
-        backend_id = data.get("backend_id")
-        if type(backend_id) is not str:
-            backend_id = field(data, "backend_id", str)
-        captured_at = data.get("captured_at")
-        if type(captured_at) is not int:
-            captured_at = field(data, "captured_at", int)
-        detected_at = data.get("detected_at")
-        if type(detected_at) is not int:
-            detected_at = field(data, "detected_at", int)
-        threshold = data.get("threshold_used")
-        if type(threshold) is not float or not -_FLOAT_MAX <= threshold <= _FLOAT_MAX:
-            threshold = field(data, "threshold_used", float)
-        return cls(event_id, device_id, frame_id, detections, backend_id,
-                   captured_at, detected_at, threshold)
+    to_dict = encoder()
+    from_dict = decoder()
 
 
 def format_event_id(device_id: str, sequence: int) -> str:

@@ -120,6 +120,20 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: bad experiment config: {config}: {message}\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("command,what", [("evaluate", "experiment config"),
+                                              ("gen-dataset", "generator config")])
+    def test_config_that_is_a_directory_exits_1_naming_it(self, tmp_path, capsys, command, what):
+        config = tmp_path / "config.json"
+        config.mkdir()
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad {what}: {config}: [Errno 21] Is a directory: '{config}'\n")
+        assert not out.exists()
+        assert main([command, "--config", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file not found: {tmp_path / 'missing.json'}\n")
+
     @pytest.mark.parametrize("content,message", [
         (b'{"device_id": "door-1", "entries": [', "Expecting value: line 1 column 37 (char 36)"),
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),

@@ -79,6 +79,14 @@ class TestRegistry:
             with pytest.raises(AuthError):
                 registry.authenticate("door-1", "ff" * 32)
 
+    def test_a_registry_without_an_rng_issues_the_same_secrets_and_tokens(self):
+        issued = []
+        for _ in range(2):
+            registry = DeviceRegistry()
+            _, credential = registry.register("door-1")
+            issued.append((credential.secret, registry.authenticate("door-1", credential.secret)))
+        assert issued[0] == issued[1]
+
     def test_invalid_session_rejected(self):
         registry = DeviceRegistry(rng=random.Random(1))
         with pytest.raises(AuthError):

@@ -8,6 +8,7 @@ import json
 import pickle
 import pkgutil
 import textwrap
+import traceback
 from types import MappingProxyType
 
 import pytest
@@ -511,6 +512,74 @@ class TestCopyAndPickle:
             assert rebuilt == example, type(example).__qualname__
             if hasattr(rebuilt, "__post_init__"):
                 rebuilt.__post_init__()  # the rebuilt value keeps the class's invariants
+
+
+EXAMPLE_RECORD_DICT = {
+    "event_id": "door-1:0", "device_id": "door-1", "frame_id": "f-1",
+    "detections": [{"label": "face", "kind": "face_recognition", "confidence": 91.5,
+                    "identity": "alice", "category": "family", "box": [0.1, 0.2, 0.3, 0.4]}],
+    "backend_id": "aws-saas", "captured_at": 10, "detected_at": 20, "threshold_used": 70.0,
+}
+# The to_dict of each value_examples() instance whose fields are its wire
+# shape, keys in field order.
+EXAMPLE_DICTS = {
+    AnalyticsRecord: EXAMPLE_RECORD_DICT,
+    MotionEvent: {"device_id": "door-1", "at": 10, "event_id": "door-1:0"},
+    StreamRecord: {"sequence": 0, "partition": "door-1", "payload": EXAMPLE_RECORD_DICT,
+                   "ingested_at": 20, "duplicate": False},
+    Notification: {"event_id": "door-1:0", "device_id": "door-1", "summary": "face (alice)",
+                   "at": 25},
+    CustomLabelJob: {"name": "job", "example_count": 3, "status": "training", "created_at": 10},
+    DeviceRecord: {"device_id": "door-1", "attributes": {"location": "front"},
+                   "credential_fingerprint": "fp", "registered_at": 0},
+    FrameOutcome: {"frame_id": "f-1", "event_id": "door-1:0", "scenario": "animal_detection",
+                   "truth": ["dog"], "predicted": ["dog"]},
+    LatencyStats: {"backend_id": "haar", "samples": 3, "mean_ms": 1.5, "p50_ms": 1.0,
+                   "p95_ms": 2.0},
+    ConfidenceModel: {"true_mean": 85.0, "true_spread": 15.0, "fp_mean": 80.0,
+                      "fp_spread": 10.0},
+}
+CODEC_METHODS = [*((cls, "to_dict") for cls in EXAMPLE_DICTS),
+                 *((cls, "from_dict") for cls in (AnalyticsRecord, MotionEvent, Detection,
+                                                  FrameSample, QueryRequest))]
+
+
+def plain_json(obj):
+    """``obj`` is built of exactly dict, list, str, int, float, bool and None."""
+    if type(obj) is dict:
+        return all(type(key) is str and plain_json(item) for key, item in obj.items())
+    if type(obj) is list:
+        return all(map(plain_json, obj))
+    return type(obj) in (str, int, float, bool, type(None))
+
+
+class TestWireShapedCodecs:
+    @pytest.mark.parametrize("cls", EXAMPLE_DICTS, ids=lambda cls: cls.__qualname__)
+    def test_to_dict_of_the_example_is_pinned(self, cls):
+        (example,) = [example for example in value_examples() if type(example) is cls]
+        encoded = example.to_dict()
+        assert plain_json(encoded)
+        # json.dumps without sort_keys: equal values and equal key order
+        assert json.dumps(encoded) == json.dumps(EXAMPLE_DICTS[cls])
+        assert example.to_dict() is not encoded  # a new object on each call
+        for name, item in encoded.items():
+            if isinstance(item, (dict, list)):
+                assert item is not getattr(example, name)  # not the value's own object
+
+    @pytest.mark.parametrize("cls,name", CODEC_METHODS,
+                             ids=[f"{cls.__qualname__}.{name}" for cls, name in CODEC_METHODS])
+    def test_the_source_of_each_codec_is_readable(self, cls, name):
+        (node,) = ast.parse(textwrap.dedent(inspect.getsource(getattr(cls, name)))).body
+        assert isinstance(node, ast.FunctionDef) and node.name == name
+
+    @pytest.mark.parametrize("cls", [AnalyticsRecord, Detection, FrameSample, QueryRequest],
+                             ids=lambda cls: cls.__qualname__)
+    def test_a_decode_error_traceback_shows_the_decoder_line(self, cls):
+        with pytest.raises(ProtocolError) as caught:
+            cls.from_dict({"kind": "latest_activity", "label": "dog", "scenario": "multi_object",
+                           "device_id": 5})
+        (frame,) = [frame for frame in traceback.extract_tb(caught.tb) if frame.name == "from_dict"]
+        assert "field(" in frame.line
 
 
 def frame_row(*names, scenario="animal_detection"):
