@@ -11,7 +11,6 @@ detection stream is byte-identical across runs with the same seed.
 from __future__ import annotations
 
 import enum
-import json
 from abc import ABC, abstractmethod
 from dataclasses import field, replace
 from pathlib import Path
@@ -27,13 +26,11 @@ from .model import (
     FrameSample,
     ScenarioKind,
     encoder,
-    field as json_field,
-    map_field,
-    refuse_unknown_keys,
+    read_document,
+    read_value,
     truth_order,
     truth_set,
     value,
-    value_field,
 )
 
 __all__ = [
@@ -95,7 +92,8 @@ class BackendProfile:
     service_time_ms: int
     per_scenario_recall: Mapping[ScenarioKind, float]
     false_positive_rate: float = 0.0
-    confidence: ConfidenceModel = field(default_factory=ConfidenceModel)
+    confidence: ConfidenceModel = field(default_factory=ConfidenceModel,
+                                        metadata={"key": "confidence_model"})
     face_miss_rate: float | None = None
 
     def __post_init__(self) -> None:
@@ -133,38 +131,13 @@ class BackendProfile:
             face_miss_rate=0.0,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "backend_id": self.backend_id,
-            "category": self.category.value,
-            "memory_mb": self.memory_mb,
-            "cpu_pct": self.cpu_pct,
-            "service_time_ms": self.service_time_ms,
-            "per_scenario_recall": {
-                kind.value: recall for kind, recall in self.per_scenario_recall.items()
-            },
-            "false_positive_rate": self.false_positive_rate,
-            "confidence_model": self.confidence.to_dict(),
-            "face_miss_rate": self.face_miss_rate,
-        }
+    to_dict = encoder()
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BackendProfile":
         """The profile of a JSON object whose keys are those of :meth:`to_dict`;
         a malformed value or an unknown key is a ProtocolError naming it."""
-        refuse_unknown_keys(data, DEFAULT_PROFILES[REMOTE_BACKEND_ID].to_dict(), "a profile")
-        return cls(
-            backend_id=json_field(data, "backend_id", str),
-            category=json_field(data, "category", BackendCategory),
-            memory_mb=json_field(data, "memory_mb", float),
-            cpu_pct=json_field(data, "cpu_pct", float),
-            service_time_ms=json_field(data, "service_time_ms", int),
-            per_scenario_recall=map_field(data, "per_scenario_recall", float,
-                                          key_kind=ScenarioKind),
-            false_positive_rate=json_field(data, "false_positive_rate", float, 0.0),
-            confidence=value_field(data, "confidence_model", ConfidenceModel),
-            face_miss_rate=json_field(data, "face_miss_rate", float, None),
-        )
+        return read_value(cls, data, "a profile")
 
 
 REMOTE_BACKEND_ID = "aws-saas"
@@ -244,25 +217,20 @@ DEFAULT_ROUTES: Mapping[ScenarioKind, str] = {
 
 
 def load_profiles(path: str | Path) -> dict[str, BackendProfile]:
-    """Load a profile registry: a JSON array of profile objects. A malformed
-    registry is a ValidationError naming the refused value, and a file that
-    cannot be read as UTF-8 JSON one naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise ValidationError(f"bad profile registry: {path}: {exc}") from exc
+    """Load a profile registry file, a JSON array of profile objects
+    (:func:`~doorsim.model.read_document`)."""
+    return read_document(path, "profile registry", _profiles)
+
+
+def _profiles(entries: Any) -> dict[str, BackendProfile]:
+    if not isinstance(entries, list):
+        raise ProtocolError("the document must be a JSON array")
     profiles = {}
-    try:
-        if not isinstance(entries, list):
-            raise ProtocolError("the document must be a JSON array")
-        for entry in entries:
-            profile = BackendProfile.from_dict(entry)
-            if profile.backend_id in profiles:
-                raise ValidationError(f"duplicate backend_id: {profile.backend_id}")
-            profiles[profile.backend_id] = profile
-    except (ProtocolError, ValidationError) as exc:
-        raise ValidationError(f"bad profile registry: {exc}") from exc
+    for entry in entries:
+        profile = BackendProfile.from_dict(entry)
+        if profile.backend_id in profiles:
+            raise ValidationError(f"duplicate backend_id: {profile.backend_id}")
+        profiles[profile.backend_id] = profile
     return profiles
 
 
@@ -291,9 +259,6 @@ class FaceCollection:
         if category is None:
             return FaceIdentity(token, FaceCategory.UNKNOWN)
         return FaceIdentity(token, category)
-
-    def entries(self) -> dict[str, FaceCategory]:
-        return dict(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

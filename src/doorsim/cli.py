@@ -22,7 +22,8 @@ from .cloud.httpd import CloudHTTPServer
 from .dataset import GeneratorConfig, generate_dataset, load_manifest, save_manifest
 from .errors import DoorsimError, ProtocolError, ValidationError
 from .harness import ExperimentConfig, compare_backends, run_experiment
-from .model import FaceCategory, canonical_json, field, list_field, map_field, refuse_unknown_keys
+from .model import (FaceCategory, canonical_json, field, list_field, map_field, read_document,
+                    refuse_unknown_keys)
 
 log = logging.getLogger("doorsim")
 
@@ -37,24 +38,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_config(path: str | None, what: str, decode):
-    """``decode`` of the JSON object in file ``path``; a malformed one is
-    ``bad <what>: …``, and an unreadable file ``bad <what>: <path>: …``."""
     if not path:
         raise ValidationError("--config is required for this command")
-    config_path = Path(path)
-    if not config_path.exists():
+    if not Path(path).exists():
         raise ValidationError(f"config file not found: {path}")
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise ValidationError(f"bad {what}: {path}: {exc}") from exc
-    try:
-        if not isinstance(document, dict):
-            raise ProtocolError("the document must be a JSON object")
-        return decode(document)
-    except (ProtocolError, ValidationError) as exc:
-        raise ValidationError(f"bad {what}: {exc}") from exc
+    return read_document(path, what, decode)
 
 
 def _seeded_config(args: argparse.Namespace, what: str, decode):
@@ -136,6 +124,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _compare_config(data: dict) -> tuple[ExperimentConfig, tuple[str, ...]]:
     """An experiment config plus ``backend_ids``, the backends to compare."""
+    if not isinstance(data, dict):
+        raise ProtocolError("the document must be a JSON object")
     rest = {key: value for key, value in data.items() if key != "backend_ids"}
     return ExperimentConfig.from_dict(rest), list_field(data, "backend_ids", str, ())
 

@@ -33,7 +33,8 @@ class CloudHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: CloudHTTPServer
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
+        """Any method goes to the service, which answers one it has no route for."""
         url = urlsplit(self.path)
         body = None
         header = self.headers.get("content-length") or "0"
@@ -45,11 +46,11 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw)
-            except ValueError:  # not JSON, or not decodable text
+            except (ValueError, RecursionError):  # not JSON, not text, or nested too deep
                 self._protocol_error("body is not JSON")
                 return
         request = ApiRequest(
-            method=method,
+            method=self.command,
             path=url.path,
             headers={k.lower(): v for k, v in self.headers.items()},
             body=body,
@@ -68,13 +69,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("content-type", "application/json")
         self.send_header("content-length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        if self.command != "HEAD":  # HEAD: the headers of the reply, no body (RFC 9110, 9.3.2)
+            self.wfile.write(payload)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _dispatch  # http.server API
 
     def log_message(self, format: str, *args) -> None:  # silence per-request logging
         pass

@@ -6,7 +6,7 @@ import enum
 from typing import Mapping
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, decoder, read, value
+from ..model import AnalyticsRecord, decoder, encoder, read, value
 from .notify import summarize_record
 from .stores import MetadataStore
 
@@ -50,12 +50,7 @@ class QueryAnswer:
     records: tuple[AnalyticsRecord, ...]
     counts: Mapping[str, int] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "summary": self.summary,
-            "records": list(map(AnalyticsRecord.to_dict, self.records)),
-            "counts": None if self.counts is None else dict(self.counts),
-        }
+    to_dict = encoder()
 
 
 def answer_query(query: QueryRequest, store: MetadataStore, now_ms: int) -> QueryAnswer:

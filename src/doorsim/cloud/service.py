@@ -75,7 +75,7 @@ from ..model import (
 from .notify import NotificationHub, SubscriptionFilter
 from .queries import QueryRequest, answer_query
 from .stores import BlobStore, CustomLabelJobs, MetadataStore
-from .stream import Dispatcher, IngestStream, StreamRecord
+from .stream import DEFAULT_POISON_PASSES, Dispatcher, IngestStream, StreamRecord
 
 __all__ = ["ApiRequest", "ApiResponse", "CloudService", "ROUTES"]
 
@@ -147,7 +147,7 @@ class CloudService:
         seed: int = 0,
         profiles: Mapping[str, BackendProfile] | None = None,
         auto_dispatch: bool = True,
-        poison_passes: int = 3,
+        poison_passes: int = DEFAULT_POISON_PASSES,
     ):
         self.seed = seed
         self.profiles = dict(profiles or DEFAULT_PROFILES)

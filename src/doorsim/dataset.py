@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import field, fields
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -34,8 +34,7 @@ from .model import (
     ScenarioKind,
     field as json_field,
     list_field,
-    map_field,
-    refuse_unknown_keys,
+    read_value,
     truth_set,
     value,
 )
@@ -219,20 +218,12 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "GeneratorConfig":
-        """The config of a JSON object whose keys are the field names; a malformed
-        value or an unknown key is a ProtocolError naming it."""
-        refuse_unknown_keys(data, (f.name for f in fields(cls)))
-        known = map_field(data, "known_faces", FaceCategory, None)
-        return cls(
-            scenarios=list_field(data, "scenarios", ScenarioKind, ()) or tuple(ScenarioKind),
-            positives=json_field(data, "positives", int, 100),
-            negatives=json_field(data, "negatives", int, None),
-            devices=list_field(data, "devices", str, ("door-1",)),
-            seed=json_field(data, "seed", int, 0),
-            known_faces=dict(DEFAULT_KNOWN_FACES) if known is None else known,
-            known_face_fraction=json_field(data, "known_face_fraction", float, 0.5),
-            max_labels_per_frame=json_field(data, "max_labels_per_frame", int, 2),
-        )
+        """The config of a JSON object, read by :func:`~doorsim.model.read_value`;
+        absent or empty, ``scenarios`` is every scenario, and absent, ``positives`` is 100."""
+        config = read_value(cls, data, None, scenarios=tuple(ScenarioKind), positives=0)
+        scenarios = list_field(data, "scenarios", ScenarioKind, ()) or config.scenarios
+        positives = json_field(data, "positives", int, 100)
+        return replace(config, scenarios=scenarios, positives=positives)
 
 
 def _negative_count(config: GeneratorConfig, scenario: ScenarioKind) -> int:

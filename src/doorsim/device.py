@@ -9,16 +9,15 @@ are random, registry-tracked, and required by cloud ingest.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .dataset import Dataset
-from .errors import (AuthError, ConflictError, DatasetError, NotFoundError, ProtocolError,
-                     ValidationError)
+from .errors import AuthError, ConflictError, DatasetError, NotFoundError, ValidationError
 from .model import (EventIdFactory, FrameSample, MotionEvent, encoder, field, list_field,
-                    refuse_unknown_keys, value)
+                    read_document, read_value, refuse_unknown_keys, value)
 
 __all__ = [
     "DeviceRecord",
@@ -151,35 +150,24 @@ class MotionScript:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MotionScript":
-        """The script of a JSON object shaped as :meth:`to_dict`; a malformed
-        value or an unknown key is a ProtocolError naming it."""
-        refuse_unknown_keys(data, ("device_id", "debounce_ms", "entries"), "a motion script")
-        device_id = field(data, "device_id", str)
+        """The script of a JSON object shaped as :meth:`to_dict`, read by
+        :func:`~doorsim.model.read_value` but for its entry objects."""
+        script = read_value(cls, data, "a motion script", entries=())
         entries = []
         for entry in list_field(data, "entries", dict):
             refuse_unknown_keys(entry, ("at", "frame_id"), "an item of entries")
             entries.append((field(entry, "at", int), field(entry, "frame_id", str)))
-        return cls(device_id, tuple(entries), field(data, "debounce_ms", int, DEFAULT_DEBOUNCE_MS))
+        return replace(script, entries=tuple(entries))
 
 
 def load_motion_script(path: str | Path) -> MotionScript:
-    """Read a motion script file; a malformed script, or a file that cannot
-    be read as UTF-8 JSON, is a ValidationError (the latter naming the file)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise ValidationError(f"bad motion script: {path}: {exc}") from exc
-    try:
-        return MotionScript.from_dict(document)
-    except (ProtocolError, ValidationError) as exc:
-        raise ValidationError(f"bad motion script: {exc}") from exc
+    """Read a motion script file (:func:`~doorsim.model.read_document`)."""
+    return read_document(path, "motion script", MotionScript.from_dict)
 
 
 def script_covering(
     dataset: Dataset,
     device_id: str,
-    start_at: int = 0,
     spacing_ms: int = 2000,
     debounce_ms: int = DEFAULT_DEBOUNCE_MS,
 ) -> MotionScript:
@@ -187,7 +175,7 @@ def script_covering(
     if spacing_ms <= debounce_ms:
         raise ValidationError("spacing_ms must exceed debounce_ms to cover all frames")
     entries = tuple(
-        (start_at + i * spacing_ms, frame.frame_id)
+        (i * spacing_ms, frame.frame_id)
         for i, frame in enumerate(dataset.frames_for_device(device_id))
     )
     return MotionScript(device_id=device_id, entries=entries, debounce_ms=debounce_ms)

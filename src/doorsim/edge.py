@@ -28,6 +28,7 @@ from .model import (
     FrameSample,
     MotionEvent,
     apply_confidence_threshold,
+    encoder,
     value,
 )
 from .transport import CloudClient, IngestAck
@@ -55,6 +56,8 @@ class SamplingPolicy:
         if self.min_interval_ms < 0:
             raise ValidationError("min_interval_ms must be >= 0")
 
+    to_dict = encoder()
+
 
 @value
 class RetryPolicy:
@@ -66,6 +69,8 @@ class RetryPolicy:
             raise ValidationError("max_attempts must be >= 1")
         if self.backoff_ms < 0:
             raise ValidationError("backoff_ms must be >= 0")
+
+    to_dict = encoder()
 
 
 @value

@@ -25,12 +25,13 @@ import csv
 import enum
 import heapq
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import AbstractSet, Any, Iterable, Mapping, Sequence
 
 from .backends import (
     DEFAULT_PROFILES,
+    REMOTE_BACKEND_ID,
     BackendCategory,
     BackendProfile,
     FaceCollection,
@@ -58,11 +59,9 @@ from .model import (
     canonical_json,
     encoder,
     field as json_field,
-    map_field,
-    refuse_unknown_keys,
+    read_value,
     truth_order,
     value,
-    value_field,
 )
 from .transport import CloudClient, FailureInjector, NetworkModel
 
@@ -251,7 +250,7 @@ class ExperimentConfig:
     """
 
     dataset: str | None = None
-    backend_id: str = "aws-saas"
+    backend_id: str = REMOTE_BACKEND_ID
     threshold: float = DEFAULT_THRESHOLD
     seed: int = 0
     network: NetworkModel = field(default_factory=NetworkModel)
@@ -259,7 +258,7 @@ class ExperimentConfig:
     sampling: SamplingPolicy = field(default_factory=SamplingPolicy)
     debounce_ms: int = DEFAULT_DEBOUNCE_MS
     event_spacing_ms: int = 2000
-    profiles_path: str | None = None
+    profiles_path: str | None = field(default=None, metadata={"key": "profiles"})
     enroll: Mapping[str, FaceCategory] = field(
         default_factory=lambda: dict(DEFAULT_KNOWN_FACES)
     )
@@ -273,62 +272,28 @@ class ExperimentConfig:
                     f"scripts: more than one motion script for device {script.device_id}")
             devices.add(script.device_id)
 
+    to_dict = encoder()
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """The config of a JSON object whose keys are those of :meth:`to_dict`,
-        read strictly: a malformed value or an unknown key is a ProtocolError
-        naming it. A ``threshold`` outside [0, 100] or an ``enroll`` category
-        of ``unknown``, which the run would refuse, is a ValidationError
-        naming it, raised once every field is read, as is a second motion
-        script for one device. The network's seed is the top-level
-        ``seed``. A ``scripts`` item is a motion script object or the path
-        of a motion script file."""
-        refuse_unknown_keys(data, cls().to_dict())
-        seed = json_field(data, "seed", int, 0)
-        enroll = map_field(data, "enroll", FaceCategory, None)
+        """The config of a JSON object with the keys of :meth:`to_dict`, read by
+        :func:`~doorsim.model.read_value`. The network's seed is the top-level
+        ``seed``, and a ``scripts`` item a motion script object or file path.
+        Once every field is read, what the run would refuse (a ``threshold``
+        outside [0, 100], an ``enroll`` category of ``unknown``, a second
+        motion script for one device) is a ValidationError naming it."""
+        config = read_value(cls, data, None, scripts=None)
         scripts = json_field(data, "scripts", list, None)
-        config = cls(
-            dataset=json_field(data, "dataset", str, None),
-            backend_id=json_field(data, "backend_id", str, "aws-saas"),
-            threshold=json_field(data, "threshold", float, DEFAULT_THRESHOLD),
-            seed=seed,
-            network=value_field(data, "network", NetworkModel, seed=seed),
-            retry=value_field(data, "retry", RetryPolicy),
-            sampling=value_field(data, "sampling", SamplingPolicy),
-            debounce_ms=json_field(data, "debounce_ms", int, DEFAULT_DEBOUNCE_MS),
-            event_spacing_ms=json_field(data, "event_spacing_ms", int, 2000),
-            profiles_path=json_field(data, "profiles", str, None),
-            enroll=dict(DEFAULT_KNOWN_FACES) if enroll is None else enroll,
-            scripts=tuple(
-                load_motion_script(entry) if type(entry) is str else MotionScript.from_dict(entry)
-                for entry in scripts
-            ) if scripts else None,
-        )
+        config = replace(config, network=replace(config.network, seed=config.seed), scripts=tuple(
+            load_motion_script(entry) if type(entry) is str else MotionScript.from_dict(entry)
+            for entry in scripts) if scripts else None)
         # Well-typed values that the run would refuse, refused here instead.
-        if not 0.0 <= config.threshold <= 100.0:  # as EdgeConfig
-            raise ValidationError(f"threshold out of [0, 100]: {config.threshold}")
+        EdgeConfig(config.threshold)
         for identity, category in config.enroll.items():
             if category is FaceCategory.UNKNOWN:  # as FaceCollection.enroll
                 raise ValidationError(
                     f"enroll.{identity}: cannot enroll an identity as {category.value}")
         return config
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "backend_id": self.backend_id,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "network": self.network.to_dict(),
-            "retry": asdict(self.retry),
-            "sampling": asdict(self.sampling),
-            "debounce_ms": self.debounce_ms,
-            "event_spacing_ms": self.event_spacing_ms,
-            "profiles": self.profiles_path,
-            "enroll": {k: v.value for k, v in sorted(self.enroll.items())},
-            "scripts": (None if self.scripts is None
-                        else [s.to_dict() for s in self.scripts]),
-        }
 
 
 @value

@@ -23,8 +23,15 @@ per (name, scenario), and a frame's truth whose names are a sorted subset
 of its scenario's vocabulary, each once, is one of 34 shared frozensets
 (:func:`truth_set`); other names get new values. Each shared set carries
 its labels sorted by name and their names (:func:`truth_order`), so no
-frame sorts its truth. Every config document, profile registry and motion
-script is read through the same getters, with :func:`refuse_unknown_keys`.
+frame sorts its truth.
+
+A config object or file is read by :func:`read_value` from its field
+declarations: unknown keys refused, then each field by its annotation
+(scalar, enum, ``X | None``, ``tuple[K, ...]``, ``Mapping[K, V]``, a nested
+value type) and its declared default. A document key other than the field
+name is ``dataclasses.field(metadata={"key": ...})``, and a key of None
+keeps a field out of the document. ``to_dict = encoder()`` writes the same
+keys, an enum as its value; :func:`read_document` reads a JSON file.
 
 A log kept per event as parallel columns is read back through
 :class:`RowView`, which builds each row's value, by position, when it is read.
@@ -39,6 +46,7 @@ import itertools
 import json
 import linecache
 import sys
+import types
 import typing
 from collections import abc
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
@@ -63,6 +71,8 @@ __all__ = [
     "truth_order",
     "truth_set",
     "value",
+    "read_value",
+    "read_document",
     "DEFAULT_THRESHOLD",
     "ALTERNATE_THRESHOLD",
     "FACE_LABEL",
@@ -162,15 +172,58 @@ def map_field(data: Mapping[str, Any], name: str, kind: type, default: Any = REQ
             for key, value in values.items()}
 
 
-def value_field(data: Mapping[str, Any], name: str, cls: type, /, **fixed: Any) -> Any:
-    """Field ``name``, a JSON object read as ``cls``, a value type whose every
-    field has an ``int`` or ``float`` default: each key is read as its
-    default's type. A field named in ``fixed`` takes that value instead."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in fixed}
-    obj = field(data, name, dict, {})
-    refuse_unknown_keys(obj, defaults, name)
-    return cls(**{key: field(obj, key, type(default), default)
-                  for key, default in defaults.items()}, **fixed)
+def _key(f: dataclasses.Field) -> str | None:
+    """Field ``f``'s document key: its ``key`` metadata, by default its name."""
+    return f.metadata.get("key", f.name)
+
+
+def _unoptional(kind: Any) -> Any:
+    """``X`` of an ``X | None`` annotation; any other annotation as it is."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) in (typing.Union, types.UnionType) and type(None) in args:
+        return next(arg for arg in args if arg is not type(None))
+    return kind
+
+
+def read_value(cls: type, data: Any, where: str | None = None, /, **given: Any) -> Any:
+    """``cls`` read from the JSON object ``data`` (``where`` in its document) by
+    its field declarations. Null reads as absent for a field with a
+    ``default_factory``, but never as a value type's object; ``given`` fields are not read."""
+    scope = vars(sys.modules[cls.__module__])
+    fields = [(f, _key(f)) for f in dataclasses.fields(cls)]
+    refuse_unknown_keys(data, [key for _, key in fields if key is not None], where)
+    values = {}
+    for f, key in fields:
+        if key is None or f.name in given:
+            continue
+        kind = _unoptional(eval(f.type, scope))
+        factory = f.default_factory is not dataclasses.MISSING
+        default = None if factory else REQUIRED if f.default is dataclasses.MISSING else f.default
+        origin, args = typing.get_origin(kind), typing.get_args(kind)
+        if dataclasses.is_dataclass(kind):  # absent: {}, so each of its fields takes its default
+            value = read_value(kind, field(data, key, dict, {}), key)
+        elif origin is tuple:
+            value = list_field(data, key, args[0], default)
+        elif origin is abc.Mapping:
+            value = map_field(data, key, args[1], default, key_kind=args[0])
+        else:
+            value = field(data, key, kind, default)
+        values[f.name] = f.default_factory() if value is None and factory else value
+    return cls(**values, **given)
+
+
+def read_document(path: Any, what: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode`` of the JSON document in file ``path``, or a ValidationError
+    ``bad <what>: <path>: …`` (unreadable file) or ``bad <what>: …`` (refused)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ValidationError(f"bad {what}: {path}: {exc}") from exc
+    try:
+        return decode(document)
+    except (ProtocolError, ValidationError) as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
 
 
 def refuse_unknown_keys(data: Any, known: Iterable[str], where: str | None = None) -> None:
@@ -264,12 +317,22 @@ def _read_source(name: str, key: str, kind: Any, default: Any, then: str, when: 
 
 
 def _encoded(value: str, kind: Any) -> str:
-    """A value type's ``to_dict()``, a list of a tuple, a dict of a mapping, a scalar."""
+    """A value type's ``to_dict()``, an enum's value, a list of a tuple, a dict
+    of a mapping, a scalar; ``X | None`` as ``X`` or None."""
+    inner = _unoptional(kind)
+    if inner is not kind:
+        encoded = _encoded(value, inner)
+        return encoded if encoded == value else f"None if {value} is None else {encoded}"
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if hasattr(kind, "to_dict"):
         return f"{value}.to_dict()"
+    if isinstance(kind, enum.EnumMeta):
+        return f"{value}._value_"  # not the slower enum .value property
     if origin is tuple and hasattr(args[0], "to_dict"):  # most are empty: skip the call then
         return f"[item.to_dict() for item in {value}] if {value} else []"
+    if origin is abc.Mapping and any(isinstance(arg, enum.EnumMeta) for arg in args):
+        return (f"{{{_encoded('key', args[0])}: {_encoded('item', args[1])} "
+                f"for key, item in {value}.items()}}")
     if origin in (tuple, abc.Mapping):
         return f"{'list' if origin is tuple else 'dict'}({value})"
     if kind in (str, int, float, bool):
@@ -298,9 +361,9 @@ def value(cls: type) -> type:
     ``inspect.getsource`` and tracebacks, also holds the codecs that the
     class body declares, which read field annotations as strings (``from
     __future__ import annotations``): ``to_dict = encoder()`` maps each
-    field (but one with ``compare=False``: derived data) to its JSON value,
-    and ``from_dict = decoder(*reads)`` makes each :func:`read` in order
-    (with none, each field's) and returns ``cls(<fields>)``.
+    field, but one with ``compare=False`` or a key of None, to its JSON
+    value, and ``from_dict = decoder(*reads)`` makes each :func:`read` in
+    order (with none, each field's) and returns ``cls(<fields>)``.
 
     A shared ``__reduce__`` returns ``(type(self), field values)``, so
     copy, deepcopy and pickle rebuild a value through ``__new__``; the
@@ -350,8 +413,8 @@ def value(cls: type) -> type:
     for name, reads, extra in [v for v in vars(cls).values() if type(v) is _Codec]:
         if name == "to_dict":
             functions[name] = ["def to_dict(self):", " return {", *[
-                f"  {f.name!r}: {_encoded('self.' + f.name, eval(f.type, scope))},"
-                for f in fields if f.compare], " }"]
+                f"  {_key(f)!r}: {_encoded('self.' + f.name, eval(f.type, scope))},"
+                for f in fields if f.compare and _key(f) is not None], " }"]
             continue
         closure.update(field=field, list_field=list_field, _FLOAT_MAX=_FLOAT_MAX)
         reads = reads or [read(f.name, eval(f.type, scope), REQUIRED if f.default is

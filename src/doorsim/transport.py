@@ -23,6 +23,7 @@ the response time that the call itself returns.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Any, Mapping
 
@@ -30,7 +31,7 @@ from .backends import DETECT_ENDPOINTS
 from .cloud.service import ApiRequest, ApiResponse
 from .draws import key_prefix, unit_draw
 from .errors import ProtocolError, TransientTransportError, ValidationError
-from .model import AnalyticsRecord, Detection, FrameSample, field, list_field, value
+from .model import AnalyticsRecord, Detection, FrameSample, encoder, field, list_field, value
 
 __all__ = ["NetworkModel", "IngestAck", "FailureInjector", "CloudClient"]
 
@@ -41,7 +42,7 @@ class NetworkModel:
 
     base_delay_ms: int = 40
     jitter_ms: int = 10
-    seed: int = 0
+    seed: int = dataclasses.field(default=0, metadata={"key": None})  # the run's seed
 
     def __post_init__(self) -> None:
         if self.base_delay_ms < 0 or self.jitter_ms < 0:
@@ -56,8 +57,7 @@ class NetworkModel:
         jitter = self.jitter_ms
         return self.base_delay_ms - jitter, 2 * jitter + 1 if jitter else 0
 
-    def to_dict(self) -> dict[str, int]:
-        return {"base_delay_ms": self.base_delay_ms, "jitter_ms": self.jitter_ms}
+    to_dict = encoder()
 
 
 @value

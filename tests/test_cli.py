@@ -1,5 +1,8 @@
+import http.client
 import json
 import threading
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ from doorsim.backends import DEFAULT_PROFILES
 from doorsim.cli import main
 from doorsim.cloud import CloudService
 from doorsim.cloud.httpd import CloudHTTPServer
+from doorsim.cloud.service import ApiRequest
+from doorsim.model import canonical_json
 
 
 @pytest.fixture()
@@ -290,6 +295,45 @@ class TestServerCommands:
         assert main(["query", "--kind", "range-query", "--device", "door-1",
                      "--from", "5000", "--to", "100", "--server", base]) == 1
         assert "range from must be <= to" in capsys.readouterr().err
+
+    def test_a_body_nested_too_deep_for_json_is_a_protocol_error(self, server):
+        base, _ = server
+        depth = 100_000  # json.loads raises RecursionError, not ValueError
+        request = urllib.request.Request(base + "/ingest", data=b"[" * depth + b"]" * depth,
+                                         headers={"content-type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request)
+        with caught.value as reply:
+            assert reply.code == 400
+            assert json.loads(reply.read()) == {
+                "ok": False, "error": {"code": "protocol", "message": "body is not JSON"}}
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
+    def test_every_method_gets_the_in_process_envelope(self, server, method):
+        base, _ = server
+        expected = CloudService(seed=3).handle(ApiRequest(method, "/ingest"))
+        assert expected.status == 404
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(urllib.request.Request(base + "/ingest", method=method))
+        with caught.value as reply:
+            assert reply.code == expected.status
+            assert reply.headers["content-type"] == "application/json"
+            assert json.loads(reply.read()) == expected.body
+
+    def test_head_gets_the_envelope_headers_and_no_body(self, server):
+        base, _ = server
+        expected = CloudService(seed=3).handle(ApiRequest("HEAD", "/activities"))
+        connection = http.client.HTTPConnection(base.removeprefix("http://"))
+        try:
+            connection.request("HEAD", "/activities")
+            reply = connection.getresponse()
+            assert reply.status == expected.status == 404
+            assert reply.getheader("content-type") == "application/json"
+            assert int(reply.getheader("content-length")) == len(
+                canonical_json(expected.body).encode("utf-8"))
+            assert reply.read() == b""
+        finally:
+            connection.close()
 
     @pytest.mark.parametrize("command", ["enroll", "serve-cloud"])
     def test_non_object_config_exits_1_with_message(self, tmp_path, capsys, command):

@@ -582,6 +582,97 @@ class TestWireShapedCodecs:
         assert "field(" in frame.line
 
 
+def example_profile(**changes):
+    return dataclasses.replace(BackendProfile(
+        "haar", BackendCategory.ON_DEVICE_ML, 10.0, 5.0, 30,
+        {ScenarioKind.ANIMAL_DETECTION: 0.9, ScenarioKind.MULTI_OBJECT: 0.5}), **changes)
+
+
+EXAMPLE_EXPERIMENT = ExperimentConfig(
+    dataset="data.ndjson", backend_id="haar", threshold=70.0, seed=4,
+    network=NetworkModel(30, 5, 4), retry=RetryPolicy(2, 50), sampling=SamplingPolicy(1, 10),
+    profiles_path="profiles.json", enroll={"alice": FaceCategory.FAMILY},
+    scripts=(MotionScript("door-1", ((0, "f-1"),)),))
+EXPERIMENT_KEYS = ["dataset", "backend_id", "threshold", "seed", "network", "retry", "sampling",
+                   "debounce_ms", "event_spacing_ms", "profiles", "enroll", "scripts"]
+PROFILE_KEYS = ["backend_id", "category", "memory_mb", "cpu_pct", "service_time_ms",
+                "per_scenario_recall", "false_positive_rate", "confidence_model", "face_miss_rate"]
+# Each config document the program writes, as the program writes it, and its
+# keys in field order.
+CONFIG_DOCUMENTS = {
+    "experiment": (lambda: EXAMPLE_EXPERIMENT.to_dict(), EXPERIMENT_KEYS),
+    "experiment_defaults": (lambda: ExperimentConfig().to_dict(), EXPERIMENT_KEYS),
+    "network": (lambda: EXAMPLE_EXPERIMENT.network.to_dict(), ["base_delay_ms", "jitter_ms"]),
+    "retry": (lambda: EXAMPLE_EXPERIMENT.to_dict()["retry"], ["max_attempts", "backoff_ms"]),
+    "sampling": (lambda: EXAMPLE_EXPERIMENT.to_dict()["sampling"],
+                 ["max_frames_per_event", "min_interval_ms"]),
+    "profile": (lambda: example_profile(face_miss_rate=0.25).to_dict(), PROFILE_KEYS),
+    "profile_defaults": (lambda: example_profile().to_dict(), PROFILE_KEYS),
+    "confidence_model": (lambda: ConfidenceModel(80.0, 10.0, 75.0, 5.0).to_dict(),
+                         ["true_mean", "true_spread", "fp_mean", "fp_spread"]),
+}
+MINIMAL_PROFILE = {"backend_id": "haar", "category": "on_device_ml", "memory_mb": 10, "cpu_pct": 5,
+                   "service_time_ms": 30,
+                   "per_scenario_recall": {"animal_detection": 0.9, "multi_object": 0.5}}
+# Per config file: its reader and its minimal document.
+READERS = {"experiment": (ExperimentConfig.from_dict, {}),
+           "generator": (GeneratorConfig.from_dict, {"scenarios": ["animal_detection"]}),
+           "profile": (BackendProfile.from_dict, MINIMAL_PROFILE)}
+# (file, keys present and empty) per config type, and the value that must
+# be read: absent keys take the class's declared defaults.
+MINIMAL_DOCUMENTS = {
+    "experiment": ("experiment", {}, ExperimentConfig()),
+    "network": ("experiment", {"network": {}}, ExperimentConfig()),
+    "retry": ("experiment", {"retry": {}}, ExperimentConfig()),
+    "sampling": ("experiment", {"sampling": {}}, ExperimentConfig()),
+    "generator": ("generator", {}, GeneratorConfig((ScenarioKind.ANIMAL_DETECTION,), 100)),
+    "profile": ("profile", {}, example_profile()),
+    "confidence_model": ("profile", {"confidence_model": {}}, example_profile()),
+}
+# README: null counts as absent for these keys ...
+NULL_AS_ABSENT = [("experiment", "dataset"), ("experiment", "profiles"), ("experiment", "enroll"),
+                  ("experiment", "scripts"), ("generator", "negatives"),
+                  ("generator", "known_faces")]
+# ... and is not an object for these.
+NULL_REFUSED = [("experiment", "network"), ("experiment", "retry"), ("experiment", "sampling"),
+                ("profile", "confidence_model")]
+
+
+class TestConfigDocuments:
+    @pytest.mark.parametrize("name", CONFIG_DOCUMENTS)
+    def test_to_dict_writes_the_declared_keys_as_plain_json(self, name):
+        write, keys = CONFIG_DOCUMENTS[name]
+        document = write()
+        assert list(document) == keys
+        assert plain_json(document)  # no enum member, no tuple
+        assert json.loads(canonical_json(document)) == document
+
+    def test_enum_keys_and_values_are_written_as_their_values(self):
+        assert EXAMPLE_EXPERIMENT.to_dict()["enroll"] == {"alice": "family"}
+        profile = example_profile().to_dict()
+        assert profile["category"] == "on_device_ml"
+        assert profile["per_scenario_recall"] == {"animal_detection": 0.9, "multi_object": 0.5}
+        assert EXAMPLE_EXPERIMENT.to_dict()["scripts"] == [
+            {"device_id": "door-1", "debounce_ms": 1000, "entries": [{"at": 0, "frame_id": "f-1"}]}]
+
+    @pytest.mark.parametrize("name", MINIMAL_DOCUMENTS)
+    def test_the_minimal_document_reads_as_the_declared_defaults(self, name):
+        reader, keys, expected = MINIMAL_DOCUMENTS[name]
+        read, minimal = READERS[reader]
+        assert read({**minimal, **keys}) == expected
+
+    @pytest.mark.parametrize("reader,key", NULL_AS_ABSENT, ids=[key for _, key in NULL_AS_ABSENT])
+    def test_null_counts_as_absent(self, reader, key):
+        read, minimal = READERS[reader]
+        assert read({**minimal, key: None}) == read(minimal)
+
+    @pytest.mark.parametrize("reader,key", NULL_REFUSED, ids=[key for _, key in NULL_REFUSED])
+    def test_null_is_not_an_object(self, reader, key):
+        read, minimal = READERS[reader]
+        with pytest.raises(ProtocolError, match=f"^{key} must be an object$"):
+            read({**minimal, key: None})
+
+
 def frame_row(*names, scenario="animal_detection"):
     return {"frame_id": "f", "device_id": "d", "scenario": scenario, "truth_labels": list(names)}
 
