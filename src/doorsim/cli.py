@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .backends import load_profiles
 from .cloud import CloudService
 from .cloud.httpd import CloudHTTPServer
 from .dataset import GeneratorConfig, generate_dataset, load_manifest, save_manifest
@@ -45,10 +46,16 @@ def _read_config(path: str | None, what: str, decode):
     return read_document(path, what, decode)
 
 
-def _seeded_config(args: argparse.Namespace, what: str, decode):
-    """The ``--config`` document read by ``decode``, with ``--seed`` as its seed if given."""
-    config = _read_config(args.config, what, decode)
+def _seeded(config, args: argparse.Namespace):
+    """``config`` with ``--seed`` as its seed if given."""
     return config if args.seed is None else replace(config, seed=args.seed)
+
+
+def _experiment_config(data: dict) -> tuple[ExperimentConfig, dict | None]:
+    """The config of ``data`` and the profile registry it names (None: the
+    shipped profiles), read with it so that a bad registry is a refused config."""
+    config = ExperimentConfig.from_dict(data)
+    return config, load_profiles(config.profiles_path) if config.profiles_path else None
 
 
 def _post(server: str, path: str, body: dict) -> dict:
@@ -82,7 +89,8 @@ def _error_message(body: bytes) -> str | None:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    config = _seeded_config(args, "generator config", GeneratorConfig.from_dict)
+    config = _read_config(args.config, "generator config", GeneratorConfig.from_dict)
+    config = _seeded(config, args)
     log.info("generating %d positives for %d scenario(s), seed %d",
              config.positives, len(config.scenarios), config.seed)
     frames = generate_dataset(config)
@@ -93,8 +101,8 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _seeded_config(args, "experiment config", ExperimentConfig.from_dict)
-    report = run_experiment(config)
+    config, profiles = _read_config(args.config, "experiment config", _experiment_config)
+    report = run_experiment(_seeded(config, args), profiles=profiles)
     summary = {
         "backend_id": report.backend_id,
         "counters": report.counters,
@@ -107,9 +115,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _seeded_config(args, "experiment config", ExperimentConfig.from_dict)
+    config, profiles = _read_config(args.config, "experiment config", _experiment_config)
     out = args.out or "report.json"
-    report = run_experiment(config, partial_trace_path=f"{out}.partial")
+    report = run_experiment(_seeded(config, args), profiles=profiles,
+                            partial_trace_path=f"{out}.partial")
     report.write_json(out)
     if args.csv:
         report.write_csv(args.csv)
@@ -122,18 +131,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_config(data: dict) -> tuple[ExperimentConfig, tuple[str, ...]]:
-    """An experiment config plus ``backend_ids``, the backends to compare."""
+def _compare_config(data: dict) -> tuple[ExperimentConfig, dict | None, tuple[str, ...]]:
+    """An experiment config and its profiles plus ``backend_ids``, the backends to compare."""
     if not isinstance(data, dict):
         raise ProtocolError("the document must be a JSON object")
     rest = {key: value for key, value in data.items() if key != "backend_ids"}
-    return ExperimentConfig.from_dict(rest), list_field(data, "backend_ids", str, ())
+    return (*_experiment_config(rest), list_field(data, "backend_ids", str, ()))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config, backend_ids = _read_config(args.config, "config", _compare_config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config, profiles, backend_ids = _read_config(args.config, "config", _compare_config)
+    config = _seeded(config, args)
     if len(backend_ids) < 2:
         raise ValidationError("compare config needs backend_ids with >= 2 entries")
     if not config.dataset:
@@ -142,7 +150,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     reports = []
     for backend_id in backend_ids:
         log.info("evaluating %s", backend_id)
-        reports.append(run_experiment(replace(config, backend_id=backend_id), dataset=dataset))
+        reports.append(run_experiment(replace(config, backend_id=backend_id), dataset=dataset,
+                                      profiles=profiles))
     table = compare_backends(reports)
     out = args.out or "comparison.csv"
     if out.endswith(".json"):

@@ -127,8 +127,9 @@ def load_manifest(path: str | Path) -> Dataset:
     """Read a newline-delimited JSON manifest. JSON decodes a new string
     for each row's device id and truth identity; each distinct one is kept
     once per load and shared by every frame that names it. A malformed
-    line, or one that is not UTF-8, is a DatasetError naming the file and
-    the line; a file that cannot be read is one naming the file."""
+    line, one that is not UTF-8 or one nested too deep to decode, is a
+    DatasetError naming the file and the line; a file that cannot be read
+    is one naming the file."""
     frames = []
     strings: dict[str, str] = {}
     share = strings.setdefault
@@ -151,8 +152,9 @@ def load_manifest(path: str | Path) -> Dataset:
                     if type(identity) is str:
                         row["truth_identity"] = share(identity, identity)
                     frames.append(FrameSample.from_dict(row))
-                except (ValueError, ProtocolError, ValidationError) as exc:
-                    # JSONDecodeError is a ValueError; a bad label is a ValidationError
+                except (ValueError, RecursionError, ProtocolError, ValidationError) as exc:
+                    # JSONDecodeError is a ValueError, a line nested too deep for the
+                    # decoder a RecursionError, and a bad label a ValidationError
                     raise DatasetError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
     except UnicodeDecodeError:
         # the file is decoded a chunk at a time: find the line, in bytes

@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .dataset import Dataset
 from .errors import AuthError, ConflictError, DatasetError, NotFoundError, ValidationError
@@ -181,29 +182,57 @@ def script_covering(
     return MotionScript(device_id=device_id, entries=entries, debounce_ms=debounce_ms)
 
 
+_AT = itemgetter(0)  # a script entry's time
+_DEVICE = attrgetter("device_id")
+
+
 def run_motion_script(
-    script: MotionScript,
+    scripts: MotionScript | Iterable[MotionScript],
     dataset: Dataset,
     event_ids: EventIdFactory | None = None,
 ) -> Iterator[tuple[MotionEvent, FrameSample]]:
-    """Replay a script: one motion event per entry surviving debounce.
+    """Replay one script, or a fleet's scripts as one stream of motion events.
 
-    Entries closer than ``debounce_ms`` to the previously emitted event are
-    dropped. Each surviving event is paired with its frame, stamped with the
-    emitting device and trigger time; sequence numbers are strictly
-    increasing per device.
+    In each script, an entry closer than ``debounce_ms`` to the script's
+    previously emitted event is dropped. The surviving entries of all
+    scripts come out in ``(at, device_id)`` order; equal keys keep the order
+    of the scripts as given, then each script's own order. Each event is
+    paired with its frame, stamped with the emitting device and trigger
+    time, and its event id is issued in that output order, so a device's
+    sequences rise by one per emitted event.
+
+    The schedule is built and sorted at the first ``next()``, and every
+    surviving entry's frame is looked up and checked then: a frame that is
+    unknown, or that belongs to another device, is a DatasetError before
+    any event is yielded. The schedule holds the scripts' own entry tuples,
+    so it adds no object per event, and it shrinks as events are yielded.
     """
+    if isinstance(scripts, MotionScript):
+        scripts = (scripts,)
     factory = event_ids or EventIdFactory()
-    last_emitted: int | None = None
-    for at, frame_id in script.entries:
-        if last_emitted is not None and at - last_emitted < script.debounce_ms:
-            continue
-        fixture = dataset.get(frame_id)
-        if fixture.device_id != script.device_id:
-            raise DatasetError(
-                f"frame {frame_id} belongs to {fixture.device_id}, "
-                f"not {script.device_id}"
-            )
-        last_emitted = at
-        event = MotionEvent(script.device_id, at, factory.next_event_id(script.device_id))
-        yield event, fixture.stamped(script.device_id, at)
+    get = dataset.get
+    schedule: list[tuple[int, str]] = []
+    # Scripts by device, so that one stable sort by time leaves equal times
+    # in device order, then in the order of the scripts and of their entries.
+    for script in sorted(scripts, key=_DEVICE):
+        device_id, debounce_ms = script.device_id, script.debounce_ms
+        last_emitted: int | None = None
+        for entry in script.entries:
+            at, frame_id = entry
+            if last_emitted is not None and at - last_emitted < debounce_ms:
+                continue
+            fixture = get(frame_id)
+            if fixture.device_id != device_id:
+                raise DatasetError(
+                    f"frame {frame_id} belongs to {fixture.device_id}, not {device_id}")
+            last_emitted = at
+            schedule.append(entry)
+    schedule.sort(key=_AT)
+    schedule.reverse()  # so that each pop() takes the next entry
+    pop, next_event_id = schedule.pop, factory.next_event_id
+    while schedule:
+        at, frame_id = pop()
+        fixture = get(frame_id)
+        device_id = fixture.device_id  # the script's, as checked above
+        yield (MotionEvent(device_id, at, next_event_id(device_id)),
+               fixture.stamped(device_id, at))

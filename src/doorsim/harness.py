@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,7 +51,6 @@ from .edge import EdgeConfig, EdgePipeline, RetryPolicy, SamplingPolicy
 from .errors import ValidationError
 from .model import (
     DEFAULT_THRESHOLD,
-    EventIdFactory,
     FaceCategory,
     Label,
     RowView,
@@ -244,9 +242,9 @@ class ExperimentConfig:
 
     Without explicit ``scripts``, each device gets an auto-generated motion
     script that triggers every one of its frames, evenly spaced. A device
-    has at most one script: the run replays each script as its own stream,
-    so two scripts of one device would be debounced apart and would take
-    that device's event ids out of emission order.
+    has at most one script: the run debounces each script on its own, so
+    two scripts of one device would let through triggers closer together
+    than ``debounce_ms``.
     """
 
     dataset: str | None = None
@@ -424,9 +422,13 @@ def run_experiment(
     """Drive device -> edge -> cloud end to end and tally the results.
 
     Deterministic given the config seed: detection draws, network jitter,
-    credentials, and stream sequencing are all derived from it. A component
-    error aborts the run; when ``partial_trace_path`` is set, the frames
-    processed so far are dumped there before the error propagates.
+    credentials, and stream sequencing are all derived from it. One call of
+    :func:`~doorsim.device.run_motion_script` replays the fleet's scripts as
+    one stream: events in ``(at, device_id)`` order, ties in script order. A
+    script entry whose frame is unknown or another device's is refused before
+    the first event runs. A component error aborts the run; when
+    ``partial_trace_path`` is set, the frames processed so far (none, for a
+    refused script) are dumped there before the error propagates.
     """
     if dataset is None:
         if config.dataset is None:
@@ -460,7 +462,6 @@ def run_experiment(
         _, secret = client.register_device(device_id)
         sessions[device_id] = client.authenticate(device_id, secret)
 
-    event_ids = EventIdFactory()
     scripts = config.scripts or tuple(
         script_covering(
             dataset, device_id,
@@ -468,8 +469,6 @@ def run_experiment(
         )
         for device_id in dataset.device_ids
     )
-    streams = [run_motion_script(script, dataset, event_ids) for script in scripts]
-    merged = heapq.merge(*streams, key=lambda pair: (pair[0].at, pair[0].device_id))
 
     counters = {"events": 0, "sampled": 0, "ingested": 0, "dead_letters": 0}
     # Each event is tallied from the edge's own record as it is processed; a
@@ -488,7 +487,7 @@ def run_experiment(
     detected: list[int] = []
     per_scenario: defaultdict[str, ConfusionCounts] = defaultdict(ConfusionCounts)
     try:
-        for event, frame in merged:
+        for event, frame in run_motion_script(scripts, dataset):
             counters["events"] += 1
             outcome = pipeline.process(event, frame, sessions[event.device_id])
             record = outcome.record

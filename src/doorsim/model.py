@@ -218,7 +218,8 @@ def read_document(path: Any, what: str, decode: Callable[[Any], Any]) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+    # unreadable, not UTF-8, not JSON, or nested too deep for the decoder
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"bad {what}: {path}: {exc}") from exc
     try:
         return decode(document)

@@ -418,22 +418,30 @@ MALFORMED_DOCUMENTS = {
                        "bad experiment config: enroll.alice: cannot enroll an identity as unknown"),
     "threshold_out_of_range": ("evaluate", {"threshold": 150}, None,
                                "bad experiment config: threshold out of [0, 100]: 150.0"),
-    "profile_without_category": ("evaluate", {}, [_no_category()],
-                                 "bad profile registry: category is required"),
-    "profile_a_number": ("evaluate", {}, [5],
-                         "bad profile registry: a profile must be a JSON object"),
-    "profile_unknown_key": ("evaluate", {}, [_profile(speed=1)],
-                            "bad profile registry: unknown key 'speed' in a profile"),
+    "profile_without_category": (
+        "evaluate", {}, [_no_category()],
+        "bad experiment config: bad profile registry: category is required"),
+    "profile_a_number": (
+        "evaluate", {}, [5],
+        "bad experiment config: bad profile registry: a profile must be a JSON object"),
+    "profile_unknown_key": (
+        "evaluate", {}, [_profile(speed=1)],
+        "bad experiment config: bad profile registry: unknown key 'speed' in a profile"),
     "confidence_unknown_key": (
         "evaluate", {}, [_profile(confidence_model={"mean": 80.0})],
-        "bad profile registry: unknown key 'mean' in confidence_model"),
+        "bad experiment config: bad profile registry: unknown key 'mean' in confidence_model"),
     "profiles_file_missing": (
         "evaluate", {"profiles": MISSING_FILE}, None,
-        f"bad profile registry: {MISSING_FILE}: "
+        f"bad experiment config: bad profile registry: {MISSING_FILE}: "
         f"[Errno 2] No such file or directory: '{MISSING_FILE}'"),
     "recall_out_of_range": (
         "evaluate", {}, [_profile(per_scenario_recall={"face_recognition": 1.5})],
-        "bad profile registry: recall out of [0, 1] for face_recognition: 1.5"),
+        "bad experiment config: bad profile registry: "
+        "recall out of [0, 1] for face_recognition: 1.5"),
+    "compare_profiles_file_missing": (
+        "compare", {"profiles": MISSING_FILE, "backend_ids": ["haar", "aws-saas"]}, None,
+        f"bad config: bad profile registry: {MISSING_FILE}: "
+        f"[Errno 2] No such file or directory: '{MISSING_FILE}'"),
     "positives_a_fraction": ("gen-dataset", {"positives": 2.9}, None,
                              "bad generator config: positives must be an integer"),
     "positives_true": ("gen-dataset", {"positives": True}, None,
@@ -482,3 +490,55 @@ def test_malformed_document_exits_1_naming_the_field(tmp_path, dataset_path, cap
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert {path.name for path in work.iterdir()} <= {"config.json", "profiles.json"}
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # beyond the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("nested", ["config", "profiles", "scripts"])
+def test_a_document_nested_too_deep_exits_1_naming_it(tmp_path, dataset_path, capsys, nested):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": str(dataset_path), "backend_id": "haar",
+                                  nested: str(deep) if nested == "profiles" else [str(deep)]}))
+    where, what = {"config": (deep, ""), "profiles": (config, "bad profile registry: "),
+                   "scripts": (config, "bad motion script: ")}[nested]
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", str(where), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad experiment config: {what}{deep}: maximum recursion depth")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_manifest_line_nested_too_deep_exits_2_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "deep.ndjson"
+    manifest.write_text(DEEP + "\n")
+    config = experiment_config(tmp_path, manifest)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:1: bad manifest line: maximum recursion depth")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_profile_registry_is_read_once_with_the_config(tmp_path, dataset_path, monkeypatch):
+    from doorsim import backends
+
+    registry = tmp_path / "profiles.json"
+    registry.write_text(json.dumps([profile.to_dict() for profile in DEFAULT_PROFILES.values()]))
+    reads = []
+    decode = backends._profiles
+
+    def counting(document):
+        reads.append(document)
+        return decode(document)
+
+    monkeypatch.setattr(backends, "_profiles", counting)
+    config = tmp_path / "cmp.json"
+    config.write_text(json.dumps({"dataset": str(dataset_path), "profiles": str(registry),
+                                  "backend_ids": ["haar", "aws-saas"], "seed": 5}))
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp.csv")]) == 0
+    assert len(reads) == 1

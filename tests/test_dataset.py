@@ -126,6 +126,15 @@ def test_a_manifest_line_that_is_not_utf8_names_its_location(tmp_path):
                                "byte 0xff in position 0: invalid start byte")
 
 
+def test_a_manifest_line_nested_too_deep_names_its_location(tmp_path):
+    path = tmp_path / "deep.ndjson"
+    path.write_text(GOOD_ROW + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(DatasetError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}:2: bad manifest line: maximum recursion depth")
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
 def test_a_missing_manifest_names_its_path(tmp_path):
     path = tmp_path / "nope.ndjson"
     with pytest.raises(DatasetError) as info:

@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doorsim import device as device_module
 from doorsim.dataset import Dataset
@@ -14,7 +16,7 @@ from doorsim.device import (
     script_covering,
 )
 from doorsim.errors import AuthError, ConflictError, DatasetError, NotFoundError, ValidationError
-from doorsim.model import FrameSample, ScenarioKind
+from doorsim.model import EventIdFactory, FrameSample, ScenarioKind, format_event_id
 
 
 def make_dataset(n=10, device_id="door-1"):
@@ -323,3 +325,93 @@ class TestMotionScript:
         path = tmp_path / "script.json"
         path.write_text(__import__("json").dumps(script.to_dict()))
         assert load_motion_script(path) == script
+
+
+FRAMES_PER_DEVICE = 3
+
+
+def fleet_dataset(device_ids):
+    """FRAMES_PER_DEVICE frames of each device: ``<device>/f<i>``."""
+    return Dataset([
+        FrameSample(f"{device_id}/f{i}", device_id, 0, frozenset(), ScenarioKind.ANIMAL_DETECTION)
+        for device_id in device_ids for i in range(FRAMES_PER_DEVICE)
+    ])
+
+
+@st.composite
+def fleets(draw):
+    """1-40 devices, named so that their order is not the order of their
+    scripts; each script's times come from a small range, so that times are
+    often equal within a script and across devices, and some scripts are empty."""
+    device_ids = draw(st.lists(st.text("abc-", min_size=1, max_size=4), min_size=1,
+                               max_size=40, unique=True))
+    scripts = []
+    for device_id in device_ids:
+        times = sorted(draw(st.lists(st.integers(0, 12), max_size=8)))
+        frames = st.integers(0, FRAMES_PER_DEVICE - 1).map(lambda i: f"{device_id}/f{i}")
+        entries = tuple((at, draw(frames)) for at in times)
+        scripts.append(MotionScript(device_id, entries, debounce_ms=draw(st.integers(0, 4))))
+    return scripts
+
+
+def debounce_survivors(script):
+    """The entries that the debounce rule keeps: each one at least
+    ``debounce_ms`` after the last entry kept before it."""
+    kept = []
+    for at, frame_id in script.entries:
+        if not kept or at - kept[-1][0] >= script.debounce_ms:
+            kept.append((at, frame_id))
+    return kept
+
+
+class TestFleetReplay:
+    """The replay of a fleet's scripts, specified: one stream in (at,
+    device_id) order, each device's events the debounce survivors of its
+    script in script order, and each device's event ids 0, 1, 2, ... in the
+    order they are emitted."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fleets())
+    def test_the_replay_is_the_ordered_union_of_each_scripts_survivors(self, scripts):
+        dataset = fleet_dataset([script.device_id for script in scripts])
+        emitted = list(run_motion_script(scripts, dataset, EventIdFactory()))
+        keys = [(event.at, event.device_id) for event, _ in emitted]
+        assert keys == sorted(keys)
+        for script in scripts:
+            device_id = script.device_id
+            mine = [(event, frame) for event, frame in emitted if event.device_id == device_id]
+            assert [(event.at, frame.frame_id) for event, frame in mine] == \
+                debounce_survivors(script)
+            assert [event.event_id for event, _ in mine] == \
+                [format_event_id(device_id, n) for n in range(len(mine))]
+            assert all(frame.device_id == device_id and frame.captured_at == event.at
+                       for event, frame in mine)
+
+    def test_one_script_or_a_list_of_it_replays_the_same(self):
+        dataset = make_dataset(3)
+        script = MotionScript("door-1", ((0, "f0"), (500, "f1"), (2000, "f2")))
+        assert list(run_motion_script(script, dataset)) == \
+            list(run_motion_script([script], dataset))
+
+    def test_ties_keep_the_order_of_the_scripts_then_of_their_entries(self):
+        # two scripts of one device are not a valid run, but the order is defined
+        dataset = make_dataset(4)
+        first = MotionScript("door-1", ((0, "f0"), (0, "f1")), debounce_ms=0)
+        second = MotionScript("door-1", ((0, "f2"), (0, "f3")), debounce_ms=0)
+        emitted = list(run_motion_script([second, first], dataset))
+        assert [frame.frame_id for _, frame in emitted] == ["f2", "f3", "f0", "f1"]
+        assert [event.event_id for event, _ in emitted] == [f"door-1:{n}" for n in range(4)]
+
+    @pytest.mark.parametrize("frame_id,message", [
+        ("missing", "unknown frame_id: missing"),
+        ("door-1/f1", "frame door-1/f1 belongs to door-1, not door-2"),
+    ], ids=["unknown", "foreign"])
+    def test_a_bad_later_entry_is_refused_before_any_event(self, frame_id, message):
+        dataset = fleet_dataset(["door-1", "door-2"])
+        scripts = [MotionScript("door-1", ((0, "door-1/f0"), (2000, "door-1/f1"))),
+                   MotionScript("door-2", ((0, "door-2/f0"), (9000, frame_id)))]
+        factory = EventIdFactory()
+        replay = run_motion_script(scripts, dataset, factory)
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            next(replay)
+        assert factory.next_event_id("door-1") == "door-1:0"  # no id was issued

@@ -18,7 +18,7 @@ from doorsim import harness as harness_module
 from doorsim.backends import DEFAULT_PROFILES, RemoteBackend, simulate_detections
 from doorsim.cloud import CloudService
 from doorsim.dataset import Dataset, GeneratorConfig, generate_dataset
-from doorsim.errors import ValidationError
+from doorsim.errors import DatasetError, ValidationError
 from doorsim.harness import (
     ConfusionCounts,
     ExperimentConfig,
@@ -416,8 +416,8 @@ class TestRunExperiment:
         assert len(report.frames) == 1
 
     def test_a_second_script_for_one_device_is_refused_before_the_run(self):
-        # replayed as two streams, the scripts would issue door-1's event ids
-        # out of emission order, and the cloud would refuse the run part-way
+        # each script is debounced on its own, so two scripts of one device
+        # would let through triggers closer together than debounce_ms
         dataset = small_dataset(seed=13, positives=4, negatives=0)
         f0, f1, f2, f3 = [f.frame_id for f in dataset]
         scripts = (MotionScript("door-1", ((0, f0), (2000, f1))),
@@ -436,6 +436,42 @@ class TestRunExperiment:
         report = run_experiment(replace(config, scripts=(
             MotionScript("door-1", scripts[0].entries + scripts[2].entries),)), dataset=dataset)
         assert report.counters["events"] == 4
+
+    def test_the_fleet_is_replayed_by_one_call(self, monkeypatch):
+        # one call, so that perfbench's device.script_replay span covers the whole replay
+        calls = []
+        replay = harness_module.run_motion_script
+
+        def counting(scripts, *args):
+            calls.append([script.device_id for script in scripts])
+            return replay(scripts, *args)
+
+        monkeypatch.setattr(harness_module, "run_motion_script", counting)
+        dataset = Dataset(generate_dataset(GeneratorConfig(
+            scenarios=(ANIMAL,), positives=6, negatives=0,
+            devices=("door-1", "door-2", "door-3"), seed=8,
+        )))
+        report = run_experiment(ExperimentConfig(backend_id="haar", seed=8), dataset=dataset)
+        assert calls == [["door-1", "door-2", "door-3"]]
+        assert report.counters["events"] == len(dataset)
+
+    @pytest.mark.parametrize("bad", ["unknown", "foreign"])
+    def test_a_bad_later_script_entry_is_refused_before_any_event(self, tmp_path, bad):
+        dataset = Dataset(generate_dataset(GeneratorConfig(
+            scenarios=(ANIMAL,), positives=4, negatives=0, devices=("door-1", "door-2"), seed=8,
+        )))
+        ones, twos = ([f.frame_id for f in dataset if f.device_id == device_id]
+                      for device_id in ("door-1", "door-2"))
+        frame_id = "missing" if bad == "unknown" else ones[1]
+        scripts = (MotionScript("door-1", ((0, ones[0]), (2000, ones[1]))),
+                   MotionScript("door-2", ((0, twos[0]), (9000, frame_id))))
+        config = ExperimentConfig(backend_id="haar", threshold=70.0, seed=1, scripts=scripts)
+        trace_path = tmp_path / "partial.json"
+        with pytest.raises(DatasetError, match=frame_id):
+            run_experiment(config, dataset=dataset, partial_trace_path=trace_path)
+        dumped = json.loads(trace_path.read_text())
+        assert dumped["frames"] == []
+        assert dumped["counters"]["events"] == 0
 
     def test_scripts_survive_config_round_trip(self):
         config = ExperimentConfig.from_dict({
