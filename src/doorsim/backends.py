@@ -283,9 +283,13 @@ def simulate_detections(
     # below. Each draw passes its whole key as one string.
     frame_key = key_prefix(seed, profile.backend_id, frame.frame_id)
     detections: list[Detection] = []
+    # unit_draw is documented to lie in [0, 1), so a rate of 0 or 1 decides
+    # its comparison alone and that draw is not made; draws are keyed, so no
+    # other draw moves.
     for label in truth_order(frame.truth)[0]:
         name = label.name
-        if unit_draw(f"emit{SEP}{frame_key}{SEP}{name}") >= recall:
+        if recall == 0.0 or (recall != 1.0
+                             and unit_draw(f"emit{SEP}{frame_key}{SEP}{name}") >= recall):
             continue
         confidence = profile.confidence.draw(False, f"conf{SEP}{frame_key}{SEP}{name}")
         identity = None
@@ -293,7 +297,8 @@ def simulate_detections(
             identity = _resolve_identity(frame, profile, frame_key, collection)
         detections.append(Detection(label, confidence, identity))
     if not frame.truth:
-        if unit_draw(f"fp{SEP}{frame_key}") < profile.false_positive_rate:
+        fp_rate = profile.false_positive_rate
+        if fp_rate == 1.0 or (fp_rate != 0.0 and unit_draw(f"fp{SEP}{frame_key}") < fp_rate):
             vocabulary = DEFAULT_VOCABULARY[scenario]  # choice_draw, written out
             name = vocabulary[int(unit_draw(f"fp-label{SEP}{frame_key}") * len(vocabulary))]
             (label,) = truth_set(scenario, (name,))  # the shared Label: none is built
@@ -312,8 +317,9 @@ def _resolve_identity(
     collection: FaceCollection | None,
 ) -> FaceIdentity:
     token = frame.truth_identity or "unknown"
-    miss_rate = profile.effective_face_miss_rate
-    missed = unit_draw(f"face-miss{SEP}{frame_key}") < miss_rate
+    miss_rate = profile.effective_face_miss_rate  # decides alone at 0 or 1, as above
+    missed = miss_rate == 1.0 or (miss_rate != 0.0
+                                  and unit_draw(f"face-miss{SEP}{frame_key}") < miss_rate)
     if missed or collection is None:
         return FaceIdentity(token, FaceCategory.UNKNOWN)
     return collection.search(token)

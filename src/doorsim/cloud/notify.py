@@ -3,11 +3,11 @@
 Delivery is exactly-once per (subscriber, event): the hub keeps one set of
 delivered event ids per subscriber id, so dispatcher redeliveries after a
 partial handler failure never double-notify, and a re-subscribe keeps what
-was already delivered. Publishing is the last step of an accepted
-``/ingest``'s single dispatch pass, so a notification is sent within the
-request that ingested its record; a subscription whose filter names no
-devices and no scenarios gets it without a call to
-:meth:`SubscriptionFilter.matches`.
+was already delivered. Publishing is the last step of delivering an
+accepted ``/ingest``'s entry, which that request does itself, so a
+notification is sent within the request that ingested its record; a
+subscription whose filter names no devices and no scenarios gets it without
+a call to :meth:`SubscriptionFilter.matches`.
 
 Per delivery, a subscription keeps two columns: the record it was sent (the
 one the metadata store holds too) and the ``int`` time it was published at.

@@ -11,15 +11,20 @@ leaves the service's clock where it was. Bodies are read with
 envelope and the handlers see well-typed values only.
 
 An accepted ``/ingest`` is persisted and notified within its own request:
-the handler reads the ``record`` of an exact ``dict`` body inline, appends
-to the stream, whose append parses the event id once, and runs one
-:meth:`Dispatcher.run_pass`, in which the one built-in dispatch handler,
+the handler reads the ``record`` of an exact ``dict`` body inline and
+appends to the stream, whose append parses the event id once. If the
+dispatcher was caught up, the new entry is the whole backlog, and the
+request delivers it without a :meth:`Dispatcher.run_pass`: one call of
+:attr:`Dispatcher.deliver` runs the handlers (the built-in one,
 ``CloudService._persist_and_notify``, stores the record and then publishes
-it. The ingest goes on to further passes, in the same 1,000-pass budget as
-:meth:`CloudService.run_dispatch`, only when a handler failed or appended;
-once its record is appended it is answered 200 with its ack, and a backlog
-that the budget did not drain waits for the next pass, that of the next
-ingest or of :meth:`CloudService.run_dispatch`. ``x-sim-time`` takes the
+it; a duplicate skips them), a handler failure is counted by
+:meth:`Dispatcher.failed` as in a pass, and the checkpoint moves past the
+entry. The ingest runs passes, in the same 1,000-pass budget as
+:meth:`CloudService.run_dispatch`, only when a backlog was waiting, a
+handler failed short of the poison limit, or a handler appended. Once its
+record is appended it is answered 200 with its ack, and a backlog that the
+budget did not drain waits for the next ingest or
+:meth:`CloudService.run_dispatch`. ``x-sim-time`` takes the
 usual exact ASCII-digit string inline and any other value through
 :func:`doorsim.model.parse_int`.
 The envelope is checked only where the fast path fails: a method or path
@@ -133,9 +138,11 @@ class CloudService:
     """Ingestion stream, dispatcher, stores, notifications, and detection API.
 
     Deterministic per seed: device secrets, session tokens, and every
-    detection draw derive from it. ``auto_dispatch`` runs a dispatch pass
-    within each ingest so persistence and notification land in the same
-    pass; turn it off to drive passes explicitly with :meth:`run_dispatch`.
+    detection draw derive from it. With ``auto_dispatch`` each ingest
+    persists and notifies its record within its own request: it delivers
+    its entry itself when the dispatcher is caught up, and runs dispatch
+    passes only for a backlog or a failing or appending handler; turn it
+    off to drive passes explicitly with :meth:`run_dispatch`.
 
     Not thread-safe: the service and every object it owns assume one
     caller at a time. The HTTP binding (:mod:`doorsim.cloud.httpd`)
@@ -264,13 +271,28 @@ class CloudService:
             )
         stream = self.stream
         entry = stream.append(record, self._now_ms)
-        # run_dispatch, one pass at a time: most ingests need only the first,
-        # and the caught-up test reads the payload column, as run_pass does
-        if self.auto_dispatch and self.dispatcher.run_pass(stream) < len(stream._payloads):
-            try:
-                self.dispatcher.run_until_current(stream, passes_run=1)
-            except ValidationError:
-                pass  # the record is in: a backlog left by the budget waits for the next pass
+        if self.auto_dispatch:
+            dispatcher = self.dispatcher
+            passes_run = 0
+            if dispatcher.checkpoint == entry.sequence:
+                # the new entry is the whole backlog: deliver it here, as the
+                # pass it saves would (a duplicate skips the handlers)
+                passes_run = 1
+                try:
+                    if not entry.duplicate:
+                        dispatcher.deliver(entry)
+                    dispatcher.checkpoint = entry.sequence + 1
+                except Exception as exc:  # noqa: BLE001 - handler faults are data
+                    if dispatcher.failed(entry, exc):
+                        dispatcher.checkpoint = entry.sequence + 1
+            # run_dispatch for a backlog, a failure that is not yet poison, or
+            # an entry a handler appended; the caught-up test reads the
+            # payload column, as run_pass does
+            if dispatcher.checkpoint < len(stream._payloads):
+                try:
+                    dispatcher.run_until_current(stream, passes_run=passes_run)
+                except ValidationError:
+                    pass  # the record is in: a backlog left by the budget waits for the next pass
         return {
             "sequence": entry.sequence,
             "duplicate": entry.duplicate,

@@ -5,19 +5,23 @@ fresh sequence number plus a duplicate flag. The dispatcher skips flagged
 entries, and every unflagged entry is the first of its event id, so retried
 ingests still produce exactly-once effects.
 
-An accepted ``/ingest`` is one pass: :meth:`IngestStream.append` parses the
-event id once and keeps its sequence on the entry (``event_seq``), which the
-metadata store indexes by without parsing it again, and the gateway runs
-one :meth:`Dispatcher.run_pass`, going on to further passes only when a
-handler failed or appended.
+An accepted ``/ingest`` makes no pass when the dispatcher is caught up:
+:meth:`IngestStream.append` parses the event id once and keeps its sequence
+on the entry (``event_seq``), which the metadata store indexes by without
+parsing it again, and the gateway hands that entry, the whole backlog, to
+:attr:`Dispatcher.deliver` itself. It runs :meth:`Dispatcher.run_pass` only
+for a backlog that was waiting or a handler that failed or appended; a
+failure is counted by :meth:`Dispatcher.failed` either way, so the poison
+rule is written once.
 
 Per entry, the stream keeps columns, not a :class:`StreamRecord`: the
 payload (the record that the metadata store holds too), the ``ingested_at``
 int, and the sequence in a set when the entry is a duplicate. An entry's
 sequence is its index and its partition is its payload's ``device_id``.
 Only the latest entry is kept as the value that ``append`` returned, and the
-pass of the same request hands that one to the handlers; any other entry is
-built when it is read, with ``event_seq`` parsed again from its event id.
+same request hands that one to the handlers, with or without a pass; any
+other entry is built when it is read, with ``event_seq`` parsed again from
+its event id.
 Why: a kept ``StreamRecord`` is a slotted value, which CPython always tracks
 (``gc.is_tracked``), so the collector would walk one per frame at each
 collection of its generation; ``str`` and ``int`` are never tracked.
@@ -26,6 +30,7 @@ collection of its generation; ``str`` and ``int`` are never tracked.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable
 
 from ..errors import ValidationError
@@ -116,6 +121,11 @@ class IngestStream:
 Handler = Callable[[StreamRecord], None]
 
 
+def _run_each(handlers: tuple[Handler, ...], entry: StreamRecord) -> None:
+    for handler in handlers:
+        handler(entry)
+
+
 class Dispatcher:
     """Single logical consumer delivering records to registered handlers.
 
@@ -130,6 +140,9 @@ class Dispatcher:
         if poison_passes < 1:
             raise ValidationError("poison_passes must be >= 1")
         self._handlers: list[tuple[str, Handler]] = []
+        # every registered handler, in order, as one call: the handler itself
+        # when there is one, so a delivery costs one call either way
+        self.deliver: Handler = partial(_run_each, ())
         self._poison_passes = poison_passes
         self._failure_counts: dict[int, int] = {}
         self.checkpoint = 0
@@ -137,6 +150,8 @@ class Dispatcher:
 
     def register(self, name: str, handler: Handler) -> None:
         self._handlers.append((name, handler))
+        handlers = tuple(each for _, each in self._handlers)
+        self.deliver = handlers[0] if len(handlers) == 1 else partial(_run_each, handlers)
 
     def run_pass(self, stream: IngestStream) -> int:
         """One dispatch pass over the entries present when it starts.
@@ -146,16 +161,24 @@ class Dispatcher:
             if sequence not in duplicates:
                 entry = stream._entry(sequence)
                 try:
-                    for _, handler in self._handlers:
-                        handler(entry)
+                    self.deliver(entry)
                 except Exception as exc:  # noqa: BLE001 - handler faults are data
-                    failures = self._failure_counts.get(sequence, 0) + 1
-                    self._failure_counts[sequence] = failures
-                    if failures < self._poison_passes:
+                    if not self.failed(entry, exc):
                         break
-                    self.dead_letters.append((entry, repr(exc)))
             self.checkpoint = sequence + 1
         return self.checkpoint
+
+    def failed(self, entry: StreamRecord, exc: Exception) -> bool:
+        """Count one failed delivery of ``entry``. True once it has failed
+        ``poison_passes`` times: it is then dead-lettered, and the caller
+        moves the checkpoint past it; until then it stays at the head."""
+        sequence = entry.sequence
+        failures = self._failure_counts.get(sequence, 0) + 1
+        self._failure_counts[sequence] = failures
+        if failures < self._poison_passes:
+            return False
+        self.dead_letters.append((entry, repr(exc)))
+        return True
 
     def run_until_current(self, stream: IngestStream, max_passes: int = 1000,
                           passes_run: int = 0) -> int:

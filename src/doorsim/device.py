@@ -202,10 +202,11 @@ def run_motion_script(
     sequences rise by one per emitted event.
 
     The schedule is built and sorted at the first ``next()``, and every
-    surviving entry's frame is looked up and checked then: a frame that is
-    unknown, or that belongs to another device, is a DatasetError before
-    any event is yielded. The schedule holds the scripts' own entry tuples,
-    so it adds no object per event, and it shrinks as events are yielded.
+    entry's frame, debounced or not, is looked up and checked then: a frame
+    that is unknown, or that belongs to another device, is a DatasetError
+    before any event is yielded. The schedule holds the scripts' own entry
+    tuples, so it adds no object per event, and it shrinks as events are
+    yielded.
     """
     if isinstance(scripts, MotionScript):
         scripts = (scripts,)
@@ -219,12 +220,12 @@ def run_motion_script(
         last_emitted: int | None = None
         for entry in script.entries:
             at, frame_id = entry
-            if last_emitted is not None and at - last_emitted < debounce_ms:
-                continue
-            fixture = get(frame_id)
+            fixture = get(frame_id)  # every entry is checked, debounced or not
             if fixture.device_id != device_id:
                 raise DatasetError(
                     f"frame {frame_id} belongs to {fixture.device_id}, not {device_id}")
+            if last_emitted is not None and at - last_emitted < debounce_ms:
+                continue
             last_emitted = at
             schedule.append(entry)
     schedule.sort(key=_AT)

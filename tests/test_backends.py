@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doorsim import backends
 from doorsim.backends import (
     DEFAULT_PROFILES,
     BackendCategory,
@@ -199,6 +200,39 @@ class TestEmissionOrder:
             assert emitted == sorted(emitted)
             if recall == 1.0:
                 assert emitted == sorted(label.name for label in frame.truth)
+
+
+class TestDrawsARateDecides:
+    """A rate of 0 or 1 decides its comparison with a draw in [0, 1), so
+    that draw is not made; the detections equal those of always drawing."""
+
+    RATES = (0.0, 1.0, 0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame=truth_frames(), recall=st.sampled_from(RATES), fp_rate=st.sampled_from(RATES),
+           miss_rate=st.sampled_from(RATES), seed=st.integers(0, 99), enrolled=st.booleans())
+    def test_equals_always_drawing(self, frame, recall, fp_rate, miss_rate, seed, enrolled):
+        profile = profile_with(recall, fp_rate=fp_rate, face_miss_rate=miss_rate)
+        collection = None
+        if enrolled:
+            collection = FaceCollection()
+            collection.enroll("alice", FaceCategory.FAMILY)
+        kinds = []
+        real_draw = backends.unit_draw
+
+        def recorded(key):
+            kinds.append(key.split("\x1f", 1)[0])
+            return real_draw(key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backends, "unit_draw", recorded)
+            got = simulate_detections(frame, profile, seed, collection)
+        assert got == reference_simulate_detections(frame, profile, seed, collection)
+        for kind, rate in (("emit", recall), ("fp", fp_rate), ("face-miss", miss_rate)):
+            if rate in (0.0, 1.0):
+                assert kind not in kinds
+        if recall == 0.3:
+            assert kinds.count("emit") == len(frame.truth)
 
 
 class TestFaceCollection:

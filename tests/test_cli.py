@@ -308,6 +308,27 @@ class TestServerCommands:
             assert json.loads(reply.read()) == {
                 "ok": False, "error": {"code": "protocol", "message": "body is not JSON"}}
 
+    @pytest.mark.parametrize("query,parsed", [
+        ("device=door-1&to=x&to=700", {"device": "door-1", "to": "700"}),
+        ("device=%ff&to=700", {"device": "\ufffd", "to": "700"}),
+    ], ids=["a-repeated-key-keeps-its-last-value", "a-non-utf8-escape-is-u+fffd"])
+    def test_a_query_string_is_answered_as_handle_answers_its_parse(self, server, query,
+                                                                     parsed):
+        base, service = server
+        received, real_handle = [], service.handle
+
+        def recording(request):
+            received.append(request.query)
+            return real_handle(request)
+
+        service.handle = recording
+        expected = CloudService(seed=3).handle(ApiRequest("GET", "/activities", query=parsed))
+        assert expected.status == 200
+        with urllib.request.urlopen(f"{base}/activities?{query}") as reply:
+            assert reply.status == expected.status
+            assert json.loads(reply.read()) == expected.body
+        assert received == [parsed]
+
     @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
     def test_every_method_gets_the_in_process_envelope(self, server, method):
         base, _ = server

@@ -824,6 +824,61 @@ class TestIngestRequest:
             assert [n.event_id for n in service.hub.subscription(name).delivery_log] == ["door-1:0"]
         assert service.dispatcher.checkpoint == 1 and service.dispatcher.dead_letters == []
 
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """The dispatch passes run, counted."""
+        count, real_run_pass = [0], Dispatcher.run_pass
+
+        def counted(dispatcher, stream):
+            count[0] += 1
+            return real_run_pass(dispatcher, stream)
+
+        monkeypatch.setattr(Dispatcher, "run_pass", counted)
+        return count
+
+    def test_a_caught_up_ingest_is_delivered_without_a_pass(self, passes):
+        service = CloudService(seed=0)
+        token = session(service, "door-1")
+        service.subscribe("ops")
+        audited = []  # a handler registered after construction runs too, after the service's
+        service.dispatcher.register("audit", lambda entry: audited.append(
+            (entry.sequence, service.store.latest("door-1").event_id)))
+        for seq in (0, 1):
+            assert ingest(service, token, {"record": record(seq).to_dict()}).status == 200
+        assert audited == [(0, "door-1:0"), (1, "door-1:1")]
+        assert [n.event_id for n in service.hub.subscription("ops").delivery_log] == [
+            "door-1:0", "door-1:1"]
+        assert service.dispatcher.checkpoint == 2 and passes[0] == 0
+
+    def test_a_caught_up_duplicate_skips_the_handlers_without_a_pass(self, passes):
+        service = CloudService(seed=0)
+        token = session(service, "door-1")
+        publishes, real_publish = [], service.hub.publish
+        service.hub.publish = lambda rec, at: publishes.append(rec.event_id) or real_publish(rec, at)
+        for _ in range(2):
+            response = ingest(service, token, {"record": record(0).to_dict()})
+        assert response.body["data"] == {"sequence": 1, "duplicate": True, "ingested_at": 0}
+        assert publishes == ["door-1:0"]
+        assert service.dispatcher.checkpoint == 2 and passes[0] == 0
+
+    def test_one_poison_pass_dead_letters_within_the_request(self, passes):
+        service = CloudService(seed=0, poison_passes=1)
+        token = session(service, "door-1")
+        real_put = service.store.put
+
+        def fails_for_the_first(rec, seq):
+            if rec.event_id == "door-1:0":
+                raise RuntimeError("metadata store down")
+            real_put(rec, seq)
+
+        service.store.put = fails_for_the_first
+        for seq in (0, 1):
+            assert ingest(service, token, {"record": record(seq).to_dict()}).status == 200
+        assert [(entry.sequence, message) for entry, message in service.dispatcher.dead_letters] \
+            == [(0, "RuntimeError('metadata store down')")]
+        assert service.store.all_records() == [record(1)]
+        assert service.dispatcher.checkpoint == 2 and passes[0] == 0
+
     def test_an_appended_record_is_acked_when_the_dispatch_budget_runs_out(self):
         service = CloudService(seed=0)
         token = session(service, "door-1")
@@ -849,9 +904,10 @@ class TestIngestRequest:
 
 # -- one-pass ingest against the pass-by-pass reference ------------------------
 #
-# CloudService runs an accepted /ingest as one pass: the stream parses the
-# event id once and hands its sequence to the store, ``x-sim-time`` is read
-# inline, the ingest runs Dispatcher.run_pass itself and goes on only when a
+# CloudService runs an accepted /ingest in one request: the stream parses
+# the event id once and hands its sequence to the store, ``x-sim-time`` is
+# read inline, an ingest that finds the dispatcher caught up delivers its own
+# entry without a pass and runs passes only when a backlog was waiting or a
 # handler failed or appended, and the hub keeps one delivered-id set per
 # subscriber. ReferenceService is the service as it was written before,
 # with its two dispatch handlers, kept here as the reference that it must
@@ -974,10 +1030,17 @@ STEPS = st.one_of(
 NAMES_BY_KIND = {ScenarioKind.ANIMAL_DETECTION: ("dog",), ScenarioKind.UNSAFE_CONTENT: ("gun",)}
 
 
-def drive(cls, plan):
+def drive(cls, plan, probe=None):
     """Run ``plan`` on a fresh service of ``cls``; everything the two
-    services must agree on, as plain data."""
-    steps, auto_dispatch, poison_passes, failing, appending, chain = plan
+    services must agree on, as plain data.
+
+    ``faults_at`` None registers two more handlers, ``faulty`` and
+    ``appender``. A pair ("put" or "publish", pairs) keeps only the
+    service's own handler and makes ``store.put`` fail before it stores, or
+    ``hub.publish`` after it publishes, on the (event sequence, attempt)
+    pairs. ``probe``, if given, counts the accepted ingests that ran no
+    dispatch pass and the faults raised outside a pass."""
+    steps, auto_dispatch, poison_passes, failing, appending, chain, faults_at = plan
     service = cls(seed=3, auto_dispatch=auto_dispatch, poison_passes=poison_passes)
     tokens = {}
     for device_id in ("d1", "d2"):
@@ -997,6 +1060,7 @@ def drive(cls, plan):
         if entry.sequence in resubscribed:
             redelivered.append(entry.sequence)
         if (entry.sequence, attempt) in failing:
+            fault_raised()
             raise RuntimeError(f"fault at {entry.sequence} attempt {attempt}")
 
     def appender(entry):  # appends to the stream during delivery
@@ -1008,8 +1072,46 @@ def drive(cls, plan):
             service.stream.append(record(chained[0], device="chain"), entry.ingested_at)
             chained[0] += 1
 
-    service.dispatcher.register("faulty", faulty)
-    service.dispatcher.register("appender", appender)
+    layer_attempts = {}
+    passes = [0]  # dispatch passes started
+    running = [False]  # whether a pass is running
+
+    def fault_raised():
+        if probe is not None and not running[0]:
+            probe["faults without a pass"] += 1
+
+    def failing_layer(real, fails_after):  # store.put or hub.publish, failing as planned
+        def call(rec, *args, **kwargs):
+            attempt = layer_attempts[rec.event_id] = layer_attempts.get(rec.event_id, 0) + 1
+            fails = (int(rec.event_id.split(":")[1]), attempt) in layer_failing
+            if fails:
+                fault_raised()
+                if not fails_after:
+                    raise RuntimeError(f"{rec.event_id} not stored, attempt {attempt}")
+            result = real(rec, *args, **kwargs)
+            if fails:
+                raise RuntimeError(f"{rec.event_id} published, then failed, attempt {attempt}")
+            return result
+        return call
+
+    def counted_pass(stream, run_pass=service.dispatcher.run_pass):
+        passes[0] += 1
+        running[0] = True
+        try:
+            return run_pass(stream)
+        finally:
+            running[0] = False
+
+    service.dispatcher.run_pass = counted_pass
+    if faults_at is None:
+        service.dispatcher.register("faulty", faulty)
+        service.dispatcher.register("appender", appender)
+    else:
+        layer, layer_failing = faults_at
+        if layer == "put":
+            service.store.put = failing_layer(service.store.put, False)
+        else:
+            service.hub.publish = failing_layer(service.hub.publish, True)
     outcomes = []
     for step in steps:
         if step[0] == "ingest":
@@ -1019,8 +1121,11 @@ def drive(cls, plan):
                 headers["x-sim-time"] = sim_time
             body = {"record": record(seq, device=device_id, names=NAMES_BY_KIND[kind],
                                      at=seq * 10, kind=kind).to_dict()}
+            passes_before = passes[0]
             response = service.handle(ApiRequest("POST", "/ingest", headers=headers, body=body))
             outcomes.append((response.status, response.body))
+            if probe is not None and response.status == 200 and passes[0] == passes_before:
+                probe["ingests without a pass"] += 1
         elif step[0] == "subscribe":
             service.subscribe(step[1], step[2])
             resubscribed.update(attempts)
@@ -1046,12 +1151,14 @@ def drive(cls, plan):
                                   for entry, message in service.dispatcher.dead_letters],
         "failure_counts": service.dispatcher._failure_counts,
         "attempts": attempts,
+        "layer_attempts": layer_attempts,
         "redelivered_after_resubscribe": redelivered,
         "checkpoint": service.dispatcher.checkpoint,
         "now_ms": service.now_ms,
     }
 
 
+LAYER_FAULTS = st.sets(st.tuples(st.integers(0, 6), st.integers(1, 3)), min_size=1, max_size=8)
 PLANS = st.tuples(
     st.lists(STEPS, min_size=1, max_size=25),
     st.booleans(),  # auto_dispatch
@@ -1061,6 +1168,9 @@ PLANS = st.tuples(
     st.dictionaries(st.integers(0, 30), st.tuples(st.sampled_from(["d1", "d2"]),
                                                   st.integers(0, 6)), max_size=4),  # appending
     st.sampled_from([0, 3, 1200]),  # chain: 1200 outlasts the 1,000-pass budget
+    # faults_at: None, or the layer that fails and its (event sequence, attempt) pairs
+    st.one_of(st.none(), st.none(), *(st.tuples(st.just(layer), LAYER_FAULTS)
+                                      for layer in ("put", "publish"))),
 )
 
 
@@ -1086,24 +1196,40 @@ class TestOnePassIngest:
     def test_equals_the_pass_by_pass_reference(self):
         seen = set()
 
-        @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+        @settings(max_examples=500, deadline=None, database=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow])
         @given(plan=PLANS)
         # a pass fails after publishing, the subscriber re-subscribes, and the
         # next pass redelivers: the hub must not notify it twice
         @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION), ("pass",),
-                        ("subscribe", "ops", None), ("pass",)], False, 3, {(0, 1)}, {}, 0))
+                        ("subscribe", "ops", None), ("pass",)], False, 3, {(0, 1)}, {}, 0, None))
+        # a put fails within the request that delivers its entry without a
+        # pass, and one failure is poison: the entry is dead-lettered there
+        @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d1", 1, "6", ScenarioKind.ANIMAL_DETECTION)],
+                       True, 1, set(), {}, 0, ("put", {(0, 1)})))
+        # a publish fails after it published: the request's passes redeliver
+        # the entry, and the hub notifies no subscriber twice
+        @example(plan=([("subscribe", "filtered", None),
+                        ("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION)],
+                       True, 3, set(), {}, 0, ("publish", {(0, 1)})))
         def compare(plan):
-            result = drive(CloudService, plan)
+            probe = {"ingests without a pass": 0, "faults without a pass": 0}
+            result = drive(CloudService, plan, probe)
             assert result == drive(ReferenceService, plan)
             seen.update(outcomes_of(result))
+            seen.update(name for name, count in probe.items() if count)
+            if plan[-1] is not None and probe["faults without a pass"]:
+                seen.add(f"{plan[-1][0]} fault without a pass")
 
         compare()
         # the property is only as good as its mix
         assert {200, "x-sim-time must be an integer", "out-of-order ingest for d1",
                 "missing or invalid session token", "session for d1 cannot ingest records of d2",
                 "dispatcher did not converge in 1000 passes", "dispatch", "dead letter",
-                "duplicate", "redelivered after a re-subscribe"} <= seen, seen
+                "duplicate", "redelivered after a re-subscribe", "ingests without a pass",
+                "faults without a pass", "put fault without a pass",
+                "publish fault without a pass"} <= seen, seen
 
     def test_each_event_id_is_parsed_once_per_appended_record(self, monkeypatch):
         calls = {"parse_event_id": 0, "_decimal": 0}

@@ -403,6 +403,17 @@ class TestFleetReplay:
         assert [event.event_id for event, _ in emitted] == [f"door-1:{n}" for n in range(4)]
 
     @pytest.mark.parametrize("frame_id,message", [
+        ("nope", "unknown frame_id: nope"),
+        ("door-2/f0", "frame door-2/f0 belongs to door-2, not door-1"),
+    ], ids=["unknown", "foreign"])
+    def test_a_debounced_entry_is_checked_too(self, frame_id, message):
+        # the second entry is 100 ms after the first, so debounce drops it
+        dataset = fleet_dataset(["door-1", "door-2"])
+        script = MotionScript("door-1", ((0, "door-1/f0"), (100, frame_id)))
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            next(run_motion_script(script, dataset))
+
+    @pytest.mark.parametrize("frame_id,message", [
         ("missing", "unknown frame_id: missing"),
         ("door-1/f1", "frame door-1/f1 belongs to door-1, not door-2"),
     ], ids=["unknown", "foreign"])
