@@ -1,7 +1,8 @@
 """Real HTTP binding for the gateway, for `doorsim serve-cloud` and tests.
 
 A thin translation layer: HTTP requests become :class:`ApiRequest` values,
-responses are canonical JSON. All behaviour lives in the service object.
+responses are canonical JSON. All behaviour lives in the service object,
+whose ``_error`` also builds the refusal of a request that never reaches it.
 
 Each connection gets its own thread, but the service is single-threaded:
 one lock per server admits one :meth:`CloudService.handle` call at a time.
@@ -15,8 +16,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
+from ..errors import ProtocolError
 from ..model import _decimal, canonical_json
-from .service import ApiRequest, CloudService
+from .service import ApiRequest, ApiResponse, CloudService, _error
 
 __all__ = ["serve", "CloudHTTPServer"]
 
@@ -58,14 +60,14 @@ class _Handler(BaseHTTPRequestHandler):
         )
         with self.server.service_lock:
             response = self.server.service.handle(request)
-        self._write(response.status, response.body)
+        self._write(response)
 
     def _protocol_error(self, message: str) -> None:
-        self._write(400, {"ok": False, "error": {"code": "protocol", "message": message}})
+        self._write(_error(ProtocolError(message)))
 
-    def _write(self, status: int, body) -> None:
-        payload = canonical_json(body).encode("utf-8")
-        self.send_response(status)
+    def _write(self, response: ApiResponse) -> None:
+        payload = canonical_json(response.body).encode("utf-8")
+        self.send_response(response.status)
         self.send_header("content-type", "application/json")
         self.send_header("content-length", str(len(payload)))
         self.end_headers()

@@ -4,8 +4,8 @@ Delivery is exactly-once per (subscriber, event): the hub keeps one set of
 delivered event ids per subscriber id, so dispatcher redeliveries after a
 partial handler failure never double-notify, and a re-subscribe keeps what
 was already delivered. Publishing is the last step of delivering an
-accepted ``/ingest``'s entry, which that request does itself, so a
-notification is sent within the request that ingested its record; a
+accepted ``/ingest``'s entry, which the dispatcher does within that request,
+so a notification is sent within the request that ingested its record; a
 subscription whose filter names no devices and no scenarios gets it without
 a call to :meth:`SubscriptionFilter.matches`.
 

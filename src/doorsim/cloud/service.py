@@ -6,27 +6,21 @@ and one of the 13 documented routes. Responses always have the shape
 authenticate with the ``x-session-token`` header and may carry their logical
 clock in ``x-sim-time`` (milliseconds) so the service can stamp ingests and
 answer time-relative queries deterministically; an ``ok: false`` answer
-leaves the service's clock where it was. Bodies are read with
+leaves the service's clock where it was, and its status is the one the
+exception's class declares (:mod:`doorsim.errors`). Bodies are read with
 :func:`doorsim.model.field`, so a malformed field is a 400 ``protocol``
 envelope and the handlers see well-typed values only.
 
 An accepted ``/ingest`` is persisted and notified within its own request:
-the handler reads the ``record`` of an exact ``dict`` body inline and
-appends to the stream, whose append parses the event id once. If the
-dispatcher was caught up, the new entry is the whole backlog, and the
-request delivers it without a :meth:`Dispatcher.run_pass`: one call of
-:attr:`Dispatcher.deliver` runs the handlers (the built-in one,
-``CloudService._persist_and_notify``, stores the record and then publishes
-it; a duplicate skips them), a handler failure is counted by
-:meth:`Dispatcher.failed` as in a pass, and the checkpoint moves past the
-entry. The ingest runs passes, in the same 1,000-pass budget as
-:meth:`CloudService.run_dispatch`, only when a backlog was waiting, a
-handler failed short of the poison limit, or a handler appended. Once its
-record is appended it is answered 200 with its ack, and a backlog that the
-budget did not drain waits for the next ingest or
-:meth:`CloudService.run_dispatch`. ``x-sim-time`` takes the
-usual exact ASCII-digit string inline and any other value through
-:func:`doorsim.model.parse_int`.
+the handler reads the ``record`` of an exact ``dict`` body inline, appends
+it to the stream and hands the entry that ``append`` returned to
+:meth:`Dispatcher.deliver_appended`, which owns the rest: the delivery
+without a pass when the dispatcher is caught up, the duplicate skip, the
+checkpoint and the pass budget (see :mod:`doorsim.cloud.stream`). The
+built-in handler, ``CloudService._persist_and_notify``, stores the record
+and then publishes it. Once its record is appended the ingest is answered
+200 with its ack. ``x-sim-time`` takes the usual exact ASCII-digit string
+inline and any other value through :func:`doorsim.model.parse_int`.
 The envelope is checked only where the fast path fails: a method or path
 that is not a string, or headers or a query that are not a mapping, is a
 400 ``protocol`` envelope, and a token that is not a string a 401.
@@ -36,10 +30,9 @@ a ``device`` that is an exact ``str`` and ``from``/``to`` strings that pass
 :func:`doorsim.model._decimal` inline, and ``/query`` reads an exact
 ``dict`` body and hands it to :meth:`QueryRequest.from_dict`, which takes
 exact types the same way; any other value goes through ``field`` or
-``parse_int``, so it is refused with the same message as before. The store
-answers a device that has put its events in order with one slice (see
-:class:`MetadataStore`), and the records are encoded with one
-``AnalyticsRecord.to_dict`` call each, looked up when the read runs.
+``parse_int``. The store answers a device that has put its events in order
+with one slice (see :class:`MetadataStore`), and the records are encoded
+with one ``AnalyticsRecord.to_dict`` call each.
 """
 
 from __future__ import annotations
@@ -117,15 +110,6 @@ ROUTES: tuple[tuple[str, str, str], ...] = (
     ("POST", r"/custom-labels", "create_custom_label_job"),
 )
 
-_STATUS_BY_CODE = {
-    "validation": 400,
-    "protocol": 400,
-    "routing": 400,
-    "auth_failed": 401,
-    "not_found": 404,
-    "conflict": 409,
-}
-
 # Every route but the blob read has a literal path.
 _EXACT_ROUTES = {
     (method, pattern): name
@@ -139,10 +123,9 @@ class CloudService:
 
     Deterministic per seed: device secrets, session tokens, and every
     detection draw derive from it. With ``auto_dispatch`` each ingest
-    persists and notifies its record within its own request: it delivers
-    its entry itself when the dispatcher is caught up, and runs dispatch
-    passes only for a backlog or a failing or appending handler; turn it
-    off to drive passes explicitly with :meth:`run_dispatch`.
+    persists and notifies its record within its own request, through
+    :meth:`Dispatcher.deliver_appended`; turn it off to drive passes
+    explicitly with :meth:`run_dispatch`.
 
     Not thread-safe: the service and every object it owns assume one
     caller at a time. The HTTP binding (:mod:`doorsim.cloud.httpd`)
@@ -269,30 +252,9 @@ class CloudService:
             raise AuthError(
                 f"session for {device_id} cannot ingest records of {record.device_id}"
             )
-        stream = self.stream
-        entry = stream.append(record, self._now_ms)
+        entry = self.stream.append(record, self._now_ms)
         if self.auto_dispatch:
-            dispatcher = self.dispatcher
-            passes_run = 0
-            if dispatcher.checkpoint == entry.sequence:
-                # the new entry is the whole backlog: deliver it here, as the
-                # pass it saves would (a duplicate skips the handlers)
-                passes_run = 1
-                try:
-                    if not entry.duplicate:
-                        dispatcher.deliver(entry)
-                    dispatcher.checkpoint = entry.sequence + 1
-                except Exception as exc:  # noqa: BLE001 - handler faults are data
-                    if dispatcher.failed(entry, exc):
-                        dispatcher.checkpoint = entry.sequence + 1
-            # run_dispatch for a backlog, a failure that is not yet poison, or
-            # an entry a handler appended; the caught-up test reads the
-            # payload column, as run_pass does
-            if dispatcher.checkpoint < len(stream._payloads):
-                try:
-                    dispatcher.run_until_current(stream, passes_run=passes_run)
-                except ValidationError:
-                    pass  # the record is in: a backlog left by the budget waits for the next pass
+            self.dispatcher.deliver_appended(self.stream, entry)
         return {
             "sequence": entry.sequence,
             "duplicate": entry.duplicate,
@@ -396,7 +358,4 @@ def _slow_route(request: ApiRequest, name: str | None) -> tuple[str | None, dict
 
 
 def _error(exc: DoorsimError) -> ApiResponse:
-    status = _STATUS_BY_CODE.get(exc.code, 500)
-    return ApiResponse(
-        status, {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
-    )
+    return ApiResponse(exc.status, {"ok": False, "error": {"code": exc.code, "message": str(exc)}})

@@ -5,23 +5,22 @@ fresh sequence number plus a duplicate flag. The dispatcher skips flagged
 entries, and every unflagged entry is the first of its event id, so retried
 ingests still produce exactly-once effects.
 
-An accepted ``/ingest`` makes no pass when the dispatcher is caught up:
-:meth:`IngestStream.append` parses the event id once and keeps its sequence
-on the entry (``event_seq``), which the metadata store indexes by without
-parsing it again, and the gateway hands that entry, the whole backlog, to
-:attr:`Dispatcher.deliver` itself. It runs :meth:`Dispatcher.run_pass` only
-for a backlog that was waiting or a handler that failed or appended; a
-failure is counted by :meth:`Dispatcher.failed` either way, so the poison
-rule is written once.
+The dispatcher owns every delivery decision, an ingest's too: the gateway
+hands the entry that :meth:`IngestStream.append` returned (its event id
+parsed once, its sequence kept as ``event_seq`` for the metadata store) to
+:meth:`Dispatcher.deliver_appended`. If the dispatcher is caught up, that
+entry is the whole backlog and is delivered without a pass; passes run only
+for a waiting backlog or a handler that failed or appended, within the
+:data:`MAX_PASSES` budget. A failure is counted by :meth:`Dispatcher.failed`
+either way, so the poison rule is written once.
 
 Per entry, the stream keeps columns, not a :class:`StreamRecord`: the
 payload (the record that the metadata store holds too), the ``ingested_at``
-int, and the sequence in a set when the entry is a duplicate. An entry's
-sequence is its index and its partition is its payload's ``device_id``.
-Only the latest entry is kept as the value that ``append`` returned, and the
-same request hands that one to the handlers, with or without a pass; any
-other entry is built when it is read, with ``event_seq`` parsed again from
-its event id.
+int, and the sequence in a set when the entry is a duplicate; no other
+module reads them. An entry's sequence is its index and its partition is
+its payload's ``device_id``. Only the entry ``append`` returned last is
+kept as a value; any other is built when it is read, with ``event_seq``
+parsed again from its event id.
 Why: a kept ``StreamRecord`` is a slotted value, which CPython always tracks
 (``gc.is_tracked``), so the collector would walk one per frame at each
 collection of its generation; ``str`` and ``int`` are never tracked.
@@ -36,10 +35,12 @@ from typing import Callable
 from ..errors import ValidationError
 from ..model import AnalyticsRecord, encoder, parse_event_id, value
 
-__all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES"]
+__all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES", "MAX_PASSES"]
 
 # Passes a record may fail before it is moved to the dead-letter queue.
 DEFAULT_POISON_PASSES = 3
+# Passes one catch-up may run before it gives up on reaching the stream head.
+MAX_PASSES = 1000
 
 
 @value
@@ -180,12 +181,28 @@ class Dispatcher:
         self.dead_letters.append((entry, repr(exc)))
         return True
 
-    def run_until_current(self, stream: IngestStream, max_passes: int = 1000,
-                          passes_run: int = 0) -> int:
-        """Dispatch passes until the checkpoint reaches the stream head.
-        ``passes_run`` passes the caller already ran count against
-        ``max_passes``."""
-        for _ in range(passes_run, max_passes):
+    def deliver_appended(self, stream: IngestStream, entry: StreamRecord) -> None:
+        """Deliver the entry ``stream.append`` just returned: itself if the
+        dispatcher is caught up, as the pass it saves would, then in passes
+        to the head or the budget, where that step counts as one pass."""
+        passes = 0
+        if self.checkpoint == entry.sequence:  # the new entry is the whole backlog
+            passes = 1
+            try:
+                if not entry.duplicate:
+                    self.deliver(entry)
+                self.checkpoint = entry.sequence + 1
+            except Exception as exc:  # noqa: BLE001 - handler faults are data
+                if self.failed(entry, exc):
+                    self.checkpoint = entry.sequence + 1
+        # a backlog, a failure short of poison or an appended entry: what the budget leaves waits
+        while self.checkpoint < len(stream._payloads) and passes < MAX_PASSES:
+            self.run_pass(stream)
+            passes += 1
+
+    def run_until_current(self, stream: IngestStream) -> int:
+        """Dispatch passes until the checkpoint reaches the stream head."""
+        for _ in range(MAX_PASSES):
             if self.run_pass(stream) >= len(stream):
                 return self.checkpoint
-        raise ValidationError(f"dispatcher did not converge in {max_passes} passes")
+        raise ValidationError(f"dispatcher did not converge in {MAX_PASSES} passes")

@@ -25,6 +25,7 @@ sliced the digest; encoding the key and hashing it alone take 0.46 us.
 from __future__ import annotations
 
 from hashlib import sha256
+from math import nextafter
 from struct import Struct
 from typing import Sequence
 
@@ -33,14 +34,17 @@ from typing import Sequence
 SEP = "\x1f"
 # The first 8 digest bytes as one big-endian integer, without the slice.
 _HEAD = Struct(">Q").unpack_from
+_BELOW_ONE = nextafter(1.0, 0.0)
 
 
 def unit_draw(key: object = "", *rest: object) -> float:
-    """Uniform value in [0, 1) fully determined by the key parts: the
-    first 8 bytes of the SHA-256 of their joined text, over 2**64."""
+    """Uniform value in [0, 1) fully determined by the key parts: the first 8
+    bytes of the SHA-256 of their joined text over 2**64, kept below 1 where
+    that rounds up (a head in the top 1,024 of 2**64)."""
     if rest or type(key) is not str:
         key = SEP.join(map(str, (key, *rest)))
-    return _HEAD(sha256(key.encode()).digest())[0] / 2.0**64
+    draw = _HEAD(sha256(key.encode()).digest())[0] / 2.0**64
+    return draw if draw < 1.0 else _BELOW_ONE
 
 
 def key_prefix(*parts: object) -> str:

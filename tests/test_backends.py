@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doorsim import backends
+from doorsim import backends, draws
 from doorsim.backends import (
     DEFAULT_PROFILES,
     BackendCategory,
@@ -18,6 +18,7 @@ from doorsim.backends import (
     simulate_detections,
 )
 from doorsim.cloud import CloudService
+from doorsim.draws import choice_draw, int_draw, unit_draw
 from doorsim.errors import ValidationError
 from doorsim.model import (
     DEFAULT_VOCABULARY,
@@ -233,6 +234,36 @@ class TestDrawsARateDecides:
                 assert kind not in kinds
         if recall == 0.3:
             assert kinds.count("emit") == len(frame.truth)
+
+
+class TestADrawAtTheTopOfTheDigestRange:
+    """A digest whose first 8 bytes are all 0xff: that integer over 2**64
+    rounds to 1.0 as a float, and the draw must still lie below 1."""
+
+    @pytest.fixture(autouse=True)
+    def top_digest(self, monkeypatch):
+        class TopDigest:
+            def __init__(self, data):
+                pass
+
+            def digest(self):
+                return b"\xff" * 32
+
+        monkeypatch.setattr(draws, "sha256", TopDigest)
+
+    def test_the_unit_draw_is_below_one(self):
+        assert unit_draw("top") < 1
+
+    def test_an_int_draw_is_at_most_its_upper_bound(self):
+        assert int_draw(0, 2, "top") == 2
+
+    def test_a_choice_draw_picks_the_last_option(self):
+        assert choice_draw(["a", "b", "c"], "top") == "c"
+
+    @pytest.mark.parametrize("scenario", list(ScenarioKind))
+    def test_a_spurious_label_is_the_scenarios_last(self, scenario):
+        detections = simulate_detections(frame_with((), scenario), profile_with(1.0, 1.0), 0)
+        assert [d.label.name for d in detections] == [DEFAULT_VOCABULARY[scenario][-1]]
 
 
 class TestFaceCollection:

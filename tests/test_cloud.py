@@ -1213,6 +1213,21 @@ class TestOnePassIngest:
         @example(plan=([("subscribe", "filtered", None),
                         ("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION)],
                        True, 3, set(), {}, 0, ("publish", {(0, 1)})))
+        # a retried ingest is a duplicate, and an explicit dispatch catches up
+        @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d1", 0, "6", ScenarioKind.ANIMAL_DETECTION),
+                        ("dispatch",)], True, 3, set(), {}, 0, None))
+        # each refusal: a bad x-sim-time, no session, another device's record,
+        # and an event sequence below the device's last
+        @example(plan=([("ingest", "d1", "d1", 2, "5", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d1", 3, "+5", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", None, "d1", 3, "6", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d2", 3, "6", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d1", 1, "7", ScenarioKind.ANIMAL_DETECTION)],
+                       True, 3, set(), {}, 0, None))
+        # an appending handler outlasts the budget of an explicit dispatch
+        @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION),
+                        ("dispatch",)], False, 3, set(), {}, 1200, None))
         def compare(plan):
             probe = {"ingests without a pass": 0, "faults without a pass": 0}
             result = drive(CloudService, plan, probe)

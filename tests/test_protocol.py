@@ -7,7 +7,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -61,6 +61,25 @@ class TestGoldenReplay:
             actual = canonical_json({"status": response.status, "body": response.body})
             expected = canonical_json(step["response"])
             assert actual.encode() == expected.encode(), step["name"]
+
+    def test_all_steps_round_trip_bit_exactly_over_http(self, http_server):
+        # the same replay through a loopback server: each reply's status and
+        # body bytes are the golden's, refusals included
+        for step in golden_steps():
+            request, expected = step["request"], step["response"]
+            url = request["path"]
+            if request["query"]:
+                url += "?" + urlencode(request["query"])
+            body = None if request["body"] is None else json.dumps(request["body"]).encode()
+            connection = http.client.HTTPConnection(urlsplit(http_server).netloc, timeout=10)
+            try:
+                connection.request(request["method"], url, body, request["headers"])
+                reply = connection.getresponse()
+                actual = (reply.status, reply.read())
+            finally:
+                connection.close()
+            assert actual == (expected["status"], canonical_json(expected["body"]).encode()), \
+                step["name"]
 
     def test_goldens_cover_every_documented_endpoint(self):
         covered = set()
