@@ -17,12 +17,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .backends import load_profiles
+from .backends import DEFAULT_PROFILES, load_profiles
 from .cloud import CloudService
 from .cloud.httpd import CloudHTTPServer
 from .dataset import GeneratorConfig, generate_dataset, load_manifest, save_manifest
 from .errors import DoorsimError, ProtocolError, ValidationError
-from .harness import ExperimentConfig, compare_backends, run_experiment
+from .harness import ExperimentConfig, check_profiles, compare_backends, run_experiment
 from .model import (FaceCategory, canonical_json, field, list_field, map_field, read_document,
                     refuse_unknown_keys)
 
@@ -51,11 +51,20 @@ def _seeded(config, args: argparse.Namespace):
     return config if args.seed is None else replace(config, seed=args.seed)
 
 
-def _experiment_config(data: dict) -> tuple[ExperimentConfig, dict | None]:
+def _experiment_config(data: dict,
+                       backend_ids: tuple[str, ...] = ()) -> tuple[ExperimentConfig, dict | None]:
     """The config of ``data`` and the profile registry it names (None: the
-    shipped profiles), read with it so that a bad registry is a refused config."""
+    shipped profiles), read with it so that a bad registry is a refused
+    config. So is what the runs of ``backend_ids`` (default: the config's
+    own) would refuse before their first event."""
     config = ExperimentConfig.from_dict(data)
-    return config, load_profiles(config.profiles_path) if config.profiles_path else None
+    profiles = load_profiles(config.profiles_path) if config.profiles_path else None
+    check_profiles(DEFAULT_PROFILES if profiles is None else profiles,
+                   backend_ids or (config.backend_id,))
+    if config.scripts is None and config.event_spacing_ms <= config.debounce_ms:
+        # as script_covering, which writes each device's script then
+        raise ValidationError("event_spacing_ms must exceed debounce_ms to cover all frames")
+    return config, profiles
 
 
 def _post(server: str, path: str, body: dict) -> dict:
@@ -136,7 +145,8 @@ def _compare_config(data: dict) -> tuple[ExperimentConfig, dict | None, tuple[st
     if not isinstance(data, dict):
         raise ProtocolError("the document must be a JSON object")
     rest = {key: value for key, value in data.items() if key != "backend_ids"}
-    return (*_experiment_config(rest), list_field(data, "backend_ids", str, ()))
+    backend_ids = list_field(data, "backend_ids", str, ())
+    return (*_experiment_config(rest, backend_ids), backend_ids)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -182,7 +192,8 @@ def cmd_serve_cloud(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else seed
     service = CloudService(seed=seed)
     server = CloudHTTPServer((host, port), service)
-    print(f"serving mock cloud on http://{host}:{port} (seed {seed})")
+    host, port = server.server_address[:2]  # the port the OS chose for port 0
+    print(f"serving mock cloud on http://{host}:{port} (seed {seed})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -3,6 +3,9 @@
 A thin translation layer: HTTP requests become :class:`ApiRequest` values,
 responses are canonical JSON. All behaviour lives in the service object,
 whose ``_error`` also builds the refusal of a request that never reaches it.
+Every method, one that ``http.server`` has no name for too, goes to the
+service. A body whose JSON holds a lone surrogate escape (``"\\ud800"``) is
+refused like one that is not JSON: no UTF-8 reply could carry it back.
 
 Each connection gets its own thread, but the service is single-threaded:
 one lock per server admits one :meth:`CloudService.handle` call at a time.
@@ -48,6 +51,7 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw)
+                json.dumps(body, ensure_ascii=False).encode("utf-8")  # no lone surrogate
             except (ValueError, RecursionError):  # not JSON, not text, or nested too deep
                 self._protocol_error("body is not JSON")
                 return
@@ -74,7 +78,11 @@ class _Handler(BaseHTTPRequestHandler):
         if self.command != "HEAD":  # HEAD: the headers of the reply, no body (RFC 9110, 9.3.2)
             self.wfile.write(payload)
 
-    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _dispatch  # http.server API
+    def __getattr__(self, name: str):
+        """``http.server`` calls ``do_<METHOD>``; for any method, that is ``_dispatch``."""
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
 
     def log_message(self, format: str, *args) -> None:  # silence per-request logging
         pass

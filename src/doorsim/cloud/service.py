@@ -1,7 +1,10 @@
 """The mock cloud service behind a single HTTP-style JSON gateway.
 
 Every externally reachable read or write goes through :meth:`CloudService.handle`
-and one of the 13 documented routes. Responses always have the shape
+and one of the 13 documented routes. Each service routes with one table,
+``(method, path)`` to its bound handler, built from :data:`ROUTES`; only
+``GET /blobs/<ref>``, whose path is a pattern, is matched outside it, and
+its handler reads ``ref`` from the path. Responses always have the shape
 ``{"ok": true, "data": ...}`` or ``{"ok": false, "error": {...}}``; callers
 authenticate with the ``x-session-token`` header and may carry their logical
 clock in ``x-sim-time`` (milliseconds) so the service can stamp ingests and
@@ -110,14 +113,6 @@ ROUTES: tuple[tuple[str, str, str], ...] = (
     ("POST", r"/custom-labels", "create_custom_label_job"),
 )
 
-# Every route but the blob read has a literal path.
-_EXACT_ROUTES = {
-    (method, pattern): name
-    for method, pattern, name in ROUTES
-    if pattern != _BLOB_ROUTE.pattern
-}
-
-
 class CloudService:
     """Ingestion stream, dispatcher, stores, notifications, and detection API.
 
@@ -154,8 +149,10 @@ class CloudService:
         self.dispatcher.register("persist_and_notify", self._persist_and_notify)
         self.auto_dispatch = auto_dispatch
         self._now_ms = 0
-        # Route name -> bound handler, looked up once per request.
-        self._handlers = {name: getattr(self, f"_handle_{name}") for _, _, name in ROUTES}
+        # (method, path) -> bound handler: every route but the blob read, whose
+        # path is a pattern, so a request for the pattern's own text is a 404
+        self._routes = {(method, pattern): getattr(self, f"_handle_{name}")
+                        for method, pattern, name in ROUTES if pattern != _BLOB_ROUTE.pattern}
 
     # -- logical clock ----------------------------------------------------
 
@@ -187,15 +184,14 @@ class CloudService:
     def handle(self, request: ApiRequest) -> ApiResponse:
         """Route one request; every error becomes an ``ok: false`` envelope."""
         try:
-            name = _EXACT_ROUTES.get((request.method, request.path))
+            handler = self._routes.get((request.method, request.path))
         except TypeError:  # an unhashable method or path, refused below
-            name = None
-        params = None
+            handler = None
         headers = request.headers
         now_ms = self._now_ms
         try:
-            if name is None or type(headers) is not dict or type(request.query) is not dict:
-                name, params = _slow_route(request, name)
+            if handler is None or type(headers) is not dict or type(request.query) is not dict:
+                handler = self._slow_route(request, handler)
             if "x-sim-time" in headers:
                 at = headers["x-sim-time"]
                 # parse_int's usual case inline: an exact str of ASCII digits
@@ -205,16 +201,26 @@ class CloudService:
                     at = parse_int(at, "x-sim-time")
                 if at > self._now_ms:  # advance_clock, inline
                     self._now_ms = at
-            if name is None:
+            if handler is None:
                 raise NotFoundError(f"no route for {request.method} {request.path}")
-            if params is None:
-                data = self._handlers[name](request)
-            else:
-                data = self._handlers[name](request, **params)
+            data = handler(request)
         except DoorsimError as exc:
             self._now_ms = now_ms  # a refused request leaves the clock where it was
             return _error(exc)
         return ApiResponse(200, {"ok": True, "data": data})
+
+    def _slow_route(self, request: ApiRequest, handler):
+        """handle's routing where its fast path fails: a method or path that is
+        not a string, or headers or a query that are not a mapping, are refused
+        before the request changes any state; ``GET /blobs/<ref>`` is matched here."""
+        method, path = request.method, request.path
+        if not (isinstance(method, str) and isinstance(path, str)):
+            raise ProtocolError("method and path must be strings")
+        if not (isinstance(request.headers, Mapping) and isinstance(request.query, Mapping)):
+            raise ProtocolError("headers and query must be JSON objects")
+        if handler is None and method == "GET" and _BLOB_ROUTE.fullmatch(path):
+            return self._handle_get_blob
+        return handler
 
     def _body(self, request: ApiRequest) -> Mapping[str, Any]:
         body = request.body
@@ -331,7 +337,8 @@ class CloudService:
             raise ProtocolError(f"data_b64 must be valid base64: {exc}") from exc
         return {"ref": self.blobs.put(data)}
 
-    def _handle_get_blob(self, request: ApiRequest, ref: str) -> dict:
+    def _handle_get_blob(self, request: ApiRequest) -> dict:
+        ref = request.path[len("/blobs/"):]  # the path matched _BLOB_ROUTE
         data = self.blobs.get(ref)
         return {"ref": ref, "data_b64": base64.b64encode(data).decode("ascii")}
 
@@ -342,19 +349,6 @@ class CloudService:
         job = self.jobs.create(field(body, "name", str), field(body, "example_count", int),
                                at=self.now_ms)
         return {"job": job.to_dict()}
-
-
-def _slow_route(request: ApiRequest, name: str | None) -> tuple[str | None, dict | None]:
-    """handle's routing where its fast path fails: a method or path that is not
-    a string, or headers or a query that are not a mapping, are refused before
-    the request changes any state; ``GET /blobs/<ref>`` is matched here."""
-    method, path = request.method, request.path
-    if not (isinstance(method, str) and isinstance(path, str)):
-        raise ProtocolError("method and path must be strings")
-    if not (isinstance(request.headers, Mapping) and isinstance(request.query, Mapping)):
-        raise ProtocolError("headers and query must be JSON objects")
-    match = _BLOB_ROUTE.fullmatch(path) if name is None and method == "GET" else None
-    return ("get_blob", match.groupdict()) if match else (name, None)
 
 
 def _error(exc: DoorsimError) -> ApiResponse:

@@ -11,16 +11,17 @@ parsed once, its sequence kept as ``event_seq`` for the metadata store) to
 :meth:`Dispatcher.deliver_appended`. If the dispatcher is caught up, that
 entry is the whole backlog and is delivered without a pass; passes run only
 for a waiting backlog or a handler that failed or appended, within the
-:data:`MAX_PASSES` budget. A failure is counted by :meth:`Dispatcher.failed`
-either way, so the poison rule is written once.
+:data:`MAX_PASSES` budget. Both deliver an entry with one step,
+``Dispatcher._step``, so the duplicate skip, the poison rule and the
+checkpoint move are written once.
 
 Per entry, the stream keeps columns, not a :class:`StreamRecord`: the
 payload (the record that the metadata store holds too), the ``ingested_at``
 int, and the sequence in a set when the entry is a duplicate; no other
 module reads them. An entry's sequence is its index and its partition is
-its payload's ``device_id``. Only the entry ``append`` returned last is
-kept as a value; any other is built when it is read, with ``event_seq``
-parsed again from its event id.
+its payload's ``device_id``. No entry is kept as a value: ``append``
+returns its entry to the caller, and any other read builds the entry from
+the columns, with ``event_seq`` parsed again from its event id.
 Why: a kept ``StreamRecord`` is a slotted value, which CPython always tracks
 (``gc.is_tracked``), so the collector would walk one per frame at each
 collection of its generation; ``str`` and ``int`` are never tracked.
@@ -70,7 +71,6 @@ class IngestStream:
         self._payloads: list[AnalyticsRecord] = []
         self._ingested_at: list[int] = []
         self._duplicates: set[int] = set()
-        self._latest: StreamRecord | None = None  # the entry append returned last
         self._seen_event_ids: set[str] = set()
         self._last_event_seq: dict[str, int] = {}
 
@@ -94,18 +94,14 @@ class IngestStream:
             self._last_event_seq[device_id] = event_seq
             self._seen_event_ids.add(record.event_id)
         # the partition is record.device_id: equal to device_id, and not a copy of it
-        entry = self._latest = StreamRecord(len(payloads), record.device_id, record,
-                                            ingested_at, duplicate, event_seq)
+        entry = StreamRecord(len(payloads), record.device_id, record, ingested_at, duplicate,
+                             event_seq)
         payloads.append(record)
         self._ingested_at.append(ingested_at)
         return entry
 
     def _entry(self, sequence: int) -> StreamRecord:
-        """The entry at ``sequence`` (in range): the one ``append`` returned
-        if it is the latest, else built again from the columns."""
-        latest = self._latest
-        if latest is not None and latest.sequence == sequence:
-            return latest
+        """The entry at ``sequence`` (in range), built from the columns."""
         payload = self._payloads[sequence]
         return StreamRecord(sequence, payload.device_id, payload, self._ingested_at[sequence],
                             sequence in self._duplicates, parse_event_id(payload.event_id)[1])
@@ -157,28 +153,27 @@ class Dispatcher:
     def run_pass(self, stream: IngestStream) -> int:
         """One dispatch pass over the entries present when it starts.
         Returns the new checkpoint position."""
-        duplicates = stream._duplicates  # read in place: no copy of the tail
         for sequence in range(self.checkpoint, len(stream._payloads)):
-            if sequence not in duplicates:
-                entry = stream._entry(sequence)
-                try:
-                    self.deliver(entry)
-                except Exception as exc:  # noqa: BLE001 - handler faults are data
-                    if not self.failed(entry, exc):
-                        break
-            self.checkpoint = sequence + 1
+            if not self._step(stream._entry(sequence)):
+                break
         return self.checkpoint
 
-    def failed(self, entry: StreamRecord, exc: Exception) -> bool:
-        """Count one failed delivery of ``entry``. True once it has failed
-        ``poison_passes`` times: it is then dead-lettered, and the caller
-        moves the checkpoint past it; until then it stays at the head."""
+    def _step(self, entry: StreamRecord) -> bool:
+        """Deliver the entry at the checkpoint, or skip it if it is a
+        duplicate. True if the checkpoint moved past it: delivered, skipped,
+        or dead-lettered on its ``poison_passes``-th failure; False if it
+        failed short of that and stays at the head for the next pass."""
         sequence = entry.sequence
-        failures = self._failure_counts.get(sequence, 0) + 1
-        self._failure_counts[sequence] = failures
-        if failures < self._poison_passes:
-            return False
-        self.dead_letters.append((entry, repr(exc)))
+        if not entry.duplicate:
+            try:
+                self.deliver(entry)
+            except Exception as exc:  # noqa: BLE001 - handler faults are data
+                failures = self._failure_counts.get(sequence, 0) + 1
+                self._failure_counts[sequence] = failures
+                if failures < self._poison_passes:
+                    return False
+                self.dead_letters.append((entry, repr(exc)))
+        self.checkpoint = sequence + 1
         return True
 
     def deliver_appended(self, stream: IngestStream, entry: StreamRecord) -> None:
@@ -188,13 +183,7 @@ class Dispatcher:
         passes = 0
         if self.checkpoint == entry.sequence:  # the new entry is the whole backlog
             passes = 1
-            try:
-                if not entry.duplicate:
-                    self.deliver(entry)
-                self.checkpoint = entry.sequence + 1
-            except Exception as exc:  # noqa: BLE001 - handler faults are data
-                if self.failed(entry, exc):
-                    self.checkpoint = entry.sequence + 1
+            self._step(entry)
         # a backlog, a failure short of poison or an appended entry: what the budget leaves waits
         while self.checkpoint < len(stream._payloads) and passes < MAX_PASSES:
             self.run_pass(stream)

@@ -171,14 +171,10 @@ def load_manifest(path: str | Path) -> Dataset:
 
 
 def manifest_row(frame: FrameSample) -> dict:
-    """The manifest projection of a frame: fixture data only, no timestamps."""
-    return {
-        "frame_id": frame.frame_id,
-        "scenario": frame.scenario.value,
-        "truth_labels": sorted(label.name for label in frame.truth),
-        "truth_identity": frame.truth_identity,
-        "device_id": frame.device_id,
-    }
+    """The manifest projection of a frame: its wire form without the timestamp."""
+    row = frame.to_dict()
+    del row["captured_at"]
+    return row
 
 
 def save_manifest(frames: Iterable[FrameSample], path: str | Path) -> None:

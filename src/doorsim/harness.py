@@ -78,6 +78,7 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
     "run_threshold_study",
+    "check_profiles",
     "compare_backends",
     "ComparisonTable",
     "CSV_COLUMNS",
@@ -377,6 +378,17 @@ def _csv_row(report: ExperimentReport, scenario: str, metrics: MetricsReport) ->
     }
 
 
+def check_profiles(profiles: Mapping[str, BackendProfile], backend_ids: Iterable[str]) -> None:
+    """Refuse the registry ``profiles`` as a run of each of ``backend_ids``
+    over it would: a ValidationError for an id it lacks, then for a missing
+    remote backend profile, which the cloud's detect routes serve."""
+    for backend_id in backend_ids:
+        if backend_id not in profiles:
+            raise ValidationError(f"unknown backend profile: {backend_id}")
+    if REMOTE_BACKEND_ID not in profiles:
+        raise ValidationError(f"profile {REMOTE_BACKEND_ID!r} must be registered")
+
+
 def _resolve_profiles(config: ExperimentConfig) -> dict[str, BackendProfile]:
     if config.profiles_path:
         return load_profiles(config.profiles_path)
@@ -435,8 +447,7 @@ def run_experiment(
             raise ValidationError("experiment config names no dataset")
         dataset = load_manifest(config.dataset)
     profile_map = dict(profiles) if profiles is not None else _resolve_profiles(config)
-    if config.backend_id not in profile_map:
-        raise ValidationError(f"unknown backend profile: {config.backend_id}")
+    check_profiles(profile_map, (config.backend_id,))
     profile = profile_map[config.backend_id]
 
     service = CloudService(seed=config.seed, profiles=profile_map)
@@ -554,6 +565,7 @@ def run_threshold_study(
     negatives; the relaxed threshold eliminates all of them.
     """
     profiles = _resolve_profiles(config)
+    check_profiles(profiles, (config.backend_id,))
     profiles[config.backend_id] = profiles[config.backend_id].with_perfect_recall()
     if dataset is None:
         if config.dataset is None:

@@ -19,6 +19,11 @@ no method call. On CPython 3.11 (2-vCPU x86-64 host) one delay took
 0.92-0.98 us that way, against 1.58-2.0 us through a method that joined
 the prefix and the key as two parts. A detect call's latency is read from
 the response time that the call itself returns.
+
+:meth:`CloudClient.call` also reads the reply envelope: it returns the
+``data`` object of an ``ok: true`` reply with the response time, and raises
+:class:`~doorsim.errors.ProtocolError` (``<code>: <message>``) for an
+``ok: false`` one, so each typed endpoint reads only its own fields.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import random
 from typing import Any, Mapping
 
 from .backends import DETECT_ENDPOINTS
-from .cloud.service import ApiRequest, ApiResponse
+from .cloud.service import ApiRequest
 from .draws import key_prefix, unit_draw
 from .errors import ProtocolError, TransientTransportError, ValidationError
 from .model import AnalyticsRecord, Detection, FrameSample, encoder, field, list_field, value
@@ -120,8 +125,9 @@ class CloudClient:
         query: Mapping[str, str] | None = None,
         at_ms: int = 0,
         delay_key: str = "",
-    ) -> tuple[ApiResponse, int]:
-        """One round trip. Returns (response, logical response time)."""
+    ) -> tuple[Mapping[str, Any], int]:
+        """One round trip. Returns (the reply's data, logical response time);
+        an ``ok: false`` reply raises ProtocolError."""
         low, span = self._low, self._span
         arrive = at_ms + low
         if span:
@@ -129,51 +135,45 @@ class CloudClient:
         request = ApiRequest(
             method, path, {**(headers or {}), "x-sim-time": str(arrive)}, body, query or {}
         )
-        response = self._service.handle(request)
+        body = self._service.handle(request).body
         done = arrive + low
         if span:
             done += int(unit_draw(self._s2c + delay_key) * span)
-        return response, done
-
-    def _data(self, response: ApiResponse) -> Mapping[str, Any]:
-        body = response.body
         if not body.get("ok", False):
             error = body.get("error", {})
             raise ProtocolError(
                 f"{error.get('code', 'error')}: {error.get('message', 'request failed')}"
             )
         data = body.get("data")
-        if type(data) is dict:  # field()'s usual case, without the call
-            return data
-        return field(body, "data", dict)
+        if type(data) is not dict:  # field()'s usual case inline
+            data = field(body, "data", dict)
+        return data, done
 
     # -- typed endpoints -----------------------------------------------------
 
     def register_device(self, device_id: str, attributes: Mapping[str, str] | None = None,
                         at_ms: int = 0) -> tuple[Mapping[str, Any], str]:
-        response, _ = self.call(
+        data, _ = self.call(
             "POST", "/devices/register",
             {"device_id": device_id, "attributes": dict(attributes or {})},
             at_ms=at_ms, delay_key=f"register:{device_id}",
         )
-        data = self._data(response)
         return data["record"], data["secret"]
 
     def authenticate(self, device_id: str, secret: str, at_ms: int = 0) -> str:
-        response, _ = self.call(
+        data, _ = self.call(
             "POST", "/devices/auth", {"device_id": device_id, "secret": secret},
             at_ms=at_ms, delay_key=f"auth:{device_id}",
         )
-        return self._data(response)["session_token"]
+        return data["session_token"]
 
     def detect(self, path: str, frame: FrameSample,
                collection_id: str = "default") -> tuple[list[Detection], int]:
         """One round trip sent at the frame's capture time: (detections, response time)."""
-        response, done = self.call(
+        data, done = self.call(
             "POST", path, {"frame": frame.to_dict(), "collection_id": collection_id},
             at_ms=frame.captured_at, delay_key=f"detect:{frame.frame_id}",
         )
-        data = self._data(response)
         # As AnalyticsRecord.from_dict: an exact array of exact objects
         # inline, list_field() for the rest.
         name = DETECT_ENDPOINTS[path][0]
@@ -194,12 +194,11 @@ class CloudClient:
         key = f"ingest:{record.event_id}:{attempt}"
         if fault == "drop":
             raise TransientTransportError(f"request lost for {record.event_id}")
-        response, done = self.call(
+        data, done = self.call(
             "POST", "/ingest", {"record": record.to_dict()},
             headers={"x-session-token": session_token},
             at_ms=at_ms, delay_key=key,
         )
-        data = self._data(response)
         if fault == "ack_lost":
             raise TransientTransportError(f"ack lost for {record.event_id}")
         return IngestAck(data["sequence"], data["duplicate"], data["ingested_at"], done,
@@ -207,21 +206,20 @@ class CloudClient:
 
     def enroll_face(self, identity: str, category: str,
                     collection_id: str = "default", at_ms: int = 0) -> Mapping[str, Any]:
-        response, _ = self.call(
+        data, _ = self.call(
             "POST", "/faces/enroll",
             {"collection_id": collection_id, "identity": identity, "category": category},
             at_ms=at_ms, delay_key=f"enroll:{identity}",
         )
-        return self._data(response)
+        return data
 
     def query(self, body: Mapping[str, Any], at_ms: int = 0) -> Mapping[str, Any]:
-        response, _ = self.call("POST", "/query", body, at_ms=at_ms, delay_key="query")
-        return self._data(response)
+        return self.call("POST", "/query", body, at_ms=at_ms, delay_key="query")[0]
 
     def activities(self, device_id: str, from_ms: int, to_ms: int) -> list[Mapping[str, Any]]:
-        response, _ = self.call(
+        data, _ = self.call(
             "GET", "/activities", None,
             query={"device": device_id, "from": str(from_ms), "to": str(to_ms)},
             delay_key=f"activities:{device_id}",
         )
-        return list(self._data(response)["records"])
+        return list(data["records"])

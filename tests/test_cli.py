@@ -1,5 +1,10 @@
 import http.client
 import json
+import os
+import re
+import select
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -7,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+import doorsim
 from doorsim import cli
 from doorsim.backends import DEFAULT_PROFILES
 from doorsim.cli import main
 from doorsim.cloud import CloudService
 from doorsim.cloud.httpd import CloudHTTPServer
 from doorsim.cloud.service import ApiRequest
+from doorsim.dataset import load_manifest
 from doorsim.model import canonical_json
 
 
@@ -563,3 +570,80 @@ def test_a_profile_registry_is_read_once_with_the_config(tmp_path, dataset_path,
                                   "backend_ids": ["haar", "aws-saas"], "seed": 5}))
     assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp.csv")]) == 0
     assert len(reads) == 1
+
+
+# Configs that a run would refuse before its first event: (command, config
+# document, profile registry or None, the whole of stderr). Each names a
+# dataset that does not exist, so only a refusal on reading exits 1.
+REFUSED_ON_READING = {
+    "unknown_backend": ("evaluate", {"backend_id": "nope"}, None,
+                        "bad experiment config: unknown backend profile: nope"),
+    "compare_unknown_backend": ("compare", {"backend_ids": ["haar", "nope"]}, None,
+                                "bad config: unknown backend profile: nope"),
+    "registry_without_the_remote_backend": (
+        "evaluate", {"backend_id": "haar"}, [DEFAULT_PROFILES["haar"].to_dict()],
+        "bad experiment config: profile 'aws-saas' must be registered"),
+    "spacing_within_debounce": (
+        "evaluate", {"event_spacing_ms": 1000}, None,
+        "bad experiment config: event_spacing_ms must exceed debounce_ms to cover all frames"),
+}
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a config the run would refuse reached the dataset or a run")
+
+
+@pytest.mark.parametrize("command,document,registry,message", REFUSED_ON_READING.values(),
+                         ids=REFUSED_ON_READING.keys())
+def test_a_config_the_run_would_refuse_exits_1_on_reading(tmp_path, capsys, monkeypatch,
+                                                          command, document, registry, message):
+    monkeypatch.setattr(cli, "load_manifest", _must_not_run)
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    work = tmp_path / "probe"
+    work.mkdir()
+    document = {"dataset": str(work / "missing.ndjson"), **document}
+    if registry is not None:
+        (work / "profiles.json").write_text(json.dumps(registry))
+        document = {**document, "profiles": str(work / "profiles.json")}
+    config = work / "config.json"
+    config.write_text(json.dumps(document))
+    assert main([command, "--config", str(config), "--out", str(work / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {path.name for path in work.iterdir()} <= {"config.json", "profiles.json"}
+
+
+def test_spacing_is_not_checked_against_debounce_when_scripts_are_given(tmp_path, dataset_path,
+                                                                        capsys):
+    frame = next(iter(load_manifest(dataset_path)))
+    config = experiment_config(tmp_path, dataset_path, event_spacing_ms=1000, scripts=[
+        {"device_id": frame.device_id, "entries": [{"at": 0, "frame_id": frame.frame_id}]}])
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["counters"]["events"] == 1
+
+
+def test_serve_cloud_prints_the_address_it_bound(tmp_path):
+    config = tmp_path / "serve.json"
+    config.write_text(json.dumps({"port": 0, "seed": 4}))
+    source = str(Path(doorsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "doorsim.cli", "serve-cloud", "--config", str(config)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
+    try:
+        ready, _, _ = select.select([process.stdout], [], [], 10)
+        assert ready, "no banner within 10 s"
+        banner = process.stdout.readline()
+        bound = re.fullmatch(r"serving mock cloud on (http://127\.0\.0\.1:(\d+)) \(seed 4\)\n",
+                             banner)
+        assert bound and int(bound[2]) != 0, banner
+        expected = CloudService(seed=4).handle(
+            ApiRequest("GET", "/activities", query={"device": "door-1"}))
+        with urllib.request.urlopen(f"{bound[1]}/activities?device=door-1", timeout=10) as reply:
+            assert reply.status == expected.status == 200
+            assert reply.headers["content-type"] == "application/json"
+            assert json.loads(reply.read()) == expected.body
+    finally:
+        process.terminate()
+        process.wait(timeout=10)
+        process.stdout.close()

@@ -969,19 +969,17 @@ class ReferenceService(CloudService):
         return run_until_current_pass_by_pass(self.dispatcher, self.stream)
 
     def handle(self, request):
-        name = service_module._EXACT_ROUTES.get((request.method, request.path))
-        params = {}
-        if name is None and request.method == "GET":
-            match = service_module._BLOB_ROUTE.fullmatch(request.path)
-            if match is not None:
-                name, params = "get_blob", match.groupdict()
+        handler = self._routes.get((request.method, request.path))
+        if handler is None and request.method == "GET":
+            if service_module._BLOB_ROUTE.fullmatch(request.path):
+                handler = self._handle_get_blob
         now_ms = self.now_ms
         try:
             if "x-sim-time" in request.headers:
                 self.advance_clock(parse_int(request.headers["x-sim-time"], "x-sim-time"))
-            if name is None:
+            if handler is None:
                 raise NotFoundError(f"no route for {request.method} {request.path}")
-            data = self._handlers[name](request, **params)
+            data = handler(request)
         except DoorsimError as exc:
             self._now_ms = now_ms  # a refused request leaves the clock where it was
             return service_module._error(exc)
@@ -1005,6 +1003,23 @@ class ReferenceService(CloudService):
             "duplicate": entry.duplicate,
             "ingested_at": entry.ingested_at,
         }
+
+
+class WrittenOutDispatcher(Dispatcher):
+    """A dispatcher whose passes are written out (``pass_over_tail_copy``):
+    it shares no delivery step with :class:`Dispatcher`."""
+
+    run_pass = pass_over_tail_copy
+
+
+class WrittenOutReferenceService(ReferenceService):
+    """The reference service over a :class:`WrittenOutDispatcher`."""
+
+    def __init__(self, seed=0, auto_dispatch=True, poison_passes=3):
+        super().__init__(seed, auto_dispatch=auto_dispatch, poison_passes=poison_passes)
+        self.dispatcher = WrittenOutDispatcher(poison_passes=poison_passes)
+        self.dispatcher.register("persist_metadata", self._persist_metadata)
+        self.dispatcher.register("publish_notification", self._publish_notification)
 
 
 SIM_TIMES = (st.sampled_from([None, "-5", "+5", "", " 7", "٣", "9" * 4301, "9" * 4300, "0"])
@@ -1245,6 +1260,28 @@ class TestOnePassIngest:
                 "duplicate", "redelivered after a re-subscribe", "ingests without a pass",
                 "faults without a pass", "put fault without a pass",
                 "publish fault without a pass"} <= seen, seen
+
+    def test_equals_a_reference_whose_passes_are_written_out(self):
+        # ReferenceService shares Dispatcher.run_pass, and with it the step an
+        # ingest runs; this reference writes its passes out, so the step's
+        # duplicate skip, poison rule and checkpoint move are checked too
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(plan=PLANS)
+        # a retried ingest is a duplicate, which skips the failing handler; with
+        # poison_passes 1, the next entry fails, is dead-lettered, and the
+        # checkpoint moves past it
+        @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d1", 0, "6", ScenarioKind.ANIMAL_DETECTION),
+                        ("ingest", "d1", "d1", 1, "7", ScenarioKind.ANIMAL_DETECTION)],
+                       True, 1, {(1, 1), (2, 1)}, {}, 0, None))
+        # a handler fails twice short of poison_passes 3, then succeeds
+        @example(plan=([("ingest", "d1", "d1", 0, "5", ScenarioKind.ANIMAL_DETECTION),
+                        ("dispatch",)], True, 3, {(0, 1), (0, 2)}, {}, 0, None))
+        def compare(plan):
+            assert drive(CloudService, plan) == drive(WrittenOutReferenceService, plan)
+
+        compare()
 
     def test_each_event_id_is_parsed_once_per_appended_record(self, monkeypatch):
         calls = {"parse_event_id": 0, "_decimal": 0}

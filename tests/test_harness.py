@@ -30,6 +30,7 @@ from doorsim.harness import (
     f1_score,
     latency_stats,
     run_experiment,
+    run_threshold_study,
     tally_frame,
 )
 from doorsim.device import MotionScript
@@ -367,6 +368,14 @@ class TestRunExperiment:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValidationError):
             run_experiment(ExperimentConfig(backend_id="nope"), dataset=small_dataset(1))
+
+    def test_the_threshold_study_refuses_an_unknown_backend_as_the_run_does(self):
+        dataset = small_dataset(1)
+        message = "^unknown backend profile: nope$"
+        with pytest.raises(ValidationError, match=message):
+            run_experiment(ExperimentConfig(backend_id="nope"), dataset=dataset)
+        with pytest.raises(ValidationError, match=message):
+            run_threshold_study(ExperimentConfig(backend_id="nope"), dataset=dataset)
 
     def test_multi_device_runs_interleave_deterministically(self):
         dataset = Dataset(generate_dataset(GeneratorConfig(

@@ -3,14 +3,16 @@
 import http.client
 import json
 import re
+import socket
+import string
 import sys
 import threading
 import urllib.error
 import urllib.request
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import parse_qsl, urlencode, urlsplit
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from doorsim.backends import DEFAULT_ROUTES, DETECT_ENDPOINTS, REMOTE_BACKEND_ID
@@ -851,3 +853,179 @@ class TestConcurrentHttpIngest:
         assert (service.hub.subscription("operator").delivery_log
                 == replay.hub.subscription("operator").delivery_log)
         assert service.now_ms == replay.now_ms
+
+
+# -- raw requests over a loopback socket ----------------------------------------
+
+BINDING_REFUSALS = ("content-length must be a non-negative integer", "body is not JSON")
+DEEP_BODY = b"[" * 100_000 + b"]" * 100_000  # beyond the JSON decoder's recursion limit
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+FIELD_NAMES = st.sampled_from(["device_id", "secret", "record", "identity", "category",
+                               "data_b64", "kind", "name", "example_count"]) | st.text(max_size=4)
+RAW_REQUESTS = st.fixed_dictionaries({
+    # any method token: a route's, one http.server has no name for, or lower case
+    "method": st.sampled_from(["GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"])
+    | st.text(string.ascii_letters, min_size=1, max_size=7),
+    # a documented path, a blob ref, or any path of URL characters but "?" and "#"
+    "path": st.sampled_from(sorted({path for _, path, _ in ROUTES} - {ROUTES[-2][1]}))
+    | st.text("0123456789abcdef", min_size=1, max_size=8).map("/blobs/".__add__)
+    | st.text(string.ascii_letters + string.digits + "-._~%/:@!$&'()*+,;=", max_size=16)
+    .map("/".__add__).filter(lambda path: not path.startswith("//")),
+    # repeated names, in either case: the binding keeps each name's last value
+    "headers": st.lists(st.tuples(
+        st.sampled_from(["x-sim-time", "X-Sim-Time", "x-session-token", "x-other"]),
+        st.integers(0, 10 ** 6).map(str) | st.text(string.ascii_letters + "+-_.", max_size=8)),
+        max_size=4),
+    "query": st.text(string.ascii_letters + string.digits + "=&%+-", max_size=16)
+    | st.just("device=door-1&from=0&to=9&to=99") | st.just("device=%ff"),
+    "body": st.none()
+    | (st.dictionaries(FIELD_NAMES, JSON_VALUES, max_size=3) | JSON_VALUES)
+    .map(lambda value: json.dumps(value).encode())
+    | st.binary(max_size=12)  # mostly not UTF-8 or not JSON
+    | st.sampled_from([b"\xff\xfe{}", b'{"device_id": "\\ud800"}', b"[" * 5 + b"]" * 5,
+                       DEEP_BODY]),
+    # content-length: the body's, too short, too long, absent, or not ASCII digits
+    "length": st.sampled_from(["exact", "absent"]) | st.integers(-3, 3).filter(bool)
+    | st.sampled_from(["abc", "+5", "-1", "1_0"]),
+})
+
+
+def raw_request(drawn):
+    """The request's bytes, and the body bytes that the binding reads: None
+    for none (no or a zero content-length), False for a bad content-length."""
+    target = drawn["path"] + (f"?{drawn['query']}" if drawn["query"] else "")
+    head = [f"{drawn['method']} {target} HTTP/1.0",
+            *(f"{name}: {value}" for name, value in drawn["headers"])]
+    sent, length = drawn["body"] or b"", drawn["length"]
+    if length == "absent":
+        read = None
+    elif type(length) is str and length != "exact":
+        head.append(f"content-length: {length}")
+        read = False
+    else:  # the body's length, or that plus a drawn offset
+        length = len(sent) if length == "exact" else max(0, len(sent) + length)
+        head.append(f"content-length: {length}")
+        read = sent[:length] if length else None  # too long: read up to the half-close
+    return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + sent, read
+
+
+def exchange(port, request):
+    """Send ``request``, half-close so that a read for a too-long body ends,
+    and return the reply's status, headers and payload.
+
+    A server that replies before it has read the whole request (a short or
+    absent content-length) and then closes resets the connection, so sending
+    may fail; the reply it wrote before the reset must still arrive."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # reset, or no longer connected: the reply is read below
+            pass
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # after the reply
+            pass
+    head, blank, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    assert blank, f"no complete reply head: {head!r}"
+    status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, payload
+
+
+class TestRawRequests:
+    def test_every_reply_is_the_envelope_of_handle_or_of_the_binding(self):
+        seed = 5
+        service, twin = CloudService(seed=seed), CloudService(seed=seed)
+        received = []
+        handle = service.handle
+
+        def recording(request):
+            received.append(request)
+            return handle(request)
+
+        service.handle = recording
+        server = CloudHTTPServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        port = server.server_address[1]
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(drawn=RAW_REQUESTS)
+        @example(drawn={"method": "POST", "path": "/devices/register", "headers": [],
+                        "query": "", "body": b'{"device_id": "door-1"}', "length": "exact"})
+        @example(drawn={"method": "POST", "path": "/devices/register", "headers": [],
+                        "query": "", "body": b'{"device_id": "\\ud800"}', "length": "exact"})
+        @example(drawn={"method": "POST", "path": "/ingest", "headers": [], "query": "",
+                        "body": DEEP_BODY, "length": "exact"})
+        @example(drawn={"method": "POST", "path": "/ingest", "headers": [], "query": "",
+                        "body": DEEP_BODY, "length": -199_990})  # 10 bytes read of 200,000
+        @example(drawn={"method": "POST", "path": "/query", "headers": [], "query": "",
+                        "body": b"\xff\xfe{}", "length": "exact"})
+        @example(drawn={"method": "POST", "path": "/devices/auth", "headers": [], "query": "",
+                        "body": b'{"device_id": "door-1"}', "length": -3})
+        @example(drawn={"method": "POST", "path": "/query", "headers": [], "query": "",
+                        "body": b'{"kind": "latest_activity"}', "length": 3})
+        @example(drawn={"method": "HEAD", "path": "/activities", "query": "device=door-1",
+                        "headers": [("x-sim-time", "7"), ("X-Sim-Time", "9")], "body": None,
+                        "length": "absent"})
+        @example(drawn={"method": "OPTIONS", "path": "/ingest", "headers": [], "query": "",
+                        "body": None, "length": "abc"})
+        @example(drawn={"method": "POST", "path": "/ingest", "query": "",
+                        "headers": [("x-session-token", "nope")], "body": b'{"record": {}}',
+                        "length": "exact"})
+        def replies(drawn):
+            request, read = raw_request(drawn)
+            received.clear()
+            status, headers, payload = exchange(port, request)
+            assert headers["content-type"] == "application/json"
+            if drawn["method"] == "HEAD":  # the reply's headers only (RFC 9110, 9.3.2)
+                assert payload == b""
+            else:
+                assert int(headers["content-length"]) == len(payload)
+            refused = read is False
+            if not refused:
+                try:  # the body as the binding reads it; a lone surrogate is refused
+                    body = None if read is None else json.loads(read)
+                    json.dumps(body, ensure_ascii=False).encode("utf-8")
+                except (ValueError, RecursionError):
+                    refused = True
+            if refused:  # the binding's own refusal; handle never ran
+                assert received == []
+                expected = (400, {"ok": False, "error": {"code": "protocol", "message": (
+                    BINDING_REFUSALS[0] if read is False else BINDING_REFUSALS[1])}})
+                seen.add("binding refusal")
+            else:  # the envelope handle gives for the request the binding parsed
+                [parsed] = received
+                assert (parsed.method, parsed.path) == (drawn["method"], drawn["path"])
+                assert parsed.query == dict(parse_qsl(drawn["query"]))
+                for name, value in drawn["headers"]:
+                    assert parsed.headers[name.lower()] == [
+                        v for n, v in drawn["headers"] if n.lower() == name.lower()][-1]
+                assert json.dumps(parsed.body) == json.dumps(body)
+                response = twin.handle(parsed)
+                expected = (response.status, response.body)
+                seen.add(response.status)
+            assert int(headers["content-length"]) == len(canonical_json(expected[1]).encode())
+            assert status == expected[0]
+            if drawn["method"] != "HEAD":
+                assert json.loads(payload) == expected[1]
+
+        try:
+            replies()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert {"binding refusal", 200, 400, 401, 404} <= seen, seen
