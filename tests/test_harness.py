@@ -587,6 +587,82 @@ def test_report_bytes_are_pinned(pinned_dataset, backend_id):
     assert hashlib.sha256(payload).hexdigest() == PINNED_REPORT_SHA256[backend_id]
 
 
+# sha256 of the cloud's conversation during the run below (every request
+# that CloudService.handle receives and its reply, in order) and of its end
+# state, read through public views only. The report digests above cannot see
+# the stream's order and duplicate flags, each ack, each notification's time
+# or the dead letters; these can. A change to how the cloud stores or answers
+# must leave them unchanged.
+PINNED_CONVERSATIONS = {
+    "aws-saas": ("0c7a2f2620782ce82f5655205649725438561c2169f666b4782aa6ff6539ee73",
+                 "c55687d0cda2b1982d797d6b33107c91630738ef965e7746f665711f98804dc7"),
+    "haar": ("62ea7c5d75586c545859f3b4bb5559cbd91b861d23c1645fee633c44b85f3e70",
+             "3abf20db00695e552941525e4cb8d3648add22d3718a7f9cff91bab2dda7b9b2"),
+}
+
+
+class RecordingService(CloudService):
+    """A CloudService that hashes each request and reply, as canonical JSON,
+    and remembers its subscribers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.conversation = hashlib.sha256()
+        self.subscribers = []
+
+    def handle(self, request):
+        response = super().handle(request)
+        for message in ([request.method, request.path, request.headers, request.body,
+                         request.query], [response.status, response.body]):
+            self.conversation.update(canonical_json(message).encode("utf-8") + b"\n")
+        return response
+
+    def subscribe(self, subscriber_id, filter=None):
+        self.subscribers.append(subscriber_id)
+        return super().subscribe(subscriber_id, filter)
+
+
+def state_sha256(service):
+    """sha256 of what the service holds, through its public views."""
+    state = {
+        "stream": [entry.to_dict() for entry in service.stream.read_from(0)],
+        "store": [record.to_dict() for record in service.store.all_records()],
+        "deliveries": {name: [n.to_dict() for n in service.hub.subscription(name).delivery_log]
+                       for name in service.subscribers},
+        "dead_letters": [[entry.to_dict(), message]
+                         for entry, message in service.dispatcher.dead_letters],
+    }
+    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("backend_id", sorted(PINNED_CONVERSATIONS))
+def test_conversation_and_state_are_pinned(monkeypatch, backend_id):
+    services = []
+
+    def recording(*args, **kwargs):
+        services.append(RecordingService(*args, **kwargs))
+        return services[-1]
+
+    monkeypatch.setattr(harness_module, "CloudService", recording)
+    # aws-saas: one device and ingest faults (retries, duplicates, dead
+    # letters); haar: several devices, each with its own event sequence
+    dataset = Dataset(generate_dataset(GeneratorConfig(
+        scenarios=tuple(ScenarioKind), positives=20, seed=9,
+        devices=("door-1",) if backend_id == "aws-saas" else ("door-1", "door-2", "door-3"),
+    )))
+    injector = FailureInjector(0.15, seed=4) if backend_id == "aws-saas" else None
+    report = run_experiment(ExperimentConfig(backend_id=backend_id, threshold=70.0, seed=3),
+                            dataset=dataset, failure_injector=injector)
+    (service,) = services
+    if injector is not None:
+        assert report.counters["dead_letters"] > 0
+        assert any(entry.duplicate for entry in service.stream.read_from(0))
+    else:
+        assert len({entry.partition for entry in service.stream.read_from(0)}) == 3
+    assert (service.conversation.hexdigest(), state_sha256(service)) \
+        == PINNED_CONVERSATIONS[backend_id]
+
+
 class TestCompareBackends:
     def test_rows_sorted_by_f1_and_resources_echoed(self):
         # overall F1 compares whole-model quality, so the dataset spans all
