@@ -9,14 +9,17 @@ so a notification is sent within the request that ingested its record; a
 subscription whose filter names no devices and no scenarios gets it without
 a call to :meth:`SubscriptionFilter.matches`.
 
-Per delivery, a subscription keeps two columns: the record it was sent (the
-one the metadata store holds too) and the ``int`` time it was published at.
-:attr:`Subscription.delivery_log` is a read-only view that builds each
-:class:`Notification`, and its summary with :func:`summarize_record`, when it
-is read, and :meth:`NotificationHub.publish` returns the ids of the
-subscribers it delivered to. So an ingest builds no ``Notification`` and no
-summary, and a run keeps no value per notification that the garbage
-collector walks at each collection of its generation.
+Per delivery, a subscription keeps two columns: the row of the record it was
+sent (the one exact tuple of atoms that the stream and the metadata store
+hold too) and the ``int`` time it was published at. :meth:`NotificationHub.publish`
+takes a record or its row, and returns the ids of the subscribers it
+delivered to. :attr:`Subscription.delivery_log` is a read-only view that
+builds each :class:`Notification`, and its summary with
+:func:`summarize_record`, from the row when it is read. So an ingest builds
+no ``Notification``, no summary and no record, and a run keeps no object per
+notification that the garbage collector tracks: a row that has survived a
+collection is untracked (``gc.is_tracked``), and an ``AnalyticsRecord``, a
+slotted value, never is.
 """
 
 from __future__ import annotations
@@ -53,11 +56,14 @@ class SubscriptionFilter:
     devices: frozenset[str] | None = None
     scenarios: frozenset[ScenarioKind] | None = None
 
-    def matches(self, record: AnalyticsRecord) -> bool:
-        if self.devices is not None and record.device_id not in self.devices:
+    def matches(self, record: AnalyticsRecord | tuple) -> bool:
+        """Whether the filter admits ``record``, an AnalyticsRecord or its row."""
+        row = record if type(record) is tuple else record.to_row()
+        if self.devices is not None and row[1] not in self.devices:
             return False
         if self.scenarios is not None:
-            kinds = {d.label.kind for d in record.detections}
+            # a kind value is equal to its member and hashes as it does
+            kinds = {detection[1] for detection in row[3]}
             if not kinds & self.scenarios:
                 return False
         return True
@@ -66,11 +72,11 @@ class SubscriptionFilter:
 @dataclass
 class Subscription:
     """One subscriber's filter and what it was sent: ``sent`` and ``sent_at``
-    are parallel columns of each delivered record and its publish time."""
+    are parallel columns of each delivered record's row and its publish time."""
 
     subscriber_id: str
     filter: SubscriptionFilter = field(default_factory=SubscriptionFilter)
-    sent: list[AnalyticsRecord] = field(default_factory=list, repr=False)
+    sent: list[tuple] = field(default_factory=list, repr=False)
     sent_at: list[int] = field(default_factory=list, repr=False)
 
     @property
@@ -78,29 +84,27 @@ class Subscription:
         """The notifications sent, oldest first: a read-only, live view that
         builds each one, summary included, when it is read."""
 
-        def notification(record: AnalyticsRecord, at: int) -> Notification:
-            return Notification(record.event_id, record.device_id, summarize_record(record), at)
+        def notification(row: tuple, at: int) -> Notification:
+            return Notification(row[0], row[1], summarize_record(row), at)
 
         return RowView(notification, self.sent, self.sent_at)
 
 
-def summarize_record(record: AnalyticsRecord) -> str:
-    """Human sentence naming the record's detections; never empty."""
+def summarize_record(record: AnalyticsRecord | tuple) -> str:
+    """Human sentence naming the detections of ``record``, an AnalyticsRecord
+    or its row; never empty."""
+    row = record if type(record) is tuple else record.to_row()
     parts: list[str] = []
-    for detection in record.detections:
-        if detection.identity is not None:
-            if detection.identity.category is FaceCategory.UNKNOWN:
-                parts.append(f"Unknown face ({detection.identity.token})")
+    for name, kind, _, identity, category, _ in row[3]:
+        if identity is not None:
+            if category == FaceCategory.UNKNOWN:
+                parts.append(f"Unknown face ({identity})")
             else:
-                parts.append(
-                    f"Known face: {detection.identity.token} "
-                    f"({detection.identity.category._value_.title()})"
-                )
+                parts.append(f"Known face: {identity} ({category.title()})")
         else:
-            phrase = _KIND_PHRASE[detection.label.kind]
-            parts.append(f"Detected {phrase}: {detection.label.name}")
+            parts.append(f"Detected {_KIND_PHRASE[kind]}: {name}")
     if not parts:
-        return f"Motion at {record.device_id}: nothing recognized"
+        return f"Motion at {row[1]}: nothing recognized"
     return "; ".join(parts)
 
 
@@ -120,10 +124,13 @@ class NotificationHub:
         self._delivered.setdefault(subscriber_id, set())
         return subscription
 
-    def publish(self, record: AnalyticsRecord, at: int) -> list[str]:
-        """Deliver to every matching subscription; returns the ids of the
-        subscribers delivered to (none: a no-op)."""
-        event_id = record.event_id
+    def publish(self, record: AnalyticsRecord | tuple, at: int) -> list[str]:
+        """Deliver ``record`` to every matching subscription: an
+        AnalyticsRecord, a stream entry (each gives its row by ``to_row()``)
+        or the row itself. Returns the ids of the subscribers delivered to
+        (none: a no-op)."""
+        row = record if type(record) is tuple else record.to_row()
+        event_id = row[0]
         delivered = []
         for subscriber_id, subscription in self._subscriptions.items():
             event_ids = self._delivered[subscriber_id]
@@ -132,9 +139,9 @@ class NotificationHub:
             filter_ = subscription.filter
             # a filter that names no devices and no scenarios matches everything
             if ((filter_.devices is not None or filter_.scenarios is not None)
-                    and not filter_.matches(record)):
+                    and not filter_.matches(row)):
                 continue
-            subscription.sent.append(record)
+            subscription.sent.append(row)
             subscription.sent_at.append(at)
             event_ids.add(event_id)
             delivered.append(subscriber_id)

@@ -1,4 +1,11 @@
-"""Structured activity queries answered from the metadata store."""
+"""Structured activity queries answered from the metadata store.
+
+:func:`answer_rows` is the one query logic, over the rows that the store
+keeps (see :mod:`doorsim.cloud.stores`): the gateway encodes its rows with
+:meth:`AnalyticsRecord.row_to_dict` and builds no record, and
+:func:`answer_query` wraps it to build a :class:`QueryAnswer` of
+:class:`AnalyticsRecord` values, each built from its row when it is called.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from ..model import AnalyticsRecord, decoder, encoder, read, value
 from .notify import summarize_record
 from .stores import MetadataStore
 
-__all__ = ["QueryKind", "QueryRequest", "QueryAnswer", "answer_query", "DAY_MS"]
+__all__ = ["QueryKind", "QueryRequest", "QueryAnswer", "answer_query", "answer_rows", "DAY_MS"]
 
 DAY_MS = 24 * 60 * 60 * 1000
 
@@ -53,38 +60,46 @@ class QueryAnswer:
     to_dict = encoder()
 
 
-def answer_query(query: QueryRequest, store: MetadataStore, now_ms: int) -> QueryAnswer:
-    """Answer one structured query; an empty store is an answer, not an error."""
+def answer_rows(query: QueryRequest, store: MetadataStore,
+                now_ms: int) -> tuple[str, list[tuple], dict[str, int] | None]:
+    """The summary, the records' rows and the counts that answer one
+    structured query; an empty store is an answer, not an error."""
     if query.kind is QueryKind.LATEST_ACTIVITY:
-        record = store.latest(query.device_id)
-        if record is None:
-            return QueryAnswer(f"No activity at {query.device_id}.", ())
+        row = store.latest_row(query.device_id)
+        if row is None:
+            return f"No activity at {query.device_id}.", [], None
         summary = (
             f"Latest activity at {query.device_id} "
-            f"(t={record.captured_at} ms): {summarize_record(record)}"
+            f"(t={row[5]} ms): {summarize_record(row)}"
         )
-        return QueryAnswer(summary, (record,))
+        return summary, [row], None
 
     if query.kind is QueryKind.DAILY_SNAPSHOT:
         since = max(0, now_ms - DAY_MS)
-        records = store.get_activities(query.device_id, since, now_ms)
+        rows = store.activity_rows(query.device_id, since, now_ms)
         counts: dict[str, int] = {}
-        for record in records:
-            # a record's scenario is its first detection's; not the slower enum .value property
-            key = record.detections[0].label.kind._value_ if record.detections else "none"
+        for row in rows:
+            # a record's scenario is its first detection's kind value
+            key = row[3][0][1] if row[3] else "none"
             counts[key] = counts.get(key, 0) + 1
-        if not records:
-            return QueryAnswer(f"No activity at {query.device_id} today.", (), counts)
+        if not rows:
+            return f"No activity at {query.device_id} today.", rows, counts
         breakdown = ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
         summary = (
-            f"{len(records)} activities at {query.device_id} today ({breakdown})."
+            f"{len(rows)} activities at {query.device_id} today ({breakdown})."
         )
-        return QueryAnswer(summary, tuple(records), counts)
+        return summary, rows, counts
 
     assert query.range is not None
-    records = store.get_activities(query.device_id, query.range[0], query.range[1])
+    rows = store.activity_rows(query.device_id, query.range[0], query.range[1])
     summary = (
-        f"{len(records)} records at {query.device_id} "
+        f"{len(rows)} records at {query.device_id} "
         f"in [{query.range[0]}, {query.range[1]}] ms."
     )
-    return QueryAnswer(summary, tuple(records))
+    return summary, rows, None
+
+
+def answer_query(query: QueryRequest, store: MetadataStore, now_ms: int) -> QueryAnswer:
+    """Answer one structured query; an empty store is an answer, not an error."""
+    summary, rows, counts = answer_rows(query, store, now_ms)
+    return QueryAnswer(summary, tuple(map(AnalyticsRecord.from_row, rows)), counts)

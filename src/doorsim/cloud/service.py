@@ -15,14 +15,22 @@ exception's class declares (:mod:`doorsim.errors`). Bodies are read with
 envelope and the handlers see well-typed values only.
 
 An accepted ``/ingest`` is persisted and notified within its own request:
-the handler reads the ``record`` of an exact ``dict`` body inline, appends
-it to the stream and hands the entry that ``append`` returned to
-:meth:`Dispatcher.deliver_appended`, which owns the rest: the delivery
-without a pass when the dispatcher is caught up, the duplicate skip, the
-checkpoint and the pass budget (see :mod:`doorsim.cloud.stream`). The
-built-in handler, ``CloudService._persist_and_notify``, stores the record
-and then publishes it. Once its record is appended the ingest is answered
-200 with its ack. ``x-sim-time`` takes the usual exact ASCII-digit string
+the handler reads the ``record`` of an exact ``dict`` body inline, straight
+into its row with :meth:`AnalyticsRecord.row_to_dict`'s inverse,
+:meth:`AnalyticsRecord.row_from_dict`, which refuses what ``from_dict``
+refuses, with the same error. The row, one exact tuple of atoms, is what
+the stream, the metadata store and the notification hub keep, all three
+the same tuple: once it has survived a collection, the garbage collector
+no longer tracks it (``gc.is_tracked``), where an ``AnalyticsRecord`` is a
+slotted value that it always tracks, so an ingest builds no record value.
+The handler appends the row to the stream and hands the entry that
+``append`` returned to :meth:`Dispatcher.deliver_appended`, which owns the
+rest: the delivery without a pass when the dispatcher is caught up, the
+duplicate skip, the checkpoint and the pass budget (see
+:mod:`doorsim.cloud.stream`). The built-in row handler,
+``CloudService._persist_and_notify``, stores the entry's row and then
+publishes it.
+Once its row is appended the ingest is answered 200 with its ack. ``x-sim-time`` takes the usual exact ASCII-digit string
 inline and any other value through :func:`doorsim.model.parse_int`.
 The envelope is checked only where the fast path fails: a method or path
 that is not a string, or headers or a query that are not a mapping, is a
@@ -34,8 +42,9 @@ a ``device`` that is an exact ``str`` and ``from``/``to`` strings that pass
 ``dict`` body and hands it to :meth:`QueryRequest.from_dict`, which takes
 exact types the same way; any other value goes through ``field`` or
 ``parse_int``. The store answers a device that has put its events in order
-with one slice (see :class:`MetadataStore`), and the records are encoded
-with one ``AnalyticsRecord.to_dict`` call each.
+with one slice of rows (see :class:`MetadataStore`), ``/query`` through
+:func:`doorsim.cloud.queries.answer_rows`, and each row is encoded with one
+``AnalyticsRecord.row_to_dict`` call: a read builds no record value either.
 """
 
 from __future__ import annotations
@@ -74,9 +83,9 @@ from ..model import (
     value,
 )
 from .notify import NotificationHub, SubscriptionFilter
-from .queries import QueryRequest, answer_query
+from .queries import QueryRequest, answer_rows
 from .stores import BlobStore, CustomLabelJobs, MetadataStore
-from .stream import DEFAULT_POISON_PASSES, Dispatcher, IngestStream, StreamRecord
+from .stream import DEFAULT_POISON_PASSES, Dispatcher, IngestStream, RowEntry
 
 __all__ = ["ApiRequest", "ApiResponse", "CloudService", "ROUTES"]
 
@@ -146,7 +155,7 @@ class CloudService:
         self.hub = NotificationHub()
         self.collections: dict[str, FaceCollection] = {"default": FaceCollection("default")}
         self.dispatcher = Dispatcher(poison_passes=poison_passes)
-        self.dispatcher.register("persist_and_notify", self._persist_and_notify)
+        self.dispatcher.register_rows("persist_and_notify", self._persist_and_notify)
         self.auto_dispatch = auto_dispatch
         self._now_ms = 0
         # (method, path) -> bound handler: every route but the blob read, whose
@@ -166,12 +175,11 @@ class CloudService:
 
     # -- built-in dispatch handler -----------------------------------------
 
-    def _persist_and_notify(self, entry: StreamRecord) -> None:
-        """Store the record, then notify: a failed publish redelivers both,
-        and ``put`` is idempotent and ``publish`` exactly-once."""
-        payload = entry.payload
-        self.store.put(payload, entry.event_seq)
-        self.hub.publish(payload, entry.ingested_at)
+    def _persist_and_notify(self, entry: RowEntry) -> None:
+        """Store the entry's row, then notify: a failed publish redelivers
+        both, and ``put`` is idempotent and ``publish`` exactly-once."""
+        self.store.put(entry, entry.event_seq)
+        self.hub.publish(entry, entry.ingested_at)
 
     def subscribe(self, subscriber_id: str, filter: SubscriptionFilter | None = None):
         return self.hub.subscribe(subscriber_id, filter)
@@ -253,12 +261,10 @@ class CloudService:
         data = body.get("record") if type(body) is dict else None
         if type(data) is not dict:  # _body and field refuse it, or take a mapping
             data = field(self._body(request), "record", dict)
-        record = AnalyticsRecord.from_dict(data)
-        if record.device_id != device_id:
-            raise AuthError(
-                f"session for {device_id} cannot ingest records of {record.device_id}"
-            )
-        entry = self.stream.append(record, self._now_ms)
+        row = AnalyticsRecord.row_from_dict(data)
+        if row[1] != device_id:
+            raise AuthError(f"session for {device_id} cannot ingest records of {row[1]}")
+        entry = self.stream.append(row, self._now_ms)
         if self.auto_dispatch:
             self.dispatcher.deliver_appended(self.stream, entry)
         return {
@@ -288,16 +294,18 @@ class CloudService:
             to_ms = int(to_ms)
         else:
             to_ms = parse_int(to_ms, "to")
-        records = self.store.get_activities(device, from_ms, to_ms)
-        return {"records": list(map(AnalyticsRecord.to_dict, records))}
+        rows = self.store.activity_rows(device, from_ms, to_ms)
+        return {"records": list(map(AnalyticsRecord.row_to_dict, rows))}
 
     def _handle_query(self, request: ApiRequest) -> dict:
         body = request.body
         if type(body) is not dict:
             body = self._body(request)
         now_ms = self._now_ms
-        query = QueryRequest.from_dict(body, now_ms)
-        return answer_query(query, self.store, now_ms).to_dict()
+        summary, rows, counts = answer_rows(QueryRequest.from_dict(body, now_ms), self.store, now_ms)
+        # QueryAnswer.to_dict's object, from the rows
+        return {"summary": summary, "records": list(map(AnalyticsRecord.row_to_dict, rows)),
+                "counts": counts}
 
     # -- faces -----------------------------------------------------------------
 

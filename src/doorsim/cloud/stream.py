@@ -15,16 +15,21 @@ for a waiting backlog or a handler that failed or appended, within the
 ``Dispatcher._step``, so the duplicate skip, the poison rule and the
 checkpoint move are written once.
 
-Per entry, the stream keeps columns, not a :class:`StreamRecord`: the
-payload (the record that the metadata store holds too), the ``ingested_at``
-int, and the sequence in a set when the entry is a duplicate; no other
-module reads them. An entry's sequence is its index and its partition is
-its payload's ``device_id``. No entry is kept as a value: ``append``
-returns its entry to the caller, and any other read builds the entry from
-the columns, with ``event_seq`` parsed again from its event id.
-Why: a kept ``StreamRecord`` is a slotted value, which CPython always tracks
-(``gc.is_tracked``), so the collector would walk one per frame at each
-collection of its generation; ``str`` and ``int`` are never tracked.
+Per entry, the stream keeps columns: the record's row (the one exact tuple
+of atoms that the metadata store and the notification hub hold too; see
+:meth:`AnalyticsRecord.row_from_dict`), the ``ingested_at`` int, and the
+sequence in a set when the entry is a duplicate; no other module reads them.
+An entry's sequence is its index and its partition is its row's device id.
+A row, once it has survived a collection, is not tracked by the garbage
+collector (``gc.is_tracked``): it holds only ``str``, ``int``, ``float``,
+None and tuples of them. A :class:`StreamRecord` or an
+:class:`AnalyticsRecord` is a slotted value, which CPython always tracks, so
+none is kept. They are built on demand: ``append`` of a record returns its
+entry, ``read_from`` builds each entry, and a handler registered with
+:meth:`Dispatcher.register` gets one built per delivery. The gateway appends
+rows: ``append`` of a row returns a :class:`RowEntry`, and the service's own
+handler, registered with :meth:`Dispatcher.register_rows`, stores and
+publishes the row, so an ingest builds no value.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from typing import Callable
 from ..errors import ValidationError
 from ..model import AnalyticsRecord, encoder, parse_event_id, value
 
-__all__ = ["StreamRecord", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES", "MAX_PASSES"]
+__all__ = ["StreamRecord", "RowEntry", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES",
+           "MAX_PASSES"]
 
 # Passes a record may fail before it is moved to the dead-letter queue.
 DEFAULT_POISON_PASSES = 3
@@ -63,28 +69,63 @@ class StreamRecord:
     to_dict = encoder()
 
 
+class RowEntry:
+    """One stream entry as the stream keeps it: its sequence, its record's
+    row, ``ingested_at``, the duplicate flag and ``event_seq``, the sequence
+    parsed from the row's event id. :meth:`value` builds its
+    :class:`StreamRecord`. Like an :class:`AnalyticsRecord`, it gives its
+    record's row by ``to_row()`` and its event id as ``event_id``, so the
+    metadata store and the notification hub take it for its record."""
+
+    __slots__ = ("sequence", "row", "ingested_at", "duplicate", "event_seq")
+
+    def __init__(self, sequence: int, row: tuple, ingested_at: int, duplicate: bool,
+                 event_seq: int) -> None:
+        self.sequence = sequence
+        self.row = row
+        self.ingested_at = ingested_at
+        self.duplicate = duplicate
+        self.event_seq = event_seq
+
+    @property
+    def event_id(self) -> str:
+        return self.row[0]
+
+    def to_row(self) -> tuple:
+        return self.row
+
+    def value(self) -> StreamRecord:
+        row = self.row
+        return StreamRecord(self.sequence, row[1], AnalyticsRecord.from_row(row),
+                            self.ingested_at, self.duplicate, self.event_seq)
+
+
 class IngestStream:
     """Append-only record stream with one global sequence."""
 
     def __init__(self) -> None:
         # one column entry per stream entry; the sequence is the index
-        self._payloads: list[AnalyticsRecord] = []
+        self._rows: list[tuple] = []
         self._ingested_at: list[int] = []
         self._duplicates: set[int] = set()
         self._seen_event_ids: set[str] = set()
         self._last_event_seq: dict[str, int] = {}
 
-    def append(self, record: AnalyticsRecord, ingested_at: int) -> StreamRecord:
-        """Append one record; duplicates are flagged, never suppressed."""
-        device_id, event_seq = parse_event_id(record.event_id)
-        if device_id != record.device_id:
-            raise ValidationError(
-                f"event id {record.event_id} does not match device {record.device_id}"
-            )
-        payloads = self._payloads
-        duplicate = record.event_id in self._seen_event_ids
+    def append(self, record: AnalyticsRecord | tuple,
+               ingested_at: int) -> StreamRecord | RowEntry:
+        """Append one record, an :class:`AnalyticsRecord` or its row;
+        duplicates are flagged, never suppressed. Returns the entry: a
+        :class:`StreamRecord` for a record, a :class:`RowEntry` for a row."""
+        row = record if type(record) is tuple else record.to_row()
+        event_id = row[0]
+        device_id, event_seq = parse_event_id(event_id)
+        if device_id != row[1]:
+            raise ValidationError(f"event id {event_id} does not match device {row[1]}")
+        rows = self._rows
+        sequence = len(rows)
+        duplicate = event_id in self._seen_event_ids
         if duplicate:
-            self._duplicates.add(len(payloads))
+            self._duplicates.add(sequence)
         else:
             last = self._last_event_seq.get(device_id)
             if last is not None and event_seq < last:
@@ -92,35 +133,45 @@ class IngestStream:
                     f"out-of-order ingest for {device_id}: {event_seq} after {last}"
                 )
             self._last_event_seq[device_id] = event_seq
-            self._seen_event_ids.add(record.event_id)
-        # the partition is record.device_id: equal to device_id, and not a copy of it
-        entry = StreamRecord(len(payloads), record.device_id, record, ingested_at, duplicate,
-                             event_seq)
-        payloads.append(record)
+            self._seen_event_ids.add(event_id)
+        rows.append(row)
         self._ingested_at.append(ingested_at)
-        return entry
+        if row is record:
+            return RowEntry(sequence, row, ingested_at, duplicate, event_seq)
+        # the partition is record.device_id: equal to device_id, and not a copy of it
+        return StreamRecord(sequence, record.device_id, record, ingested_at, duplicate,
+                            event_seq)
 
-    def _entry(self, sequence: int) -> StreamRecord:
+    def _entry(self, sequence: int) -> RowEntry:
         """The entry at ``sequence`` (in range), built from the columns."""
-        payload = self._payloads[sequence]
-        return StreamRecord(sequence, payload.device_id, payload, self._ingested_at[sequence],
-                            sequence in self._duplicates, parse_event_id(payload.event_id)[1])
+        row = self._rows[sequence]
+        return RowEntry(sequence, row, self._ingested_at[sequence], sequence in self._duplicates,
+                        parse_event_id(row[0])[1])
 
     def read_from(self, sequence: int) -> list[StreamRecord]:
         """The entries from ``sequence`` on, as the slice ``[sequence:]`` of
         the whole stream would give them (a negative start counts from the end)."""
-        return [self._entry(i) for i in range(len(self._payloads))[sequence:]]
+        return [self._entry(i).value() for i in range(len(self._rows))[sequence:]]
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return len(self._rows)
 
 
 Handler = Callable[[StreamRecord], None]
+RowHandler = Callable[[RowEntry], None]
 
 
-def _run_each(handlers: tuple[Handler, ...], entry: StreamRecord) -> None:
-    for handler in handlers:
-        handler(entry)
+def _run_each(handlers: tuple[tuple[Callable, bool], ...], entry: RowEntry) -> None:
+    """Each handler in order: a row handler gets ``entry``, any other its
+    :class:`StreamRecord`, built once for them all."""
+    value = None
+    for handler, rows in handlers:
+        if rows:
+            handler(entry)
+        else:
+            if value is None:
+                value = entry.value()
+            handler(value)
 
 
 class Dispatcher:
@@ -136,29 +187,39 @@ class Dispatcher:
     def __init__(self, poison_passes: int = DEFAULT_POISON_PASSES):
         if poison_passes < 1:
             raise ValidationError("poison_passes must be >= 1")
-        self._handlers: list[tuple[str, Handler]] = []
-        # every registered handler, in order, as one call: the handler itself
-        # when there is one, so a delivery costs one call either way
-        self.deliver: Handler = partial(_run_each, ())
+        self._handlers: list[tuple[str, Handler | RowHandler]] = []
+        self._takes_rows: list[bool] = []  # per handler: whether it takes a RowEntry
+        # every registered handler, in order, as one call on the RowEntry: a
+        # row handler itself when it is the only one
+        self.deliver: RowHandler = partial(_run_each, ())
         self._poison_passes = poison_passes
         self._failure_counts: dict[int, int] = {}
         self.checkpoint = 0
         self.dead_letters: list[tuple[StreamRecord, str]] = []
 
     def register(self, name: str, handler: Handler) -> None:
+        """Deliver each entry to ``handler`` as a :class:`StreamRecord`."""
+        self._add(name, handler, False)
+
+    def register_rows(self, name: str, handler: RowHandler) -> None:
+        """Deliver each entry to ``handler`` as the stream's :class:`RowEntry`."""
+        self._add(name, handler, True)
+
+    def _add(self, name: str, handler: Handler | RowHandler, rows: bool) -> None:
         self._handlers.append((name, handler))
-        handlers = tuple(each for _, each in self._handlers)
-        self.deliver = handlers[0] if len(handlers) == 1 else partial(_run_each, handlers)
+        self._takes_rows.append(rows)
+        handlers = tuple(zip([each for _, each in self._handlers], self._takes_rows))
+        self.deliver = handler if len(handlers) == 1 and rows else partial(_run_each, handlers)
 
     def run_pass(self, stream: IngestStream) -> int:
         """One dispatch pass over the entries present when it starts.
         Returns the new checkpoint position."""
-        for sequence in range(self.checkpoint, len(stream._payloads)):
+        for sequence in range(self.checkpoint, len(stream._rows)):
             if not self._step(stream._entry(sequence)):
                 break
         return self.checkpoint
 
-    def _step(self, entry: StreamRecord) -> bool:
+    def _step(self, entry: RowEntry) -> bool:
         """Deliver the entry at the checkpoint, or skip it if it is a
         duplicate. True if the checkpoint moved past it: delivered, skipped,
         or dead-lettered on its ``poison_passes``-th failure; False if it
@@ -172,20 +233,22 @@ class Dispatcher:
                 self._failure_counts[sequence] = failures
                 if failures < self._poison_passes:
                     return False
-                self.dead_letters.append((entry, repr(exc)))
+                self.dead_letters.append((entry.value(), repr(exc)))
         self.checkpoint = sequence + 1
         return True
 
-    def deliver_appended(self, stream: IngestStream, entry: StreamRecord) -> None:
+    def deliver_appended(self, stream: IngestStream, entry: RowEntry | StreamRecord) -> None:
         """Deliver the entry ``stream.append`` just returned: itself if the
         dispatcher is caught up, as the pass it saves would, then in passes
         to the head or the budget, where that step counts as one pass."""
+        if type(entry) is not RowEntry:  # the StreamRecord that append of a record returned
+            entry = stream._entry(entry.sequence)
         passes = 0
         if self.checkpoint == entry.sequence:  # the new entry is the whole backlog
             passes = 1
             self._step(entry)
         # a backlog, a failure short of poison or an appended entry: what the budget leaves waits
-        while self.checkpoint < len(stream._payloads) and passes < MAX_PASSES:
+        while self.checkpoint < len(stream._rows) and passes < MAX_PASSES:
             self.run_pass(stream)
             passes += 1
 

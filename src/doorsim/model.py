@@ -264,14 +264,15 @@ class _Codec(tuple):
     """A codec declared in a value class body: (name, reads, extra parameters)."""
 
 
-def decoder(*reads: tuple, params: str = "") -> Any:
-    """``from_dict = decoder(*reads, params=...)`` in a value class body; see :func:`value`."""
-    return _Codec(("from_dict", reads, params and f", {params}"))
+def decoder(*reads: tuple, params: str = "", check: str = "", row: bool | str = False) -> Any:
+    """``from_dict = decoder(*reads, params=..., check=..., row=...)`` in a
+    value class body; see :func:`value`."""
+    return _Codec(("from_dict", reads, params and f", {params}", check, row))
 
 
 def encoder() -> Any:
     """``to_dict = encoder()`` in a value class body; see :func:`value`."""
-    return _Codec(("to_dict", (), ""))
+    return _Codec(("to_dict", (), "", "", False))
 
 
 def read(key: str, kind: Any, default: Any = REQUIRED, then: str = "", *,
@@ -286,13 +287,13 @@ def read(key: str, kind: Any, default: Any = REQUIRED, then: str = "", *,
 
 
 def _read_source(name: str, key: str, kind: Any, default: Any, then: str, when: str,
-                 closure: dict[str, Any]) -> list[str]:
+                 closure: dict[str, Any], decode: str = "from_dict") -> list[str]:
     closure[f"_{name}_default"] = default
     dflt = "" if default is REQUIRED else ", None" if default is None else f", _{name}_default"
     item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
-    if hasattr(item, "from_dict"):  # an array of objects; most are empty: skip the map then
+    if hasattr(item, decode):  # an array of objects; most are empty: skip the map then
         closure[item.__name__] = item
-        then = f"{name} = tuple(map({item.__name__}.from_dict, {name})) if {name} else ()\n{then}"
+        then = f"{name} = tuple(map({item.__name__}.{decode}, {name})) if {name} else ()\n{then}"
         item = dict
     getter, check = "field", []
     if kind in (str, int, float):
@@ -339,6 +340,42 @@ def _encoded(value: str, kind: Any) -> str:
     if kind in (str, int, float, bool):
         return value
     raise TypeError(f"{value}: no generated encoding of {kind!r}")
+
+
+def _row_codecs(fields: Sequence[dataclasses.Field], kinds: Sequence[Any],
+                closure: dict[str, Any]) -> dict[str, list[str]]:
+    """The sources of ``from_row``, ``row_to_dict`` and ``to_row`` for a value
+    type whose row is its fields in order: a ``str``, ``int`` or ``float``
+    field as it is, a ``tuple[K, ...]`` of a value type ``K`` with row codecs
+    as a tuple of ``K``'s rows (most are empty: no map then)."""
+    names = [f.name for f in fields]
+    items = {}  # field name -> the name of its item type
+    for f, kind in zip(fields, kinds):
+        item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+        if hasattr(item, "from_row"):
+            items[f.name] = item.__name__
+            closure[item.__name__] = item
+        elif kind not in (str, int, float):
+            raise TypeError(f"{f.name}: no generated row of {kind!r}")
+
+    def each(name: str, call: str, empty: str, value: str = "") -> str:
+        """Field ``name``, read as ``value`` (default: the local of that name),
+        or ``call`` of its item type and of it when it is a tuple of rows."""
+        value = value or name
+        if name not in items:
+            return value
+        return f"{call.format(items[name], value)} if {value} else {empty}"
+
+    unpack = f" {', '.join(names)}, = row"
+    return {
+        "from_row": ["@classmethod", "def from_row(cls, row):", unpack, " return cls({})".format(
+            ", ".join(each(n, "tuple(map({}.from_row, {}))", "()") for n in names))],
+        "row_to_dict": ["@staticmethod", "def row_to_dict(row):", unpack, " return {", *[
+            f"  {_key(f)!r}: {each(f.name, '[{}.row_to_dict(item) for item in {}]', '[]')},"
+            for f in fields if f.compare and _key(f) is not None], " }"],
+        "to_row": ["def to_row(self):", " return ({},)".format(", ".join(
+            each(n, "tuple([item.to_row() for item in {1}])", "()", "self." + n) for n in names))],
+    }
 
 
 def value(cls: type) -> type:
@@ -411,7 +448,7 @@ def value(cls: type) -> type:
     functions = {"__new__": ["@staticmethod", f"def __new__(cls, {', '.join(params)}):", *new,
                              " return self"]}
     scope = getattr(sys.modules.get(cls.__module__), "__dict__", {})  # where the source runs
-    for name, reads, extra in [v for v in vars(cls).values() if type(v) is _Codec]:
+    for name, reads, extra, check, row in [v for v in vars(cls).values() if type(v) is _Codec]:
         if name == "to_dict":
             functions[name] = ["def to_dict(self):", " return {", *[
                 f"  {_key(f)!r}: {_encoded('self.' + f.name, eval(f.type, scope))},"
@@ -420,9 +457,22 @@ def value(cls: type) -> type:
         closure.update(field=field, list_field=list_field, _FLOAT_MAX=_FLOAT_MAX)
         reads = reads or [read(f.name, eval(f.type, scope), REQUIRED if f.default is
                                dataclasses.MISSING else f.default) for f in fields]
-        functions[name] = ["@classmethod", f"def from_dict(cls, data{extra}):",
-                           *[f" {line}" for r in reads for line in _read_source(*r, closure)],
-                           f" return cls({', '.join(f.name for f in fields)})"]
+        decode = "row_from_dict" if row else "from_dict"
+        body = [f" {line}" for r in reads for line in _read_source(*r, closure, decode)]
+        body += [f" {line}" for line in check.splitlines()]
+        names = ", ".join(f.name for f in fields)
+        if not row:
+            functions[name] = ["@classmethod", f"def from_dict(cls, data{extra}):", *body,
+                               f" return cls({names})"]
+            continue
+        # the same reads and checks twice: a refusal's traceback shows its read in either
+        atoms = f"({names if row is True else row},)"
+        functions["row_from_dict"] = ["@staticmethod", "def row_from_dict(data):", *body,
+                                      f" return {atoms}"]
+        functions[name] = ["@classmethod", "def from_dict(cls, data):", *body,
+                           f" return cls.from_row({atoms})"]
+        if row is True:
+            functions.update(_row_codecs(fields, [eval(f.type, scope) for f in fields], closure))
     source = "\n".join([f"def __create_fn__({', '.join(closure)}):",
                         *[f" {line}" for lines in functions.values() for line in lines],
                         f" return {', '.join(functions)},"])
@@ -449,10 +499,16 @@ class Label:
     kind: ScenarioKind
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("label name must be non-empty")
-        if self.name != self.name.strip().lower():
-            raise ValidationError(f"label name must be a lowercase token: {self.name!r}")
+        _check_label(self.name)
+
+
+def _check_label(name: str) -> str:
+    """``name`` if it is a well-formed label name; the rule of :class:`Label`."""
+    if not name:
+        raise ValidationError("label name must be non-empty")
+    if name != name.strip().lower():
+        raise ValidationError(f"label name must be a lowercase token: {name!r}")
+    return name
 
 
 # One Label per (name, scenario) of the default vocabulary, built once.
@@ -460,6 +516,11 @@ class Label:
 _VOCABULARY_LABELS: Mapping[tuple[str, ScenarioKind], Label] = {
     (name, kind): Label(name, kind)
     for kind, names in DEFAULT_VOCABULARY.items() for name in names
+}
+
+# The name of each of those Labels, for a detection row: one str per label.
+_VOCABULARY_NAMES: Mapping[tuple[str, ScenarioKind], str] = {
+    key: label.name for key, label in _VOCABULARY_LABELS.items()
 }
 
 # One frozenset of those Labels per (scenario, *names) for every
@@ -530,35 +591,65 @@ class Detection:
     box: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 100.0:
-            raise ValidationError(f"confidence out of [0, 100]: {self.confidence}")
-        if self.identity is not None and self.label.kind is not ScenarioKind.FACE_RECOGNITION:
-            raise ValidationError("identity is only valid on face-recognition detections")
-        if self.box is not None:
-            if len(self.box) != 4 or any(not 0.0 <= v <= 1.0 for v in self.box):
-                raise ValidationError(f"box must be four values in [0, 1]: {self.box!r}")
+        _check_detection(self.label.kind, self.confidence, self.identity, self.box)
+
+    def to_row(self) -> tuple:
+        """The detection row: ``(label, kind, confidence, identity, category,
+        box)``, the values of :meth:`to_dict` with the box as a tuple."""
+        label, identity = self.label, self.identity
+        return (label.name, label.kind._value_, self.confidence,  # not the slower .value
+                None if identity is None else identity.token,
+                None if identity is None else identity.category._value_,
+                None if self.box is None else tuple(self.box))
+
+    @classmethod
+    def from_row(cls, row: tuple) -> "Detection":
+        name, kind, confidence, identity, category, box = row
+        label = _VOCABULARY_LABELS.get((name, kind)) or Label(name, _SCENARIOS[kind])
+        if identity is not None:
+            identity = FaceIdentity(identity, _CATEGORIES[category])
+        return cls(label, confidence, identity, box)
+
+    @staticmethod
+    def row_to_dict(row: tuple) -> dict[str, Any]:
+        label, kind, confidence, identity, category, box = row
+        return {"label": label, "kind": kind, "confidence": confidence, "identity": identity,
+                "category": category, "box": None if box is None else list(box)}
 
     def to_dict(self) -> dict[str, Any]:
-        identity = self.identity
-        return {
-            "label": self.label.name,
-            "kind": self.label.kind._value_,  # not the slower enum .value property
-            "confidence": self.confidence,
-            "identity": None if identity is None else identity.token,
-            "category": None if identity is None else identity.category._value_,
-            "box": None if self.box is None else list(self.box),
-        }
+        return Detection.row_to_dict(self.to_row())
 
+    # A vocabulary label's row holds its shared name; any other name is
+    # checked as Label checks it. The category is read for an identity only.
     from_dict = decoder(
         read("identity", str, None),
         read("label", str),
         read("kind", ScenarioKind,
-             then="label = _VOCABULARY_LABELS.get((label, kind)) or Label(label, kind)"),
+             then="label = _VOCABULARY_NAMES.get((label, kind)) or _check_label(label)"),
         read("confidence", float),
-        read("category", FaceCategory, when="identity is not None",
-             then="identity = FaceIdentity(identity, category)"),
+        read("category", FaceCategory, when="identity is not None"),
         read("box", tuple[float, ...], None),
+        check="_check_detection(kind, confidence, identity, box)",
+        row="label, kind._value_, confidence, identity, "
+            "None if identity is None else category._value_, box",
     )
+
+
+_SCENARIOS: Mapping[str, ScenarioKind] = ScenarioKind._value2member_map_
+_CATEGORIES: Mapping[str, FaceCategory] = FaceCategory._value2member_map_
+
+
+def _check_detection(kind: ScenarioKind, confidence: float, identity: Any,
+                     box: Sequence[float] | None) -> None:
+    """The rules of :class:`Detection` over its atoms; ``identity`` is its
+    token or its :class:`FaceIdentity`, None for none."""
+    if not 0.0 <= confidence <= 100.0:
+        raise ValidationError(f"confidence out of [0, 100]: {confidence}")
+    if identity is not None and kind is not ScenarioKind.FACE_RECOGNITION:
+        raise ValidationError("identity is only valid on face-recognition detections")
+    if box is not None:
+        if len(box) != 4 or any(not 0.0 <= v <= 1.0 for v in box):
+            raise ValidationError(f"box must be four values in [0, 1]: {box!r}")
 
 
 @value
@@ -628,16 +719,27 @@ class AnalyticsRecord:
     threshold_used: float
 
     def __post_init__(self) -> None:
-        if self.detected_at < self.captured_at:
-            raise ValidationError("detected_at must be >= captured_at")
-        for detection in self.detections:
-            if detection.confidence < self.threshold_used:
-                raise ValidationError(
-                    f"detection below threshold {self.threshold_used}: {detection}"
-                )
+        _check_record(self.captured_at, self.detected_at, self.threshold_used, self.detections)
 
     to_dict = encoder()
-    from_dict = decoder()
+    # The row is the fields in order, each detection as its row: a tuple of
+    # atoms, which the collector stops tracking (gc.is_tracked).
+    from_dict = decoder(check="if detections or detected_at < captured_at:\n"
+                              " _check_record(captured_at, detected_at, threshold_used, detections)",
+                        row=True)
+
+
+def _check_record(captured_at: int, detected_at: int, threshold_used: float,
+                  detections: Sequence[Any]) -> None:
+    """The rules of :class:`AnalyticsRecord` over its atoms; ``detections``
+    are its :class:`Detection` values or their rows."""
+    if detected_at < captured_at:
+        raise ValidationError("detected_at must be >= captured_at")
+    for detection in detections:
+        row = type(detection) is tuple
+        if (detection[2] if row else detection.confidence) < threshold_used:
+            raise ValidationError(f"detection below threshold {threshold_used}: "
+                                  f"{Detection.from_row(detection) if row else detection}")
 
 
 def format_event_id(device_id: str, sequence: int) -> str:

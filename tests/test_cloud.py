@@ -476,7 +476,7 @@ class TestMetadataStore:
         store.put(record(4, names=("cat",)))
         assert len(store) == 1
         assert store.get_activities("door-1", 0, 10) == [first]
-        assert store.latest("door-1") is first
+        assert store.latest("door-1") == first  # built from its row: equal, not the same
 
     def test_latest_prefers_capture_time_then_sequence(self):
         store = MetadataStore()
@@ -521,7 +521,7 @@ class TestMetadataStore:
         assert store.get_activities("door-1", 0, 1000) == [first, second, third]
         assert store.get_activities("door-1", 100, 100) == [second, third]
         assert store.all_records() == [first, second, third]
-        assert store.latest("door-1") is first
+        assert store.latest("door-1") == first  # built from its row: equal, not the same
 
 
 def spelled(event_id, at=0, frame_id=None):
@@ -610,8 +610,9 @@ class TestMetadataStoreAgainstOracle:
                 if len(set(seqs)) == len(seqs):  # no sequence spelled twice
                     assert device not in store._devices or store._devices[device].ordered
         for device in STORE_DEVICES + ("door-9",):
-            assert store.latest(device) is first_latest(r for r in stored if r.device_id == device)
-        assert store.latest() is first_latest(stored)
+            # built from its row: equal, not the same; every record put here is distinct
+            assert store.latest(device) == first_latest(r for r in stored if r.device_id == device)
+        assert store.latest() == first_latest(stored)
         assert len(store) == len(stored)
 
 
@@ -942,7 +943,7 @@ class TupleSetHub(NotificationHub):
                 continue
             if not subscription.filter.matches(record):
                 continue
-            subscription.sent.append(record)
+            subscription.sent.append(record.to_row())  # a subscription keeps rows
             subscription.sent_at.append(at)
             self._delivered.add(key)
             delivered.append(subscription.subscriber_id)

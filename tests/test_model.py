@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import gc
 import importlib
 import inspect
 import itertools
@@ -9,6 +10,7 @@ import pickle
 import pkgutil
 import textwrap
 import traceback
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -840,8 +842,9 @@ class TestTruthOrders:
 
 
 # (module, qualified name) of each function that builds values once per frame
-# or per request, or once per row that a view reads; run_experiment builds the
-# report's rows through a view (see test_harness.py).
+# or per request, or once per row that a view or a read builds from a stored
+# row; run_experiment builds the report's rows through a view (see
+# test_harness.py).
 PER_FRAME_FUNCTIONS = [
     ("doorsim.device", "run_motion_script"),
     ("doorsim.dataset", "generate_dataset"),
@@ -851,7 +854,9 @@ PER_FRAME_FUNCTIONS = [
     ("doorsim.transport", "CloudClient.call"),
     ("doorsim.transport", "CloudClient.ingest"),
     ("doorsim.cloud.stream", "IngestStream.append"),
-    ("doorsim.cloud.stream", "IngestStream._entry"),
+    ("doorsim.model", "Detection.from_row"),
+    ("doorsim.model", "AnalyticsRecord.from_row"),
+    ("doorsim.cloud.stream", "RowEntry.value"),
     ("doorsim.cloud.notify", "Subscription.delivery_log"),
     ("doorsim.cloud.queries", "QueryRequest.from_dict"),
     ("doorsim.cloud.queries", "answer_query"),
@@ -1205,6 +1210,127 @@ class TestCodecsEqualTheFieldByFieldReference:
             assert encoded == reference(value_) and list(encoded) == list(reference(value_))
 
 
+# -- the row codecs against the value codecs --------------------------------------
+#
+# The cloud keeps each record as its row, read by AnalyticsRecord.row_from_dict;
+# from_dict is from_row over the same reads and checks. One refusal table:
+# both readers accept and refuse the same wire records, with the same error.
+
+@st.composite
+def wire_records(draw):
+    """Well-formed wire records: every kind, shared and other labels, face
+    identities, boxes, and a threshold at or below every confidence."""
+    kind = draw(st.sampled_from(list(ScenarioKind)))
+    face = kind is ScenarioKind.FACE_RECOGNITION
+    confidences = draw(st.lists(st.floats(0, 100), max_size=3))
+    detections = [Detection(
+        Label(draw(st.sampled_from([*DEFAULT_VOCABULARY[kind], "zebra"])), kind), confidence,
+        FaceIdentity(draw(st.text(max_size=3)), draw(st.sampled_from(list(FaceCategory))))
+        if face and draw(st.booleans()) else None,
+        draw(st.none() | st.tuples(*[st.floats(0, 1)] * 4))) for confidence in confidences]
+    captured_at = draw(st.integers(0, 10 ** 6))
+    record = AnalyticsRecord(f"d:{draw(st.integers(0, 99))}", "d", draw(st.text(max_size=3)),
+                             tuple(detections), "aws-saas", captured_at,
+                             captured_at + draw(st.integers(0, 500)),
+                             draw(st.floats(0, min(confidences, default=100))))
+    return record.to_dict()
+
+
+def ingested_records():
+    """The records of test_protocol.py's malformed /ingest requests and of the
+    golden ingests."""
+    from test_protocol import MALFORMED_REQUESTS
+
+    records = [body["record"] for _, _, path, body, _ in MALFORMED_REQUESTS if path == "/ingest"]
+    for golden in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        request = json.loads(golden.read_text(encoding="utf-8"))["request"]
+        if request["path"] == "/ingest" and "record" in request["body"]:
+            records.append(request["body"]["record"])
+    return records
+
+
+class TestRowCodecs:
+    def read_both(self, data):
+        """What both readers make of ``data``: "value", or the refusal's class name."""
+        got = outcome(AnalyticsRecord.row_from_dict, data)
+        expected = outcome(AnalyticsRecord.from_dict, data)
+        if expected[0] == "error":
+            assert got == expected
+            return expected[1].__name__
+        assert got[0] == "value", got
+        row, record = got[1], expected[1]
+        assert type(row) is tuple
+        assert AnalyticsRecord.from_row(row) == record
+        assert repr(AnalyticsRecord.from_row(row)) == expected[2]
+        assert record.to_row() == row
+        assert (canonical_json(AnalyticsRecord.row_to_dict(row))
+                == canonical_json(record.to_dict()))
+        return "value"
+
+    def test_both_readers_agree_on_every_wire_record(self):
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(data=RECORD_BODIES | wire_records())
+        def compare(data):
+            seen.add(self.read_both(data))
+
+        compare()
+        # the property is only as good as its mix
+        assert {"value", "ProtocolError", "ValidationError"} <= seen, seen
+
+    def test_both_readers_agree_on_the_ingest_tables_and_goldens(self):
+        records = ingested_records()
+        outcomes = [self.read_both(record) for record in records]
+        assert len(records) > 10 and outcomes[-1] == "value"
+        assert {"ProtocolError", "value"} <= set(outcomes)
+
+    def test_a_row_holds_atoms_only(self):
+        for kind in ScenarioKind:
+            record = AnalyticsRecord("d:0", "d", "f", (Detection(
+                Label(DEFAULT_VOCABULARY[kind][0], kind), 95.0,
+                FaceIdentity("alice", FaceCategory.FAMILY)
+                if kind is ScenarioKind.FACE_RECOGNITION else None, [0.0, 0.5, 0.5, 1.0]),),
+                "aws-saas", 0, 1, 90.0)
+            row = AnalyticsRecord.row_from_dict(record.to_dict())
+
+            def atoms(item):
+                if type(item) is tuple:
+                    return all(map(atoms, item))
+                return item is None or type(item) in (str, int, float)
+
+            assert atoms(row) and row == record.to_row()
+            (detection,) = row[3]
+            # the vocabulary's own strings, not the wire's copies
+            assert detection[0] is DEFAULT_VOCABULARY[kind][0] and detection[1] is kind._value_
+
+    def test_a_stored_row_is_shared_and_untracked(self):
+        service = CloudService(seed=0)
+        secret = service.handle(ApiRequest("POST", "/devices/register",
+                                           body={"device_id": "d"})).body["data"]["secret"]
+        token = service.handle(ApiRequest("POST", "/devices/auth", body={
+            "device_id": "d", "secret": secret})).body["data"]["session_token"]
+        service.subscribe("ops")
+        face = Detection(Label("face", ScenarioKind.FACE_RECOGNITION), 95.0,
+                         FaceIdentity("alice", FaceCategory.FAMILY), (0.1, 0.2, 0.3, 0.4))
+        record = AnalyticsRecord("d:0", "d", "f", (face,), "aws-saas", 0, 1, 90.0)
+        response = service.handle(ApiRequest("POST", "/ingest", headers={"x-session-token": token},
+                                             body={"record": record.to_dict()}))
+        assert response.status == 200
+        row = service.store.latest_row("d")
+        assert service.stream._rows[0] is row and service.hub.subscription("ops").sent[0] is row
+        # A collection untracks a tuple whose items are untracked already, and
+        # may reach a row's inner tuples after the row itself: each collection
+        # untracks at least the innermost tracked level, so four untrack all
+        # of this row, its detections, its detection and the box.
+        levels = [row, row[3], row[3][0], row[3][0][5]]
+        for _ in levels:
+            gc.collect()
+        assert not any(map(gc.is_tracked, levels))
+        assert service.store.latest("d") == record
+
+
 # -- the detect response against the old decoder --------------------------------
 #
 # CloudClient.detect takes an exact array of exact objects inline, and _data an
@@ -1290,6 +1416,8 @@ class ReadRecorder:
     def get_activities(self, device_id, from_ms, to_ms):
         self.args = (device_id, from_ms, to_ms)
         return []
+
+    activity_rows = get_activities  # the handler's read: the store's rows
 
 
 def activities_params(params, now_ms):
