@@ -61,9 +61,6 @@ def _experiment_config(data: dict,
     profiles = load_profiles(config.profiles_path) if config.profiles_path else None
     check_profiles(DEFAULT_PROFILES if profiles is None else profiles,
                    backend_ids or (config.backend_id,))
-    if config.scripts is None and config.event_spacing_ms <= config.debounce_ms:
-        # as script_covering, which writes each device's script then
-        raise ValidationError("event_spacing_ms must exceed debounce_ms to cover all frames")
     return config, profiles
 
 

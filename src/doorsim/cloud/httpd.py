@@ -9,13 +9,21 @@ refused like one that is not JSON: no UTF-8 reply could carry it back.
 
 Each connection gets its own thread, but the service is single-threaded:
 one lock per server admits one :meth:`CloudService.handle` call at a time.
-Reading the request and writing the response stay outside it.
+Reading the request and writing the response stay outside it, and so does
+the drain: once the reply is written, the server ends its side of the
+connection and reads and drops what the client still sends (a body longer
+than its ``content-length``), at most :data:`DRAIN_BYTES` within
+:data:`DRAIN_SECONDS`, until the client ends its side. A socket closed with
+bytes unread resets the connection, which a client can see as a failed
+send, a lost reply or a failed shutdown.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
@@ -23,7 +31,12 @@ from ..errors import ProtocolError
 from ..model import _decimal, canonical_json
 from .service import ApiRequest, ApiResponse, CloudService, _error
 
-__all__ = ["serve", "CloudHTTPServer"]
+__all__ = ["serve", "CloudHTTPServer", "DRAIN_BYTES", "DRAIN_SECONDS"]
+
+# What a connection may still send after its reply is read and dropped, up to
+# this many bytes and for this long; then the server closes it as it is.
+DRAIN_BYTES = 1 << 20
+DRAIN_SECONDS = 1.0
 
 
 class CloudHTTPServer(ThreadingHTTPServer):
@@ -77,6 +90,30 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         if self.command != "HEAD":  # HEAD: the headers of the reply, no body (RFC 9110, 9.3.2)
             self.wfile.write(payload)
+
+    def finish(self) -> None:
+        super().finish()  # the reply is flushed
+        self._drain()
+
+    def _drain(self) -> None:
+        """End the server's side, then read what the client sends until it
+        ends its side or the byte or time bound is reached."""
+        connection = self.connection
+        deadline = time.monotonic() + DRAIN_SECONDS
+        left = DRAIN_BYTES
+        try:
+            connection.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                connection.settimeout(remaining)
+                chunk = connection.recv(min(left, 65536))
+                if not chunk:  # the client ended its side
+                    return
+                left -= len(chunk)
+        except OSError:  # timed out, or the client is gone: close as it is
+            pass
 
     def __getattr__(self, name: str):
         """``http.server`` calls ``do_<METHOD>``; for any method, that is ``_dispatch``."""

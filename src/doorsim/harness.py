@@ -280,7 +280,9 @@ class ExperimentConfig:
         ``seed``, and a ``scripts`` item a motion script object or file path.
         Once every field is read, what the run would refuse (a ``threshold``
         outside [0, 100], an ``enroll`` category of ``unknown``, a second
-        motion script for one device) is a ValidationError naming it."""
+        motion script for one device, or, without scripts, an
+        ``event_spacing_ms`` within ``debounce_ms``) is a ValidationError
+        naming it."""
         config = read_value(cls, data, None, scripts=None)
         scripts = json_field(data, "scripts", list, None)
         config = replace(config, network=replace(config.network, seed=config.seed), scripts=tuple(
@@ -292,6 +294,9 @@ class ExperimentConfig:
             if category is FaceCategory.UNKNOWN:  # as FaceCollection.enroll
                 raise ValidationError(
                     f"enroll.{identity}: cannot enroll an identity as {category.value}")
+        if config.scripts is None and config.event_spacing_ms <= config.debounce_ms:
+            # as script_covering, which writes each device's script then
+            raise ValidationError("event_spacing_ms must exceed debounce_ms to cover all frames")
         return config
 
 

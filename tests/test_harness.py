@@ -248,10 +248,17 @@ def motion_scripts(draw):
 @st.composite
 def experiment_configs(draw):
     """Valid configs, every field drawn; the network's seed is the config's.
-    The threshold is in [0, 100] and no identity is enrolled as unknown:
-    reading a config refuses both, as the run would."""
+    The threshold is in [0, 100], no identity is enrolled as unknown, and
+    without scripts the event spacing exceeds the debounce window: reading a
+    config refuses each, as the run would."""
     seed = draw(st.integers() | st.integers(-(2 ** 70), 2 ** 70))
     base = draw(COUNTS)
+    debounce_ms = draw(COUNTS)
+    # [] is read as "no scripts" (None), so a drawn script list is
+    # non-empty; a device has at most one script
+    scripts = draw(st.none() | st.lists(motion_scripts(), min_size=1, max_size=3,
+                                        unique_by=lambda script: script.device_id).map(tuple))
+    spacing = COUNTS if scripts is not None else st.integers(debounce_ms + 1, 10 ** 6 + 1)
     return ExperimentConfig(
         dataset=draw(st.none() | NAMES),
         backend_id=draw(NAMES),
@@ -260,15 +267,12 @@ def experiment_configs(draw):
         network=NetworkModel(base, draw(st.integers(0, base)), seed),
         retry=RetryPolicy(draw(st.integers(1, 10)), draw(COUNTS)),
         sampling=SamplingPolicy(draw(st.integers(1, 10)), draw(COUNTS)),
-        debounce_ms=draw(COUNTS),
-        event_spacing_ms=draw(COUNTS),
+        debounce_ms=debounce_ms,
+        event_spacing_ms=draw(spacing),
         profiles_path=draw(st.none() | NAMES),
         enroll=draw(st.dictionaries(NAMES, st.sampled_from(
             [c for c in FaceCategory if c is not FaceCategory.UNKNOWN]), max_size=4)),
-        # [] is read as "no scripts" (None), so a drawn script list is
-        # non-empty; a device has at most one script
-        scripts=draw(st.none() | st.lists(motion_scripts(), min_size=1, max_size=3,
-                                          unique_by=lambda script: script.device_id).map(tuple)),
+        scripts=scripts,
     )
 
 

@@ -7,6 +7,7 @@ import socket
 import string
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import parse_qsl, urlencode, urlsplit
@@ -732,6 +733,28 @@ class TestHttpBinding:
         assert body["ok"] is False
         assert body["error"]["code"] == "protocol"
         assert message in body["error"]["message"]
+
+    def test_a_body_longer_than_its_content_length_does_not_reset_the_connection(
+            self, http_server):
+        # The server reads 2 bytes of a 200,000-byte body. It must read and
+        # drop the rest before it closes: a close with bytes unread resets the
+        # connection, and the client's own shutdown then fails.
+        port = urlsplit(http_server).port
+        body = b"{}" + b" " * 199_998
+        head = (b"POST /devices/register HTTP/1.1\r\nhost: x\r\ncontent-length: 2\r\n"
+                b"content-type: application/json\r\n\r\n")
+        for _ in range(5):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(head + body)
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+                time.sleep(0.01)
+                sock.shutdown(socket.SHUT_RDWR)  # OSError once the connection was reset
+            status_line, _, rest = b"".join(chunks).partition(b"\r\n")
+            assert status_line.split()[1] == b"400"
+            assert json.loads(rest.partition(b"\r\n\r\n")[2]) == {"ok": False, "error": {
+                "code": "protocol", "message": "device_id is required"}}
 
     def test_nan_in_a_body_is_protocol_error(self, http_server):
         _, body = self._post(http_server, "/devices/register", {"device_id": "door-1"})
