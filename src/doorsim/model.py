@@ -35,6 +35,20 @@ keys, an enum as its value; :func:`read_document` reads a JSON file.
 
 A log kept per event as parallel columns is read back through
 :class:`RowView`, which builds each row's value, by position, when it is read.
+
+The cloud keeps each :class:`AnalyticsRecord` as its row: one exact tuple of
+its fields in order, ``(event_id, device_id, frame_id, detections,
+backend_id, captured_at, detected_at, threshold_used)``, each detection as
+the tuple ``(label, kind, confidence, identity, category, box)`` of ``str``,
+``float``, None and a tuple of floats, never an enum member or a
+:class:`Label`. Such a tuple is untracked by the garbage collector once it
+has survived a collection (``gc.is_tracked``); a slotted value never is.
+``row_from_dict`` reads the wire object straight into the row with the reads
+and checks of ``from_dict``, which is ``from_row`` over them; ``row_to_dict``
+writes the keys of ``to_dict`` and ``to_row`` gives a value's row. The rules
+of :class:`Label`, :class:`Detection` and :class:`AnalyticsRecord` are
+functions over atoms that both a value's ``__post_init__`` and the row
+reader call, so each refusal and its message is written once.
 """
 
 from __future__ import annotations
@@ -400,8 +414,16 @@ def value(cls: type) -> type:
     class body declares, which read field annotations as strings (``from
     __future__ import annotations``): ``to_dict = encoder()`` maps each
     field, but one with ``compare=False`` or a key of None, to its JSON
-    value, and ``from_dict = decoder(*reads)`` makes each :func:`read` in
-    order (with none, each field's) and returns ``cls(<fields>)``.
+    value, and ``from_dict = decoder(*reads, check=...)`` makes each
+    :func:`read` in order (with none, each field's), runs the ``check``
+    statement over what it read and returns ``cls(<fields>)``. A decoder
+    with a ``row`` (an expression over what it read, or True for the
+    fields in order) makes the same reads and check into the static
+    ``row_from_dict``, which returns that tuple, and ``from_dict`` returns
+    ``cls.from_row(<row>)``; an array of a value type is then read by the
+    item type's ``row_from_dict``. With ``row=True``, ``from_row``,
+    ``row_to_dict`` and ``to_row`` are generated too (see :func:`_row_codecs`);
+    with an expression, the class body writes them.
 
     A shared ``__reduce__`` returns ``(type(self), field values)``, so
     copy, deepcopy and pickle rebuild a value through ``__new__``; the
