@@ -275,7 +275,8 @@ def _reduce(self: Any) -> tuple:
 
 
 class _Codec(tuple):
-    """A codec declared in a value class body: (name, reads, extra parameters)."""
+    """A codec declared in a value class body: (name, reads, extra parameters,
+    check, row)."""
 
 
 def decoder(*reads: tuple, params: str = "", check: str = "", row: bool | str = False) -> Any:
@@ -362,33 +363,34 @@ def _row_codecs(fields: Sequence[dataclasses.Field], kinds: Sequence[Any],
     type whose row is its fields in order: a ``str``, ``int`` or ``float``
     field as it is, a ``tuple[K, ...]`` of a value type ``K`` with row codecs
     as a tuple of ``K``'s rows (most are empty: no map then)."""
-    names = [f.name for f in fields]
     items = {}  # field name -> the name of its item type
     for f, kind in zip(fields, kinds):
         item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
         if hasattr(item, "from_row"):
-            items[f.name] = item.__name__
-            closure[item.__name__] = item
+            items[f.name] = closure[item.__name__] = item
         elif kind not in (str, int, float):
             raise TypeError(f"{f.name}: no generated row of {kind!r}")
 
-    def each(name: str, call: str, empty: str, value: str = "") -> str:
-        """Field ``name``, read as ``value`` (default: the local of that name),
-        or ``call`` of its item type and of it when it is a tuple of rows."""
-        value = value or name
-        if name not in items:
-            return value
-        return f"{call.format(items[name], value)} if {value} else {empty}"
+    def value_of(n: str) -> str:
+        return f"tuple(map({items[n].__name__}.from_row, {n})) if {n} else ()" if n in items else n
 
+    def wire_of(n: str) -> str:
+        return (f"[{items[n].__name__}.row_to_dict(item) for item in {n}] if {n} else []"
+                if n in items else n)
+
+    def row_of(n: str) -> str:
+        return (f"tuple([item.to_row() for item in self.{n}]) if self.{n} else ()"
+                if n in items else f"self.{n}")
+
+    names = [f.name for f in fields]
     unpack = f" {', '.join(names)}, = row"
     return {
-        "from_row": ["@classmethod", "def from_row(cls, row):", unpack, " return cls({})".format(
-            ", ".join(each(n, "tuple(map({}.from_row, {}))", "()") for n in names))],
-        "row_to_dict": ["@staticmethod", "def row_to_dict(row):", unpack, " return {", *[
-            f"  {_key(f)!r}: {each(f.name, '[{}.row_to_dict(item) for item in {}]', '[]')},"
-            for f in fields if f.compare and _key(f) is not None], " }"],
-        "to_row": ["def to_row(self):", " return ({},)".format(", ".join(
-            each(n, "tuple([item.to_row() for item in {1}])", "()", "self." + n) for n in names))],
+        "from_row": ["@classmethod", "def from_row(cls, row):", unpack,
+                     f" return cls({', '.join(map(value_of, names))})"],
+        "row_to_dict": ["@staticmethod", "def row_to_dict(row):", unpack, " return {",
+                        *[f"  {_key(f)!r}: {wire_of(f.name)}," for f in fields
+                          if f.compare and _key(f) is not None], " }"],
+        "to_row": ["def to_row(self):", f" return ({', '.join(map(row_of, names))},)"],
     }
 
 
