@@ -26,7 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..model import AnalyticsRecord, FaceCategory, RowView, ScenarioKind, encoder, value
+from ..model import (
+    DETECTION_KIND,
+    ROW_DETECTIONS,
+    ROW_DEVICE_ID,
+    ROW_EVENT_ID,
+    AnalyticsRecord,
+    FaceCategory,
+    RowView,
+    ScenarioKind,
+    encoder,
+    value,
+)
 
 __all__ = ["Notification", "SubscriptionFilter", "Subscription", "NotificationHub", "summarize_record"]
 
@@ -59,11 +70,11 @@ class SubscriptionFilter:
     def matches(self, record: AnalyticsRecord | tuple) -> bool:
         """Whether the filter admits ``record``, an AnalyticsRecord or its row."""
         row = record if type(record) is tuple else record.to_row()
-        if self.devices is not None and row[1] not in self.devices:
+        if self.devices is not None and row[ROW_DEVICE_ID] not in self.devices:
             return False
         if self.scenarios is not None:
             # a kind value is equal to its member and hashes as it does
-            kinds = {detection[1] for detection in row[3]}
+            kinds = {detection[DETECTION_KIND] for detection in row[ROW_DETECTIONS]}
             if not kinds & self.scenarios:
                 return False
         return True
@@ -85,7 +96,7 @@ class Subscription:
         builds each one, summary included, when it is read."""
 
         def notification(row: tuple, at: int) -> Notification:
-            return Notification(row[0], row[1], summarize_record(row), at)
+            return Notification(row[ROW_EVENT_ID], row[ROW_DEVICE_ID], summarize_record(row), at)
 
         return RowView(notification, self.sent, self.sent_at)
 
@@ -95,7 +106,7 @@ def summarize_record(record: AnalyticsRecord | tuple) -> str:
     or its row; never empty."""
     row = record if type(record) is tuple else record.to_row()
     parts: list[str] = []
-    for name, kind, _, identity, category, _ in row[3]:
+    for name, kind, _, identity, category, _ in row[ROW_DETECTIONS]:
         if identity is not None:
             if category == FaceCategory.UNKNOWN:
                 parts.append(f"Unknown face ({identity})")
@@ -104,7 +115,7 @@ def summarize_record(record: AnalyticsRecord | tuple) -> str:
         else:
             parts.append(f"Detected {_KIND_PHRASE[kind]}: {name}")
     if not parts:
-        return f"Motion at {row[1]}: nothing recognized"
+        return f"Motion at {row[ROW_DEVICE_ID]}: nothing recognized"
     return "; ".join(parts)
 
 
@@ -130,7 +141,7 @@ class NotificationHub:
         or the row itself. Returns the ids of the subscribers delivered to
         (none: a no-op)."""
         row = record if type(record) is tuple else record.to_row()
-        event_id = row[0]
+        event_id = row[ROW_EVENT_ID]
         delivered = []
         for subscriber_id, subscription in self._subscriptions.items():
             event_ids = self._delivered[subscriber_id]

@@ -13,7 +13,16 @@ import enum
 from typing import Mapping
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, decoder, encoder, read, value
+from ..model import (
+    DETECTION_KIND,
+    ROW_CAPTURED_AT,
+    ROW_DETECTIONS,
+    AnalyticsRecord,
+    decoder,
+    encoder,
+    read,
+    value,
+)
 from .notify import summarize_record
 from .stores import MetadataStore
 
@@ -70,7 +79,7 @@ def answer_rows(query: QueryRequest, store: MetadataStore,
             return f"No activity at {query.device_id}.", [], None
         summary = (
             f"Latest activity at {query.device_id} "
-            f"(t={row[5]} ms): {summarize_record(row)}"
+            f"(t={row[ROW_CAPTURED_AT]} ms): {summarize_record(row)}"
         )
         return summary, [row], None
 
@@ -80,7 +89,8 @@ def answer_rows(query: QueryRequest, store: MetadataStore,
         counts: dict[str, int] = {}
         for row in rows:
             # a record's scenario is its first detection's kind value
-            key = row[3][0][1] if row[3] else "none"
+            detections = row[ROW_DETECTIONS]
+            key = detections[0][DETECTION_KIND] if detections else "none"
             counts[key] = counts.get(key, 0) + 1
         if not rows:
             return f"No activity at {query.device_id} today.", rows, counts

@@ -14,23 +14,22 @@ exception's class declares (:mod:`doorsim.errors`). Bodies are read with
 :func:`doorsim.model.field`, so a malformed field is a 400 ``protocol``
 envelope and the handlers see well-typed values only.
 
-An accepted ``/ingest`` is persisted and notified within its own request:
-the handler reads the ``record`` of an exact ``dict`` body inline, straight
-into its row with :meth:`AnalyticsRecord.row_to_dict`'s inverse,
+An accepted ``/ingest`` is persisted and notified within its own request,
+and builds no record value. The handler reads the ``record`` of an exact
+``dict`` body inline, straight into its row with
 :meth:`AnalyticsRecord.row_from_dict`, which refuses what ``from_dict``
-refuses, with the same error. The row, one exact tuple of atoms, is what
-the stream, the metadata store and the notification hub keep, all three
-the same tuple: once it has survived a collection, the garbage collector
-no longer tracks it (``gc.is_tracked``), where an ``AnalyticsRecord`` is a
-slotted value that it always tracks, so an ingest builds no record value.
-The handler appends the row to the stream and hands the entry that
-``append`` returned to :meth:`Dispatcher.deliver_appended`, which owns the
-rest: the delivery without a pass when the dispatcher is caught up, the
-duplicate skip, the checkpoint and the pass budget (see
+refuses, with the same error. The row is one exact tuple of atoms, and the
+stream, the metadata store and the notification hub keep that same tuple:
+once it has survived a collection the garbage collector no longer tracks
+it (``gc.is_tracked``), while it always tracks an ``AnalyticsRecord``, a
+slotted value. The handler appends the row to the stream and hands the
+entry that ``append`` returned to :meth:`Dispatcher.deliver_appended`,
+which owns the rest: the delivery without a pass when the dispatcher is
+caught up, the duplicate skip, the checkpoint and the pass budget (see
 :mod:`doorsim.cloud.stream`). The built-in row handler,
 ``CloudService._persist_and_notify``, stores the entry's row and then
-publishes it.
-Once its row is appended the ingest is answered 200 with its ack. ``x-sim-time`` takes the usual exact ASCII-digit string
+publishes it. Once its row is appended the ingest is answered 200 with its
+ack. ``x-sim-time`` takes the usual exact ASCII-digit string
 inline and any other value through :func:`doorsim.model.parse_int`.
 The envelope is checked only where the fast path fails: a method or path
 that is not a string, or headers or a query that are not a mapping, is a
@@ -74,6 +73,7 @@ from ..errors import (
 )
 from ..model import (
     REQUIRED,
+    ROW_DEVICE_ID,
     AnalyticsRecord,
     FaceCategory,
     FrameSample,
@@ -262,8 +262,9 @@ class CloudService:
         if type(data) is not dict:  # _body and field refuse it, or take a mapping
             data = field(self._body(request), "record", dict)
         row = AnalyticsRecord.row_from_dict(data)
-        if row[1] != device_id:
-            raise AuthError(f"session for {device_id} cannot ingest records of {row[1]}")
+        if row[ROW_DEVICE_ID] != device_id:
+            raise AuthError(
+                f"session for {device_id} cannot ingest records of {row[ROW_DEVICE_ID]}")
         entry = self.stream.append(row, self._now_ms)
         if self.auto_dispatch:
             self.dispatcher.deliver_appended(self.stream, entry)
@@ -302,7 +303,8 @@ class CloudService:
         if type(body) is not dict:
             body = self._body(request)
         now_ms = self._now_ms
-        summary, rows, counts = answer_rows(QueryRequest.from_dict(body, now_ms), self.store, now_ms)
+        query = QueryRequest.from_dict(body, now_ms)
+        summary, rows, counts = answer_rows(query, self.store, now_ms)
         # QueryAnswer.to_dict's object, from the rows
         return {"summary": summary, "records": list(map(AnalyticsRecord.row_to_dict, rows)),
                 "counts": counts}

@@ -18,7 +18,15 @@ import math
 from bisect import bisect_left, bisect_right
 
 from ..errors import ConflictError, NotFoundError, ValidationError
-from ..model import AnalyticsRecord, encoder, parse_event_id, value
+from ..model import (
+    ROW_CAPTURED_AT,
+    ROW_DEVICE_ID,
+    ROW_EVENT_ID,
+    AnalyticsRecord,
+    encoder,
+    parse_event_id,
+    value,
+)
 
 __all__ = ["MetadataStore", "BlobStore", "CustomLabelJobs", "CustomLabelJob"]
 
@@ -65,7 +73,7 @@ class _DeviceRecords:
         rows = self.rows[lo:hi]
         if self.ordered:
             return rows
-        puts = [self.puts[row[0]] for row in rows]
+        puts = [self.puts[row[ROW_EVENT_ID]] for row in rows]
         return [row for _, _, row in sorted(zip(self.seqs[lo:hi], puts, rows))]
 
 
@@ -98,13 +106,12 @@ class MetadataStore:
         ``to_row()``) or the row itself. ``seq`` is its event sequence when
         the caller has parsed the event id already."""
         row = record if type(record) is tuple else record.to_row()
-        event_id = row[0]
+        event_id, device_id, at = row[ROW_EVENT_ID], row[ROW_DEVICE_ID], row[ROW_CAPTURED_AT]
         if seq is None:
             seq = parse_event_id(event_id)[1]
-        at = row[5]  # captured_at
-        device = self._devices.get(row[1])
+        device = self._devices.get(device_id)
         if device is None:
-            device = self._devices[row[1]] = _DeviceRecords()
+            device = self._devices[device_id] = _DeviceRecords()
         puts = device.puts
         if event_id in puts:
             return

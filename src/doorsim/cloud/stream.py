@@ -39,7 +39,14 @@ from functools import partial
 from typing import Callable
 
 from ..errors import ValidationError
-from ..model import AnalyticsRecord, encoder, parse_event_id, value
+from ..model import (
+    ROW_DEVICE_ID,
+    ROW_EVENT_ID,
+    AnalyticsRecord,
+    encoder,
+    parse_event_id,
+    value,
+)
 
 __all__ = ["StreamRecord", "RowEntry", "IngestStream", "Dispatcher", "DEFAULT_POISON_PASSES",
            "MAX_PASSES"]
@@ -89,14 +96,14 @@ class RowEntry:
 
     @property
     def event_id(self) -> str:
-        return self.row[0]
+        return self.row[ROW_EVENT_ID]
 
     def to_row(self) -> tuple:
         return self.row
 
     def value(self) -> StreamRecord:
         row = self.row
-        return StreamRecord(self.sequence, row[1], AnalyticsRecord.from_row(row),
+        return StreamRecord(self.sequence, row[ROW_DEVICE_ID], AnalyticsRecord.from_row(row),
                             self.ingested_at, self.duplicate, self.event_seq)
 
 
@@ -117,10 +124,11 @@ class IngestStream:
         duplicates are flagged, never suppressed. Returns the entry: a
         :class:`StreamRecord` for a record, a :class:`RowEntry` for a row."""
         row = record if type(record) is tuple else record.to_row()
-        event_id = row[0]
+        event_id = row[ROW_EVENT_ID]
         device_id, event_seq = parse_event_id(event_id)
-        if device_id != row[1]:
-            raise ValidationError(f"event id {event_id} does not match device {row[1]}")
+        if device_id != row[ROW_DEVICE_ID]:
+            raise ValidationError(
+                f"event id {event_id} does not match device {row[ROW_DEVICE_ID]}")
         rows = self._rows
         sequence = len(rows)
         duplicate = event_id in self._seen_event_ids
@@ -146,7 +154,7 @@ class IngestStream:
         """The entry at ``sequence`` (in range), built from the columns."""
         row = self._rows[sequence]
         return RowEntry(sequence, row, self._ingested_at[sequence], sequence in self._duplicates,
-                        parse_event_id(row[0])[1])
+                        parse_event_id(row[ROW_EVENT_ID])[1])
 
     def read_from(self, sequence: int) -> list[StreamRecord]:
         """The entries from ``sequence`` on, as the slice ``[sequence:]`` of

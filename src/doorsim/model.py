@@ -748,9 +748,9 @@ class AnalyticsRecord:
     to_dict = encoder()
     # The row is the fields in order, each detection as its row: a tuple of
     # atoms, which the collector stops tracking (gc.is_tracked).
-    from_dict = decoder(check="if detections or detected_at < captured_at:\n"
-                              " _check_record(captured_at, detected_at, threshold_used, detections)",
-                        row=True)
+    from_dict = decoder(row=True, check=(
+        "if detections or detected_at < captured_at:\n"
+        " _check_record(captured_at, detected_at, threshold_used, detections)"))
 
 
 def _check_record(captured_at: int, detected_at: int, threshold_used: float,
@@ -760,10 +760,18 @@ def _check_record(captured_at: int, detected_at: int, threshold_used: float,
     if detected_at < captured_at:
         raise ValidationError("detected_at must be >= captured_at")
     for detection in detections:
-        row = type(detection) is tuple
+        row = type(detection) is tuple  # a detection row: (label, kind, confidence, ...)
         if (detection[2] if row else detection.confidence) < threshold_used:
             raise ValidationError(f"detection below threshold {threshold_used}: "
                                   f"{Detection.from_row(detection) if row else detection}")
+
+
+# Where a record row holds what the cloud reads of it (a row is the record's
+# fields in order), and where a detection row holds its kind.
+ROW_EVENT_ID, ROW_DEVICE_ID, ROW_DETECTIONS, ROW_CAPTURED_AT = map(
+    [f.name for f in dataclasses.fields(AnalyticsRecord)].index,
+    ("event_id", "device_id", "detections", "captured_at"))
+DETECTION_KIND = 1
 
 
 def format_event_id(device_id: str, sequence: int) -> str:
