@@ -421,8 +421,10 @@ def value(cls: type) -> type:
     statement over what it read and returns ``cls(<fields>)``. A decoder
     with a ``row`` (an expression over what it read, or True for the
     fields in order) makes the same reads and check into the static
-    ``row_from_dict``, which returns that tuple, and ``from_dict`` returns
-    ``cls.from_row(<row>)``; an array of a value type is then read by the
+    ``row_from_dict``, which returns that tuple, and ``from_dict`` makes the
+    reads and returns ``cls.from_row(<row>)``, leaving the check to the
+    value's ``__post_init__``, which calls the same rule; an array of a
+    value type is then read by the
     item type's ``row_from_dict``. With ``row=True``, ``from_row``,
     ``row_to_dict`` and ``to_row`` are generated too (see :func:`_row_codecs`);
     with an expression, the class body writes them.
@@ -483,16 +485,17 @@ def value(cls: type) -> type:
                                dataclasses.MISSING else f.default) for f in fields]
         decode = "row_from_dict" if row else "from_dict"
         body = [f" {line}" for r in reads for line in _read_source(*r, closure, decode)]
-        body += [f" {line}" for line in check.splitlines()]
+        checks = [f" {line}" for line in check.splitlines()]
         names = ", ".join(f.name for f in fields)
         if not row:
             functions[name] = ["@classmethod", f"def from_dict(cls, data{extra}):", *body,
-                               f" return cls({names})"]
+                               *checks, f" return cls({names})"]
             continue
-        # the same reads and checks twice: a refusal's traceback shows its read in either
+        # the same reads twice: a refusal's traceback shows its read in either.
+        # from_dict leaves the check to the value's __post_init__, which calls it
         atoms = f"({names if row is True else row},)"
         functions["row_from_dict"] = ["@staticmethod", "def row_from_dict(data):", *body,
-                                      f" return {atoms}"]
+                                      *checks, f" return {atoms}"]
         functions[name] = ["@classmethod", "def from_dict(cls, data):", *body,
                            f" return cls.from_row({atoms})"]
         if row is True:
@@ -641,7 +644,15 @@ class Detection:
                 "category": category, "box": None if box is None else list(box)}
 
     def to_dict(self) -> dict[str, Any]:
-        return Detection.row_to_dict(self.to_row())
+        identity = self.identity
+        return {
+            "label": self.label.name,
+            "kind": self.label.kind._value_,  # not the slower enum .value property
+            "confidence": self.confidence,
+            "identity": None if identity is None else identity.token,
+            "category": None if identity is None else identity.category._value_,
+            "box": None if self.box is None else list(self.box),
+        }
 
     # A vocabulary label's row holds its shared name; any other name is
     # checked as Label checks it. The category is read for an identity only.
