@@ -1,7 +1,9 @@
 """Structured activity queries answered from the metadata store.
 
 :func:`answer_rows` is the one query logic, over the rows that the store
-keeps (see :mod:`doorsim.cloud.stores`): the gateway encodes its rows with
+keeps: tuples of atoms, which the garbage collector stops tracking
+(``gc.is_tracked``), where it would track every stored value (see
+:mod:`doorsim.cloud.stores`). The gateway encodes the rows with
 :meth:`AnalyticsRecord.row_to_dict` and builds no record, and
 :func:`answer_query` wraps it to build a :class:`QueryAnswer` of
 :class:`AnalyticsRecord` values, each built from its row when it is called.

@@ -416,18 +416,18 @@ def value(cls: type) -> type:
     class body declares, which read field annotations as strings (``from
     __future__ import annotations``): ``to_dict = encoder()`` maps each
     field, but one with ``compare=False`` or a key of None, to its JSON
-    value, and ``from_dict = decoder(*reads, check=...)`` makes each
-    :func:`read` in order (with none, each field's), runs the ``check``
-    statement over what it read and returns ``cls(<fields>)``. A decoder
-    with a ``row`` (an expression over what it read, or True for the
-    fields in order) makes the same reads and check into the static
-    ``row_from_dict``, which returns that tuple, and ``from_dict`` makes the
-    reads and returns ``cls.from_row(<row>)``, leaving the check to the
-    value's ``__post_init__``, which calls the same rule; an array of a
-    value type is then read by the
-    item type's ``row_from_dict``. With ``row=True``, ``from_row``,
-    ``row_to_dict`` and ``to_row`` are generated too (see :func:`_row_codecs`);
-    with an expression, the class body writes them.
+    value, and ``from_dict = decoder(*reads)`` makes each :func:`read` in
+    order (with none, each field's) and returns ``cls(<fields>)``. A
+    decoder with a ``row`` (an expression over what it read, or True for
+    the fields in order) makes the same reads into the static
+    ``row_from_dict``, which runs the ``check`` statement over what it read
+    and returns that tuple; the check calls the rule that the value's
+    ``__post_init__`` calls, so ``from_dict`` makes the reads and returns
+    ``cls.from_row(<row>)``, whose value checks itself. An array of a
+    value type is then read by the item type's ``row_from_dict``. With
+    ``row=True``, ``from_row``, ``row_to_dict`` and ``to_row`` are generated
+    too (see :func:`_row_codecs`); with an expression, the class body
+    writes them.
 
     A shared ``__reduce__`` returns ``(type(self), field values)``, so
     copy, deepcopy and pickle rebuild a value through ``__new__``; the
@@ -485,17 +485,17 @@ def value(cls: type) -> type:
                                dataclasses.MISSING else f.default) for f in fields]
         decode = "row_from_dict" if row else "from_dict"
         body = [f" {line}" for r in reads for line in _read_source(*r, closure, decode)]
-        checks = [f" {line}" for line in check.splitlines()]
         names = ", ".join(f.name for f in fields)
         if not row:
             functions[name] = ["@classmethod", f"def from_dict(cls, data{extra}):", *body,
-                               *checks, f" return cls({names})"]
+                               f" return cls({names})"]
             continue
         # the same reads twice: a refusal's traceback shows its read in either.
         # from_dict leaves the check to the value's __post_init__, which calls it
         atoms = f"({names if row is True else row},)"
         functions["row_from_dict"] = ["@staticmethod", "def row_from_dict(data):", *body,
-                                      *checks, f" return {atoms}"]
+                                      *[f" {line}" for line in check.splitlines()],
+                                      f" return {atoms}"]
         functions[name] = ["@classmethod", "def from_dict(cls, data):", *body,
                            f" return cls.from_row({atoms})"]
         if row is True:
