@@ -644,6 +644,7 @@ class Detection:
                 "category": category, "box": None if box is None else list(box)}
 
     def to_dict(self) -> dict[str, Any]:
+        # written out, not row_to_dict(to_row()): the client encodes every detection
         identity = self.identity
         return {
             "label": self.label.name,
